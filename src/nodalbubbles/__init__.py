@@ -69,6 +69,7 @@ from .pde_harness import (
     expansion_gap,
     project_bubble,
     projected_bubbles_of_config,
+    require_core_resolution,
     residual_norm,
     residual_quadrature,
     solve_dirichlet_laplace,
@@ -129,8 +130,9 @@ __all__ = [
     # pde_harness
     "AxisymGrid", "Field", "ProjectedBubbleExact", "assemble_V", "energy_I",
     "energy_gradient_quadrature", "energy_quadrature", "expansion_gap",
-    "project_bubble", "projected_bubbles_of_config", "residual_norm",
-    "residual_quadrature", "solve_dirichlet_laplace", "solve_poisson",
+    "project_bubble", "projected_bubbles_of_config",
+    "require_core_resolution", "residual_norm", "residual_quadrature",
+    "solve_dirichlet_laplace", "solve_poisson",
     # reduced_energy
     "ALTERNATING_SIGNS_4", "AxisKernels", "BoundsReport", "Configuration",
     "base_spacing_points", "bounds_report", "find_t0_r0", "grad_psi_k",

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bubble_core import BubbleParams, compute_constants, lambda_of_Lambda_quadratic
+from .bubble_core import BubbleParams, compute_constants
 from .errors import (
     ConfigurationError,
     NodalBubblesError,
@@ -61,9 +61,9 @@ from .green_domain import (
 )
 from .pde_harness import (
     AxisymGrid,
-    energy_quadrature,
     expansion_gap,
     project_bubble,
+    require_core_resolution,
     residual_norm,
     residual_quadrature,
 )
@@ -101,7 +101,6 @@ class RunConfig:
     radius: float = 1.0
     center: tuple | None = None   # None = origin of the configured dimension
     eps: tuple = (0.1, 0.05, 0.025)
-    penalty_M: float = 100.0
     tol: float = 1.0e-8
     max_iter: int = 50
     grid_nz: int = 513
@@ -131,9 +130,6 @@ class RunConfig:
                 f"eps values must lie in (0, 1), got {self.eps!r}")
         eps = tuple(sorted(set(eps), reverse=True))
         object.__setattr__(self, "eps", eps)
-        if not (self.penalty_M > 0 and math.isfinite(self.penalty_M)):
-            raise ConfigurationError(
-                f"penalty_M must be positive, got {self.penalty_M!r}")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ConfigurationError(f"tol must be positive, got {self.tol!r}")
         if not isinstance(self.max_iter, int) or self.max_iter < 1:
@@ -162,7 +158,6 @@ class RunConfig:
             "radius": self.radius,
             "center": list(self.center),
             "eps": list(self.eps),
-            "penalty_M": self.penalty_M,
             "tol": self.tol,
             "max_iter": self.max_iter,
             "grid_nz": self.grid_nz,
@@ -339,16 +334,6 @@ def _verify_configuration(config: RunConfig) -> Configuration:
         "in the config file")
 
 
-def _check_core_resolution(grid: AxisymGrid, m: float) -> None:
-    if m < 6.0 * grid.h_max:
-        R = grid.domain.radius
-        raise ResolutionError(
-            f"core width {m:.3e} spans fewer than 6 grid cells "
-            f"(h={grid.h_max:.3e})",
-            required_nz=int(math.ceil(12.0 * R / m)) + 1,
-            required_nr=int(math.ceil(6.0 * R / m)) + 1)
-
-
 def cmd_verify(config: RunConfig) -> int:
     """Projection rate, residual comparisons, expansion gap -> verify.json."""
     domain = config.domain()
@@ -359,11 +344,14 @@ def cmd_verify(config: RunConfig) -> int:
     cfg = _verify_configuration(config)
     grid = AxisymGrid.for_ball(domain, nz=config.grid_nz, nr=config.grid_nr)
 
-    # Projection rate check: ||PU - U||_inf / sqrt(eps) across the eps list.
+    # Per eps: the projection rate ||PU - U||_inf / sqrt(eps), the grid
+    # residual of the same lam=1 projection, and the quadrature relative
+    # residual of the configuration under test.
     rate_rows = []
+    residual_rows = []
     for eps in config.eps:
         p = BubbleParams(N=3, eps=eps, lam=1.0, xi=np.array(domain.center))
-        _check_core_resolution(grid, p.core_width)
+        require_core_resolution(grid, p.core_width)
         PU = project_bubble(domain, p, grid)
         d2 = ((grid.z_nodes - domain.center[0]) ** 2 + grid.r_nodes ** 2)
         m = p.core_width
@@ -372,21 +360,14 @@ def cmd_verify(config: RunConfig) -> int:
         diff = float(np.max(np.abs(np.where(active, PU.values - U, 0.0))))
         rate_rows.append({"eps": eps, "sup_diff": diff,
                           "rate_constant": diff / math.sqrt(eps)})
-    consts = [r["rate_constant"] for r in rate_rows]
-    rate_stable = max(consts) / min(consts) <= 2.0
-
-    # Residual comparisons: grid residual trend for the lam=1 bubble and the
-    # quadrature relative residual of the configuration under test.
-    residual_rows = []
-    for eps in config.eps:
-        p = BubbleParams(N=3, eps=eps, lam=1.0, xi=np.array(domain.center))
-        PU = project_bubble(domain, p, grid)
         residual_rows.append({
             "eps": eps,
             "grid_relative": residual_norm(PU, eps, relative=True),
             "config_quadrature_relative": residual_quadrature(
                 domain, cfg, table, eps),
         })
+    consts = [r["rate_constant"] for r in rate_rows]
+    rate_stable = max(consts) / min(consts) <= 2.0
 
     gap = expansion_gap(cfg, list(config.eps), table, domain=domain)
 
@@ -424,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float, action="append", default=None,
                        help="subcriticality value; repeatable "
                             "(default 0.1 0.05 0.025)")
-        p.add_argument("--penalty-M", dest="penalty_M", type=float,
-                       default=None, help="penalty level M (default 100)")
         p.add_argument("--tol", type=float, default=None,
                        help="solver gradient tolerance (default 1e-8)")
         p.add_argument("--grid-nz", dest="grid_nz", type=int, default=None,
@@ -460,7 +439,6 @@ def main(argv=None) -> int:
         "dim": args.dim,
         "radius": args.radius,
         "eps": args.eps,
-        "penalty_M": args.penalty_M,
         "tol": args.tol,
         "grid_nz": args.grid_nz,
         "grid_nr": args.grid_nr,

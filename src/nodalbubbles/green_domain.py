@@ -31,7 +31,6 @@ evidence, not a certificate: reports carry worst observed values and counts.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -60,7 +59,6 @@ __all__ = [
     "check_directional_monotonicity",
     "stencil_laplacian",
     "harmonic_defect_order",
-    "dump_axis_tables",
 ]
 
 
@@ -591,45 +589,3 @@ def harmonic_defect_order(d: BallDomain, x: np.ndarray, y: np.ndarray,
     if d2 == 0.0:
         return float("inf")
     return math.log2(d1 / d2)
-
-
-# ---------------------------------------------------------------------------
-# table dumps
-# ---------------------------------------------------------------------------
-
-def dump_axis_tables(d: BallDomain, sec: AxisSection, out_dir, n: int = 257,
-                     margin: float | None = None) -> list[str]:
-    """Write plot-ready CSV tables of the axis kernels.
-
-    ``axis_h_table.csv`` holds (t, h(t,t), h''(t)) on a uniform grid;
-    ``axis_g_table.csv`` holds (t, s, g, dg_dt) on the off-diagonal lattice.
-    Returns the written file paths.
-    """
-    import os
-    width = sec.b - sec.a
-    m = 0.02 * width if margin is None else float(margin)
-    ts = np.linspace(sec.a + m, sec.b - m, n)
-    os.makedirs(out_dir, exist_ok=True)
-
-    p1 = os.path.join(out_dir, "axis_h_table.csv")
-    with open(p1, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "h", "h_d2"])
-        for t in ts:
-            w.writerow([f"{t:.17g}", f"{axis_h(d, sec, t):.17g}",
-                        f"{axis_h_d2(d, sec, t):.17g}"])
-
-    p2 = os.path.join(out_dir, "axis_g_table.csv")
-    side = max(2, int(math.isqrt(n)))
-    tt = np.linspace(sec.a + m, sec.b - m, side)
-    with open(p2, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "s", "g", "dg_dt"])
-        for t in tt:
-            for s in tt:
-                if abs(t - s) <= 1e-9 * width:
-                    continue
-                w.writerow([f"{t:.17g}", f"{s:.17g}",
-                            f"{axis_g(d, sec, t, s):.17g}",
-                            f"{axis_g_dt(d, sec, t, s):.17g}"])
-    return [p1, p2]

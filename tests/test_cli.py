@@ -59,6 +59,14 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="bogus"):
             load_run_config(str(cfg_file), {})
 
+    def test_penalty_M_is_not_a_key(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"penalty_M": 100.0}))
+        rc = main(["constants", "--config", str(cfg_file),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "penalty_M" not in RunConfig().to_json_dict()
+
 
 class TestConstantsCommand:
     def test_report_values(self, tmp_path):
@@ -157,6 +165,29 @@ class TestVerifyCommand:
         assert rep["configuration"]["k"] == 4
         assert rep["expansion_gap"]["psi"] == pytest.approx(SADDLE_VALUE,
                                                             abs=1e-9)
+
+    def test_projects_each_bubble_once(self, tmp_path, monkeypatch):
+        import nodalbubbles.cli as cli
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1].eps)
+            return project_bubble(*args)
+
+        project_bubble = cli.project_bubble
+        monkeypatch.setattr(cli, "project_bubble", counted)
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({
+            "configuration": {"k": 1, "signs": [1],
+                              "Lambda": [math.sqrt(4 * math.pi)], "t": [0.0]},
+        }))
+        rc = main(["verify", "--config", str(cfg_file), "--out",
+                   str(tmp_path), "--eps", "0.1", "--eps", "0.05",
+                   "--grid-nz", "257", "--grid-nr", "129"])
+        assert rc == EXIT_OK
+        assert calls == [0.1, 0.05]
+        rows = read_json(tmp_path / "verify.json")["report"]["residuals"]
+        assert [r["eps"] for r in rows] == [0.1, 0.05]
 
     def test_missing_configuration(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -55,6 +55,11 @@ GAP_SADDLE = {0.1: -2.285213753716852,
               0.05: -1.447286069350343,
               0.025: -0.8816618411728154}
 
+# Raw terms (grad_sq, nonlinear) of the k=4 saddle energy at eps = 0.025, by
+# quadrature refinement, as the per-pair section integrals produced them.
+SADDLE_RAW_TERMS_0025 = {1: (51.07028806326982, 45.96095185224311),
+                         2: (51.07028806265856, 45.960951852243156)}
+
 
 def centered1(L=LAMBDA_STAR):
     return Configuration(k=1, signs=(1,), Lambda=(L,), t=(0.0,))
@@ -160,6 +165,15 @@ class TestEnergyQuadrature:
         g1 = energy_gradient_quadrature(domain, pert, table3, eps)
         ratio = np.linalg.norm(g0) / np.linalg.norm(g1)
         assert ratio <= 0.1
+
+    def test_saddle_raw_terms_frozen(self, domain, table3, saddle_config):
+        # The per-center node sets reproduce the per-pair integrals: only
+        # the summation order may move the raw terms.
+        for refine, (grad_sq, nonlin) in SADDLE_RAW_TERMS_0025.items():
+            _, info = energy_quadrature(domain, saddle_config, table3, 0.025,
+                                        refine=refine)
+            assert info["grad_sq"] == pytest.approx(grad_sq, rel=1e-12)
+            assert info["nonlinear"] == pytest.approx(nonlin, rel=1e-12)
 
     def test_residual_quadrature_trend(self, domain, table3, saddle_config):
         vals = [residual_quadrature(domain, saddle_config, table3, eps)
@@ -272,6 +286,17 @@ class TestAxisymGrid:
         sol = solve_poisson(g, src, boundary_data=trace)
         err = np.max(np.abs((sol.values - trace.values)[g.interior]))
         assert err <= 1e-9  # quadratic solution: FV scheme is exact
+
+    def test_factor_fill_and_residual(self, grid513):
+        # Symmetric-mode factor under the minimum-degree ordering of
+        # A^T + A: about half the 11.29M fill of the COLAMD ordering.
+        g = grid513
+        g._factor()
+        assert g._lu.L.nnz + g._lu.U.nnz <= 6_500_000
+        rhs = np.random.default_rng(0).normal(size=g.n_interior)
+        x = g._solve(rhs)
+        rel = np.linalg.norm(g._A @ x - rhs) / np.linalg.norm(rhs)
+        assert rel <= 1e-12
 
     def test_n3_only(self):
         from nodalbubbles import BallDomain
