@@ -19,6 +19,7 @@ from .bubble_core import (
     QuadratureSettings,
     alpha_N,
     bubble_integrals,
+    bubble_profile,
     compute_constants,
     eval_bubble,
     eval_bubble_gradient,
@@ -115,9 +116,10 @@ __all__ = [
     "__version__",
     # bubble_core
     "BubbleIntegrals", "BubbleParams", "ConstantsTable", "QuadratureSettings",
-    "alpha_N", "bubble_integrals", "compute_constants", "eval_bubble",
-    "eval_bubble_gradient", "lambda_of_Lambda", "lambda_of_Lambda_quadratic",
-    "sigma_N", "single_bubble_energy_limit", "two_star",
+    "alpha_N", "bubble_integrals", "bubble_profile", "compute_constants",
+    "eval_bubble", "eval_bubble_gradient", "lambda_of_Lambda",
+    "lambda_of_Lambda_quadratic", "sigma_N", "single_bubble_energy_limit",
+    "two_star",
     # errors
     "ConfigurationError", "DomainError", "NodalBubblesError",
     "ParameterError", "QuadratureError", "ResolutionError", "SearchError",

@@ -22,11 +22,11 @@ projected multi-bubble ansatz:
               + (1/2) omega_N log c_N.
 
 All integrals reduce, by radial symmetry, to one-dimensional integrals over
-the radius; they are evaluated here by adaptive quadrature on a finite window
-plus an explicit asymptotic tail, cross-checked against a fixed Gauss-Legendre
-rule, and reported together with an error estimate.  None of these constants
-is quoted numerically by the underlying theory, so reports flag the values as
-implementer-derived.
+the radius, and each is a closed form: a Beta function, times a difference
+of digamma values for the log-weighted one.  They are evaluated here with
+the standard library's ``math`` alone and reported together with a rounding
+bound.  None of these constants is quoted numerically by the underlying
+theory, so reports flag the values as implementer-derived.
 
 The scaling change of variables ``lam = (c_N * Lambda)^{1/(N-2)}`` converts
 the dimensionless scaling ``Lambda`` used by the reduced energies into the
@@ -39,12 +39,12 @@ scaling weights term by term (see the pde harness module).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .errors import ParameterError, QuadratureError
+from .errors import ParameterError
 
 __all__ = [
     "BubbleParams",
@@ -54,6 +54,7 @@ __all__ = [
     "alpha_N",
     "sigma_N",
     "two_star",
+    "bubble_profile",
     "eval_bubble",
     "eval_bubble_gradient",
     "bubble_integrals",
@@ -125,6 +126,15 @@ class BubbleParams:
         return self.lam * self.eps ** (1.0 / (self.N - 2.0))
 
 
+def bubble_profile(N: int, m: float, d2):
+    """The bubble alpha_N (m / (m^2 + d2))^{(N-2)/2} of core width ``m``.
+
+    ``d2`` is the squared distance to the center (a float or an array).
+    Every bubble evaluation in the package goes through this one formula.
+    """
+    return alpha_N(N) * (m / (m * m + d2)) ** ((N - 2) / 2.0)
+
+
 def eval_bubble(p: BubbleParams, x) -> float | np.ndarray:
     """Evaluate the bubble profile at one or many points.
 
@@ -141,9 +151,7 @@ def eval_bubble(p: BubbleParams, x) -> float | np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     scalar = (x.ndim == 1)
-    m = p.core_width
-    r2 = np.sum((x - p.xi) ** 2, axis=-1)
-    val = alpha_N(p.N) * (m / (m * m + r2)) ** ((p.N - 2) / 2.0)
+    val = bubble_profile(p.N, p.core_width, np.sum((x - p.xi) ** 2, axis=-1))
     return float(val) if scalar else val
 
 
@@ -162,26 +170,17 @@ def eval_bubble_gradient(p: BubbleParams, x) -> np.ndarray:
     m = p.core_width
     d = x - p.xi
     r2 = np.sum(d * d, axis=-1)
-    u = alpha_N(p.N) * (m / (m * m + r2)) ** ((p.N - 2) / 2.0)
+    u = bubble_profile(p.N, m, r2)
     grad = -(p.N - 2) * u[..., None] * d / (m * m + r2)[..., None]
     return grad[0] if (scalar and grad.ndim == 2) else grad
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Controls for the radial quadratures behind :func:`compute_constants`.
+    """Quadrature settings that :func:`compute_constants` accepts.
 
-    Attributes
-    ----------
-    r_cut : float
-        Outer edge of the adaptive window; beyond it the integrand is replaced
-        by its two-term power-law asymptotics (added in closed form) and the
-        third term bounds the tail error.
-    abs_tol : float
-        Target absolute tolerance for each radial integral.
-    cross_check_nodes : int
-        Node count for the independent Gauss-Legendre cross-check rule on the
-        compactified half-line.
+    The constants are closed forms and need no settings: an instance passed
+    to :func:`bubble_integrals` or :func:`compute_constants` is not read.
     """
 
     r_cut: float = 1.0e4
@@ -195,9 +194,9 @@ class BubbleIntegrals:
 
     ``int_U_2star`` is ∫U_0^{2*}, ``int_U_2star_m1`` is ∫U_0^{2*-1},
     ``int_U_2star_logU`` is ∫U_0^{2*} log U_0, and ``int_grad_sq`` is
-    ∫|∇U_0|^2 (equal to ∫U_0^{2*} analytically; computed independently as a
-    consistency probe).  ``quad_error`` bounds the worst absolute error among
-    the four.
+    ∫|∇U_0|^2 (equal to ∫U_0^{2*} analytically; evaluated from its own Beta
+    function as a consistency probe).  ``quad_error`` bounds the worst
+    absolute rounding error among the four.
     """
 
     N: int
@@ -210,10 +209,10 @@ class BubbleIntegrals:
 
 @dataclass(frozen=True)
 class ConstantsTable:
-    """The five constants of the energy expansion plus a quadrature error bar.
+    """The five constants of the energy expansion plus a rounding error bar.
 
     Invariants: ``alphaN = (N(N-2))^{(N-2)/4}`` exactly, and
-    ``CN = (1 - 1/2*) * (2* * omegaN)`` up to quadrature error (a consequence
+    ``CN = (1 - 1/2*) * (2* * omegaN)`` up to rounding (a consequence
     of ∫|∇U_0|^2 = ∫U_0^{2*}).
     """
 
@@ -239,127 +238,67 @@ class ConstantsTable:
         }
 
 
-def _tail_power_log(R: float, m: float, want_log: bool) -> tuple[float, float]:
-    """Closed forms for ∫_R^∞ r^{-m} dr and, when asked, ∫_R^∞ r^{-m} log r dr.
+def _half_beta(a: float, b: float) -> float:
+    """½B(a, b) = ∫_0^∞ r^{2a-1} (1+r^2)^{-(a+b)} dr, by log-gamma."""
+    return 0.5 * math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
-    Requires m > 1.  Returns the pair (plain, log) with the log entry zero
-    when ``want_log`` is false.
+
+def _digamma_plus_euler(x: float) -> float:
+    """ψ(x) + γ for integer or half-integer x > 0, by harmonic sums.
+
+    ψ(1) + γ = 0 and ψ(1/2) + γ = -2 log 2, then ψ(x+1) = ψ(x) + 1/x.
     """
-    plain = R ** (1.0 - m) / (m - 1.0)
-    logpart = 0.0
-    if want_log:
-        logpart = R ** (1.0 - m) * (math.log(R) / (m - 1.0) + 1.0 / (m - 1.0) ** 2)
-    return plain, logpart
+    x0 = 1.0 if x == int(x) else 0.5
+    base = 0.0 if x0 == 1.0 else -2.0 * math.log(2.0)
+    return base + sum(1.0 / (x0 + k) for k in range(int(x - x0)))
 
 
-def _radial_integral(N: int, p_exp: float, quad: QuadratureSettings,
-                     log_factor: bool = False) -> tuple[float, float]:
-    """Integrate r^{N-1} (1+r^2)^{-p} [log(1+r^2)] over (0, ∞).
+def _rounding_rel(N: int) -> float:
+    """Relative rounding bound of every term of the closed forms.
 
-    Adaptive quadrature on (0, r_cut] plus the first two terms of the
-    large-r expansion (1+r^2)^{-p} = r^{-2p}(1 - p r^{-2} + O(r^{-4})) in
-    closed form; the third binomial term bounds the truncation.  Returns
-    ``(value, error_bound)``.
+    16 ulps per unit of N (the harmonic sums have fewer than N terms) and
+    per unit of every logarithm that pow, exp and lgamma turn into relative
+    error: log alpha_N^{2*}, log sigma_N and three log-gammas, each at most
+    log Γ(N) in size.
     """
-    R = quad.r_cut
-
-    if log_factor:
-        def f(r):
-            return r ** (N - 1) * (1.0 + r * r) ** (-p_exp) * math.log1p(r * r)
-    else:
-        def f(r):
-            return r ** (N - 1) * (1.0 + r * r) ** (-p_exp)
-
-    val, err = integrate.quad(f, 0.0, R, epsabs=quad.abs_tol * 1e-2,
-                              epsrel=1e-13, limit=400)
-
-    # Tail: integrand ~ r^{N-1-2p} (1 - p r^{-2}) * [2 log r + r^{-2} ...].
-    m0 = 2.0 * p_exp - (N - 1.0)          # r^{-m0} leading power
-    if m0 <= 1.0:
-        raise QuadratureError(
-            f"tail of radial integral does not converge (power {m0})")
-    t0_plain, t0_log = _tail_power_log(R, m0, log_factor)
-    t1_plain, t1_log = _tail_power_log(R, m0 + 2.0, log_factor)
-    if log_factor:
-        # (1 - p r^{-2} + ...)(2 log r + r^{-2} - ...):
-        #   r^{-m0} * 2 log r  +  r^{-m0-2} * (1 - 2p log r)  +  O(r^{-m0-4} log r)
-        tail = 2.0 * t0_log + t1_plain - 2.0 * p_exp * t1_log
-        t2_plain, t2_log = _tail_power_log(R, m0 + 4.0, True)
-        tail_err = (2.0 * abs(p_exp * (p_exp + 1.0)) * t2_log
-                    + (1.0 + 2.0 * p_exp) * t2_plain)
-    else:
-        tail = t0_plain - p_exp * t1_plain
-        t2_plain, _ = _tail_power_log(R, m0 + 4.0, False)
-        tail_err = abs(p_exp * (p_exp + 1.0) / 2.0) * t2_plain
-
-    return val + tail, err + tail_err
-
-
-def _radial_integral_gauss(N: int, p_exp: float, nodes: int,
-                           log_factor: bool = False) -> float:
-    """Independent fixed rule: Gauss-Legendre on u in (0,1), r = u/(1-u)."""
-    u, w = np.polynomial.legendre.leggauss(nodes)
-    u = 0.5 * (u + 1.0)
-    w = 0.5 * w
-    r = u / (1.0 - u)
-    jac = 1.0 / (1.0 - u) ** 2
-    g = r ** (N - 1) * (1.0 + r * r) ** (-p_exp)
-    if log_factor:
-        g = g * np.log1p(r * r)
-    return float(np.sum(w * g * jac))
+    logs = (abs(two_star(N) * math.log(alpha_N(N)))
+            + abs(math.log(sigma_N(N))) + 3.0 * math.lgamma(N))
+    return 16.0 * sys.float_info.epsilon * (N + logs)
 
 
 def bubble_integrals(N: int, quad: QuadratureSettings | None = None) -> BubbleIntegrals:
-    """Compute the four whole-space radial integrals of the unit bubble.
+    """The four whole-space integrals of the unit bubble in closed form.
 
-    Each integral is the 1D radial reduction times the sphere area; the
-    returned ``quad_error`` is the worst of (adaptive estimate + tail bound)
-    and the discrepancy against the independent Gauss-Legendre rule.
+    With U_0 = alpha (1+r^2)^{-(N-2)/2} every radial integral is
+    ∫_0^∞ r^{n-1} (1+r^2)^{-p} dr = ½B(n/2, p - n/2), and the log-weighted
+    one is that value times ψ(p) - ψ(p - n/2) (Euler's constant cancels).
+    ``quad`` is accepted and ignored.  ``quad_error`` is the rounding bound
+    of :func:`_rounding_rel` applied to the largest of the four (to the sum
+    of the magnitudes of both terms for the log-weighted one).
     """
     if N < 3:
         raise ParameterError(f"dimension N must be >= 3, got {N}")
-    quad = quad or QuadratureSettings()
     a = alpha_N(N)
     s = sigma_N(N)
     ts = two_star(N)
+    h = N / 2.0
 
     # ∫ U^{2*} = alpha^{2*} sigma ∫ r^{N-1} (1+r^2)^{-N} dr
-    v1, e1 = _radial_integral(N, float(N), quad)
-    int_U_2star = a ** ts * s * v1
-    err1 = a ** ts * s * e1
-    g1 = a ** ts * s * _radial_integral_gauss(N, float(N), quad.cross_check_nodes)
-
+    int_U_2star = a ** ts * s * _half_beta(h, h)
     # ∫ U^{2*-1} = alpha^{2*-1} sigma ∫ r^{N-1} (1+r^2)^{-(N+2)/2} dr
-    v2, e2 = _radial_integral(N, (N + 2) / 2.0, quad)
-    int_U_2star_m1 = a ** (ts - 1.0) * s * v2
-    err2 = a ** (ts - 1.0) * s * e2
-    g2 = a ** (ts - 1.0) * s * _radial_integral_gauss(
-        N, (N + 2) / 2.0, quad.cross_check_nodes)
-
+    int_U_2star_m1 = a ** (ts - 1.0) * s * _half_beta(h, 1.0)
     # ∫ U^{2*} log U = log(alpha) ∫U^{2*} - (N-2)/2 * alpha^{2*} sigma
     #                  * ∫ r^{N-1}(1+r^2)^{-N} log(1+r^2) dr
-    v3, e3 = _radial_integral(N, float(N), quad, log_factor=True)
-    int_U_2star_logU = math.log(a) * int_U_2star - (N - 2) / 2.0 * a ** ts * s * v3
-    err3 = abs(math.log(a)) * err1 + (N - 2) / 2.0 * a ** ts * s * e3
-    g3 = math.log(a) * g1 - (N - 2) / 2.0 * a ** ts * s * _radial_integral_gauss(
-        N, float(N), quad.cross_check_nodes, log_factor=True)
-
+    log_part = (N - 2) / 2.0 * int_U_2star * (
+        _digamma_plus_euler(N) - _digamma_plus_euler(h))
+    int_U_2star_logU = math.log(a) * int_U_2star - log_part
     # ∫ |∇U|^2 = alpha^2 (N-2)^2 sigma ∫ r^{N+1} (1+r^2)^{-N} dr
     # (|∇U| = (N-2) U r/(1+r^2); the extra r^2 shifts the radial power by 2.)
-    v4, e4 = _radial_integral(N + 2, float(N), quad)
-    int_grad_sq = a ** 2 * (N - 2) ** 2 * s * v4
-    err4 = a ** 2 * (N - 2) ** 2 * s * e4
-    g4 = a ** 2 * (N - 2) ** 2 * s * _radial_integral_gauss(
-        N + 2, float(N), quad.cross_check_nodes)
+    int_grad_sq = a ** 2 * (N - 2) ** 2 * s * _half_beta(h + 1.0, h - 1.0)
 
-    cross = max(abs(int_U_2star - g1), abs(int_U_2star_m1 - g2),
-                abs(int_U_2star_logU - g3), abs(int_grad_sq - g4))
-    quad_error = max(err1, err2, err3, err4, cross)
-    if not np.isfinite(quad_error) or quad_error > 1e-6:
-        raise QuadratureError(
-            f"radial quadrature failed to converge for N={N}: "
-            f"error estimate {quad_error:.3e} "
-            f"(adaptive {max(err1, err2, err3, err4):.3e}, cross-check {cross:.3e})")
+    quad_error = _rounding_rel(N) * max(
+        int_U_2star, int_U_2star_m1, int_grad_sq,
+        abs(math.log(a)) * int_U_2star + log_part)
 
     return BubbleIntegrals(
         N=N,
@@ -372,11 +311,11 @@ def bubble_integrals(N: int, quad: QuadratureSettings | None = None) -> BubbleIn
 
 
 def compute_constants(N: int, quad: QuadratureSettings | None = None) -> ConstantsTable:
-    """Evaluate alpha_N, C_N, c_N, omega_N, gamma_N by radial quadrature.
+    """Evaluate alpha_N, C_N, c_N, omega_N, gamma_N from the closed forms.
 
-    ``quad_error`` propagates the integral error bars linearly through the
-    defining formulas (first-order sensitivity), so the table's constants are
-    accurate to roughly that bound.
+    Each constant is a short sum of terms whose relative rounding error is
+    at most four times :func:`_rounding_rel`; ``quad_error`` is that times
+    the largest sum of term magnitudes.
     """
     ints = bubble_integrals(N, quad)
     ts = two_star(N)
@@ -387,15 +326,12 @@ def compute_constants(N: int, quad: QuadratureSettings | None = None) -> Constan
              - ints.int_U_2star_logU / ts
              + 0.5 * omega * math.log(c))
 
-    e = ints.quad_error
-    # linear sensitivities of the derived constants to the integral errors
-    e_omega = e / ts
-    e_C = e * (1.0 + 1.0 / ts)
-    e_c = e * (1.0 / ts / ints.int_U_2star_m1 ** 2
-               + 2.0 * c / ints.int_U_2star_m1)
-    e_gamma = (e / ts ** 2 + e / ts + 0.5 * e_omega * abs(math.log(c))
-               + 0.5 * omega * e_c / c)
-    quad_error = max(e, e_omega, e_C, e_c, e_gamma)
+    log_a_part = math.log(alpha_N(N)) * ints.int_U_2star
+    log_part = log_a_part - ints.int_U_2star_logU
+    gamma_terms = (omega / ts + (abs(log_a_part) + abs(log_part)) / ts
+                   + 0.5 * omega * (abs(math.log(c)) + 1.0))
+    quad_error = 4.0 * _rounding_rel(N) * max(
+        ints.int_grad_sq + omega, c, gamma_terms)
 
     return ConstantsTable(
         N=N,

@@ -3,7 +3,7 @@
 Four subcommands orchestrate the library with machine-readable outputs:
 
 ``constants``
-    Dimension-dependent energy constants by radial quadrature
+    Dimension-dependent energy constants from closed forms
     -> ``constants.json``.
 ``assumptions``
     Kernel hypothesis checks on the ball (axis convexity of the diagonal,
@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bubble_core import BubbleParams, compute_constants
+from .bubble_core import BubbleParams, bubble_profile, compute_constants
 from .errors import (
     ConfigurationError,
     NodalBubblesError,
@@ -353,9 +353,9 @@ def cmd_verify(config: RunConfig) -> int:
         p = BubbleParams(N=3, eps=eps, lam=1.0, xi=np.array(domain.center))
         require_core_resolution(grid, p.core_width)
         PU = project_bubble(domain, p, grid)
-        d2 = ((grid.z_nodes - domain.center[0]) ** 2 + grid.r_nodes ** 2)
-        m = p.core_width
-        U = table.alphaN * (m / (m * m + d2)) ** 0.5
+        U = bubble_profile(3, p.core_width,
+                           (grid.z_nodes - domain.center[0]) ** 2
+                           + grid.r_nodes ** 2)
         active = grid.interior | grid.boundary
         diff = float(np.max(np.abs(np.where(active, PU.values - U, 0.0))))
         rate_rows.append({"eps": eps, "sup_diff": diff,

@@ -524,22 +524,27 @@ def check_directional_monotonicity(d: BallDomain, n_samples: int = 1000,
     """Sample (x-y)·∇_x G(x,y) < 0 on random interior pairs.
 
     On a convex domain the directional derivative of G along the ray from y
-    is strictly negative away from the singularity.  Pairs closer than
+    is strictly negative away from the singularity.  Both points are drawn
+    uniformly from the ball of radius 0.999 R (a Gaussian direction times
+    0.999 R U^{1/N}), so the cost does not grow with N.  Pairs closer than
     1e-6 R are re-drawn; the report's worst value is the sample maximum
     (passes iff negative).
     """
     rng = np.random.default_rng(seed)
     R, c = d.radius, d.center
+
+    def draw(m):
+        g = rng.standard_normal((m, d.N))
+        rad = 0.999 * R * rng.random(m) ** (1.0 / d.N)
+        return g * (rad / np.linalg.norm(g, axis=1))[:, None]
+
     worst = -math.inf
     count = 0
     while count < n_samples:
         m = n_samples - count
-        x = rng.uniform(-R, R, size=(2 * m, d.N))
-        y = rng.uniform(-R, R, size=(2 * m, d.N))
-        keep = ((np.linalg.norm(x, axis=1) < 0.999 * R)
-                & (np.linalg.norm(y, axis=1) < 0.999 * R)
-                & (np.linalg.norm(x - y, axis=1) > 1e-6 * R))
-        x, y = x[keep][:m] + c, y[keep][:m] + c
+        x, y = draw(m), draw(m)
+        keep = np.linalg.norm(x - y, axis=1) > 1e-6 * R
+        x, y = x[keep] + c, y[keep] + c
         if len(x) == 0:
             continue
         vals = np.sum((x - y) * grad_x_G(d, x, y), axis=-1)

@@ -50,13 +50,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .bubble_core import (
     BubbleParams,
     ConstantsTable,
     alpha_N,
+    bubble_profile,
     eval_bubble,
     lambda_of_Lambda_quadratic,
     sigma_N,
@@ -147,9 +146,7 @@ class ProjectedBubbleExact:
         """The bubble itself at half-section points (z, r)."""
         z = np.asarray(z, dtype=float)
         r = np.asarray(r, dtype=float)
-        d2 = (z - self.t) ** 2 + r * r
-        h = (self.N - 2) / 2.0
-        return alpha_N(self.N) * (self.m / (self.m * self.m + d2)) ** h
+        return bubble_profile(self.N, self.m, (z - self.t) ** 2 + r * r)
 
     def w(self, z, r):
         """The harmonic correction (boundary trace of ``u``, extended)."""
@@ -594,6 +591,10 @@ class AxisymGrid:
         """Assemble and factor the SPD operator (lazy, cached)."""
         if self._lu is not None:
             return
+        # Imported on first use, so the package itself loads no scipy.
+        from scipy import sparse
+        from scipy.sparse.linalg import splu
+
         ii, jj = np.nonzero(self.interior)
         p = self.index[ii, jj]
         diag = np.zeros(self.n_interior)
@@ -807,9 +808,8 @@ def project_bubble(domain: BallDomain, p: BubbleParams,
         raise ParameterError("domain does not match the grid's domain")
     t_abs = _require_axis_center(p, grid)
     _check_boundary_margin(grid, t_abs)
-    m = p.core_width
-    d2 = (grid.z_nodes - t_abs) ** 2 + grid.r_nodes ** 2
-    U = alpha_N(3) * (m / (m * m + d2)) ** 0.5
+    U = bubble_profile(3, p.core_width,
+                       (grid.z_nodes - t_abs) ** 2 + grid.r_nodes ** 2)
     w = solve_dirichlet_laplace(grid, Field(grid, U))
     vals = np.where(grid.interior, U - w.values, 0.0)
     return Field(grid, vals)
@@ -838,8 +838,8 @@ def assemble_V(cfg: Configuration, eps: float, table: ConstantsTable,
 
     trace = np.zeros((grid.nz, grid.nr))
     for s, m, t in zip(cfg.signs, ms, t_abs):
-        d2 = (grid.z_nodes - t) ** 2 + grid.r_nodes ** 2
-        trace += s * alpha_N(3) * (m / (m * m + d2)) ** 0.5
+        trace += s * bubble_profile(
+            3, m, (grid.z_nodes - t) ** 2 + grid.r_nodes ** 2)
     w = solve_dirichlet_laplace(grid, Field(grid, trace))
     vals = np.where(grid.interior, trace - w.values, 0.0)
     return Field(grid, vals)

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ParameterError, SearchError
 from .green_domain import (AxisSection, BallDomain, axis_g, axis_g_dt, axis_h,
@@ -423,6 +422,7 @@ def robin_min(kern: AxisKernels, n_grid: int = 2001) -> float:
     vals = np.atleast_1d(kern.h(ts))
     i = int(np.argmin(vals))
     lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, n - 1)]
+    from scipy import optimize  # on first use: keeps the package scipy-free
     res = optimize.minimize_scalar(
         lambda t: float(kern.h(t)), bounds=(lo, hi), method="bounded",
         options={"xatol": 1e-13})

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ParameterError, SearchError, SolverDivergenceError
 from .green_domain import AxisSection, BallDomain
@@ -404,6 +403,7 @@ def _level_roots(cfg: Configuration, kern: AxisKernels, level: float):
     def f(c):
         return c * A - 2.0 * math.log(c) + B - level
 
+    from scipy import optimize  # on first use: keeps the package scipy-free
     lo = c_star
     while f(lo) < 0.0:
         lo *= 0.5
@@ -572,6 +572,7 @@ def _refine_level_min(kern: AxisKernels, anchor: Configuration,
             return 1e6
         return min(psi_tilde(_scale_config(cfg, c), kern) for c in roots)
 
+    from scipy import optimize  # on first use: keeps the package scipy-free
     res = optimize.minimize(objective, z0, method="Nelder-Mead",
                             options={"maxiter": 400, "xatol": 1e-8,
                                      "fatol": 1e-10})

@@ -2,13 +2,18 @@
 
 Frozen literals are exact closed forms (Beta/digamma evaluations of the
 radial integrals), independently cross-checked with 50-digit mpmath
-quadrature before being written down here.
+quadrature before being written down here.  The library evaluates the same
+closed forms; the oracles below integrate the radial integrals numerically
+instead (adaptive quadrature, a compactified Gauss-Legendre rule, and mpmath
+quadrature) and so share no code with it.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 
 from nodalbubbles import (
     BubbleParams,
@@ -47,6 +52,81 @@ GAMMA5 = -1053.5670310027475
 
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature oracles for I(n, p) = ∫_0^∞ r^{n-1} (1+r^2)^{-p} [log(1+r^2)] dr
+# ---------------------------------------------------------------------------
+
+def radial_adaptive(n, p, log_factor=False):
+    """Adaptive quadrature on (0, 1] and, through r = 1/s, on [1, ∞)."""
+    def f(r):
+        v = r ** (n - 1) * (1.0 + r * r) ** (-p)
+        return v * math.log1p(r * r) if log_factor else v
+
+    def f_inv(s):
+        return 0.0 if s == 0.0 else f(1.0 / s) / (s * s)
+
+    near, _ = integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
+                             limit=200)
+    far, _ = integrate.quad(f_inv, 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
+                            limit=200)
+    return near + far
+
+
+_GL_U, _GL_W = np.polynomial.legendre.leggauss(400)
+
+
+def radial_gauss(n, p, log_factor=False):
+    """400-node Gauss-Legendre on u in (0, 1), r = u/(1-u)."""
+    u = 0.5 * (_GL_U + 1.0)
+    r = u / (1.0 - u)
+    g = r ** (n - 1) * (1.0 + r * r) ** (-p) / (1.0 - u) ** 2
+    if log_factor:
+        g = g * np.log1p(r * r)
+    return float(np.sum(0.5 * _GL_W * g))
+
+
+def radial_mpmath(n, p, log_factor=False):
+    """30-digit tanh-sinh quadrature, split at r = 1."""
+    with mpmath.workdps(30):
+        def f(r):
+            v = r ** (n - 1) * (1 + r * r) ** (-mpmath.mpf(p))
+            return v * mpmath.log(1 + r * r) if log_factor else v
+        return mpmath.quad(f, [0, 1, mpmath.inf])
+
+
+def oracle_constants(N, radial):
+    """Integrals and constants from the radial integrals of ``radial``.
+
+    The prefactors alpha_N, sigma_N and 2* are taken at 30 digits, so the
+    result is as accurate as the radial integrals are.
+    """
+    with mpmath.workdps(30):
+        n = mpmath.mpf(N)
+        a = (n * (n - 2)) ** ((n - 2) / 4)
+        s = 2 * mpmath.pi ** (n / 2) / mpmath.gamma(n / 2)
+        ts = 2 * n / (n - 2)
+
+        def rad(dim, p, log_factor=False):
+            return mpmath.mpf(radial(dim, p, log_factor))
+
+        i_2star = a ** ts * s * rad(N, N)
+        i_2star_m1 = a ** (ts - 1) * s * rad(N, (N + 2) / 2.0)
+        i_log = (mpmath.log(a) * i_2star
+                 - (n - 2) / 2 * a ** ts * s * rad(N, N, True))
+        i_grad = a ** 2 * (n - 2) ** 2 * s * rad(N + 2, N)
+        omega = i_2star / ts
+        c = omega / i_2star_m1 ** 2
+        gamma = i_2star / ts ** 2 - i_log / ts + omega * mpmath.log(c) / 2
+        return {
+            "integrals": [float(v) for v in (i_2star, i_2star_m1, i_log,
+                                             i_grad)],
+            "CN": float(i_grad - omega),
+            "cN": float(c),
+            "omegaN": float(omega),
+            "gammaN": float(gamma),
+        }
 
 
 class TestBasicScalars:
@@ -234,3 +314,32 @@ class TestBubbleEvaluation:
     def test_core_width_n4(self):
         p = BubbleParams(N=4, eps=0.04, lam=3.0, xi=np.zeros(4))
         assert p.core_width == pytest.approx(3.0 * 0.2, rel=1e-14)
+
+
+class TestConstantsOracles:
+    """compute_constants against three quadratures of the radial integrals."""
+
+    @pytest.mark.parametrize("N", range(3, 13))
+    @pytest.mark.parametrize("radial", [radial_adaptive, radial_gauss,
+                                        radial_mpmath])
+    def test_matches_quadrature(self, N, radial):
+        table = compute_constants(N)
+        ref = oracle_constants(N, radial)
+        for key in ("CN", "cN", "omegaN", "gammaN"):
+            assert rel(getattr(table, key), ref[key]) <= 1e-12, key
+
+    @pytest.mark.parametrize("N", range(3, 17))
+    def test_error_bars_bound_the_rounding(self, N):
+        # 30-digit references: the reported bars must cover the actual
+        # error, and stay a rounding-size fraction of the values.
+        ref = oracle_constants(N, radial_mpmath)
+        ints = bubble_integrals(N)
+        got = (ints.int_U_2star, ints.int_U_2star_m1, ints.int_U_2star_logU,
+               ints.int_grad_sq)
+        for value, exact in zip(got, ref["integrals"]):
+            assert abs(value - exact) <= ints.quad_error
+        assert 0 < ints.quad_error <= 1e-11 * max(map(abs, got))
+        table = compute_constants(N)
+        for key in ("CN", "cN", "omegaN", "gammaN"):
+            assert abs(getattr(table, key) - ref[key]) <= table.quad_error
+        assert 0 < table.quad_error <= 1e-10 * abs(table.gammaN)

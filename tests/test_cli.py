@@ -7,6 +7,7 @@ import math
 import pytest
 
 from nodalbubbles.cli import (
+    EXIT_ASSUMPTION,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RESOLUTION,
@@ -86,6 +87,16 @@ class TestConstantsCommand:
         assert rep["N"] == 4
         assert rep["quad_error"] < 1e-9
 
+    def test_dim12_finishes(self, tmp_path):
+        # The closed forms hold for every N >= 3.
+        rc = main(["constants", "--dim", "12", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        rep = read_json(tmp_path / "constants.json")["report"]
+        assert rep["N"] == 12
+        for key in ("alphaN", "CN", "cN", "omegaN", "gammaN", "quad_error"):
+            assert math.isfinite(rep[key]), key
+        assert 0 < rep["quad_error"] < 1e-10 * abs(rep["gammaN"])
+
     def test_dim2_rejected(self, tmp_path, capsys):
         rc = main(["constants", "--dim", "2", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
@@ -109,6 +120,18 @@ class TestAssumptionsCommand:
     def test_bad_radius_rejected(self, tmp_path):
         rc = main(["assumptions", "--radius", "-2", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
+
+    def test_dim10_finishes(self, tmp_path):
+        # The monotonicity sample is drawn in the ball itself, so its cost
+        # does not grow with the ball-to-cube volume ratio.  Exit 3 is an
+        # honest verdict of another check, not a failure to finish.
+        rc = main(["assumptions", "--dim", "10", "--out", str(tmp_path)])
+        assert rc in (EXIT_OK, EXIT_ASSUMPTION)
+        rep = read_json(tmp_path / "assumptions.json")["report"]
+        mono = [c for c in rep["checks"]
+                if c["check"].startswith("directional_monotonicity")]
+        assert len(mono) == 1 and mono[0]["sample_count"] == 1000
+        assert mono[0]["pass"] is True
 
 
 @pytest.fixture(scope="module")
