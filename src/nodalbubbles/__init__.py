@@ -47,6 +47,8 @@ from .green_domain import (
     axis_derivatives,
     axis_g,
     axis_g_dt,
+    axis_g_ts,
+    axis_g_tt,
     axis_h,
     axis_h_d1,
     axis_h_d2,
@@ -126,7 +128,8 @@ __all__ = [
     "SingularityError", "SolverDivergenceError",
     # green_domain
     "AxisSection", "BallDomain", "ValidationReport", "axis_derivatives",
-    "axis_g", "axis_g_dt", "axis_h", "axis_h_d1", "axis_h_d2",
+    "axis_g", "axis_g_dt", "axis_g_ts", "axis_g_tt", "axis_h", "axis_h_d1",
+    "axis_h_d2",
     "check_boundary_expansion", "check_directional_monotonicity", "grad_x_G",
     "grad_x_H", "green_G", "harmonic_defect_order", "robin_H", "validate_A3",
     # pde_harness

@@ -51,6 +51,8 @@ __all__ = [
     "axis_g",
     "axis_h",
     "axis_g_dt",
+    "axis_g_tt",
+    "axis_g_ts",
     "axis_h_d1",
     "axis_h_d2",
     "axis_derivatives",
@@ -280,14 +282,21 @@ def _axis_centered(d: BallDomain, t) -> np.ndarray:
     return np.asarray(t, dtype=float) - d.center[0]
 
 
-def axis_g(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
-    """Green's function restricted to the axis chord: g(t,s) = G(te1, se1)."""
+def _axis_pair(d: BallDomain, sec: AxisSection, t, s, who: str) -> tuple:
+    """Centered, broadcast 1-d (t, s) of a pair kernel and whether both were
+    scalars; raises outside the chord and at t == s."""
     _axis_check(d, sec, t, s)
     tc, sc = _axis_centered(d, t), _axis_centered(d, s)
     scalar = (np.ndim(tc) == 0 and np.ndim(sc) == 0)
     tc, sc = np.broadcast_arrays(np.atleast_1d(tc), np.atleast_1d(sc))
     if np.any(tc == sc):
-        raise SingularityError("axis_g evaluated at t == s")
+        raise SingularityError(f"{who} evaluated at t == s")
+    return tc, sc, scalar
+
+
+def axis_g(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
+    """Green's function restricted to the axis chord: g(t,s) = G(te1, se1)."""
+    tc, sc, scalar = _axis_pair(d, sec, t, s, "axis_g")
     R = d.radius
     e = 2.0 - d.N
     val = d.kappa * (np.abs(tc - sc) ** e - (R - tc * sc / R) ** e)
@@ -305,16 +314,34 @@ def axis_h(d: BallDomain, sec: AxisSection, t) -> float | np.ndarray:
 
 def axis_g_dt(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
     """∂g/∂t of the axis Green's function (first-argument derivative)."""
-    _axis_check(d, sec, t, s)
-    tc, sc = _axis_centered(d, t), _axis_centered(d, s)
-    scalar = (np.ndim(tc) == 0 and np.ndim(sc) == 0)
-    tc, sc = np.broadcast_arrays(np.atleast_1d(tc), np.atleast_1d(sc))
-    if np.any(tc == sc):
-        raise SingularityError("axis_g_dt evaluated at t == s")
+    tc, sc, scalar = _axis_pair(d, sec, t, s, "axis_g_dt")
     R = d.radius
     val = -d.kappa * (d.N - 2) * (
         np.sign(tc - sc) * np.abs(tc - sc) ** (1.0 - d.N)
         + (sc / R) * (R - tc * sc / R) ** (1.0 - d.N))
+    return float(val[0]) if scalar else val
+
+
+def axis_g_tt(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
+    """∂²g/∂t² = κ(N−2)(N−1) (|t−s|^{−N} − (s/R)² (R − ts/R)^{−N}), centered."""
+    tc, sc, scalar = _axis_pair(d, sec, t, s, "axis_g_tt")
+    R = d.radius
+    val = d.kappa * (d.N - 2) * (d.N - 1) * (
+        np.abs(tc - sc) ** (-float(d.N))
+        - (sc / R) ** 2 * (R - tc * sc / R) ** (-float(d.N)))
+    return float(val[0]) if scalar else val
+
+
+def axis_g_ts(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
+    """∂²g/∂t∂s, symmetric in (t, s); centered, with w = R − ts/R it is
+    −κ(N−2) ((N−1)|t−s|^{−N} + w^{1−N}/R + (N−1)(ts/R²) w^{−N})."""
+    tc, sc, scalar = _axis_pair(d, sec, t, s, "axis_g_ts")
+    R = d.radius
+    w = R - tc * sc / R
+    val = -d.kappa * (d.N - 2) * (
+        (d.N - 1) * np.abs(tc - sc) ** (-float(d.N))
+        + w ** (1.0 - d.N) / R
+        + (d.N - 1) * (tc * sc / R ** 2) * w ** (-float(d.N)))
     return float(val[0]) if scalar else val
 
 

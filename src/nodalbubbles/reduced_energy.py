@@ -20,7 +20,11 @@ which dominates Ψ̃ (their difference is 2Λ_1Λ_3 g_13 + 2Λ_2Λ_4 g_24 > 0)
 and is coercive, so its sublevel set {Φ < M} is a compact working set for
 the saddle search.
 
-Besides the evaluators and analytic gradients, the module provides:
+Both are ½ ΛᵀAΛ − Σ log Λ_i with A_ii = h(t_i), A_ij = C_ij g(t_i, t_j) and
+C_ij = −a_i a_j for Ψ_k, +1 for Φ; one private evaluator returns its value,
+gradient and exact Hessian, and the public energies wrap it.
+
+Besides the evaluators, the module provides:
 
 * ``mu_embed`` — the three-parameter scaling family
   Λ(μ) = (μ_1/√μ, √μ, √μ, μ_4/√μ) with equal middle entries, inverted by
@@ -38,12 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ParameterError, SearchError
-from .green_domain import (AxisSection, BallDomain, axis_g, axis_g_dt, axis_h,
-                           axis_h_d1, axis_h_d2)
+from .green_domain import (AxisSection, BallDomain, axis_g, axis_g_dt,
+                           axis_g_ts, axis_g_tt, axis_h, axis_h_d1, axis_h_d2)
 
 __all__ = [
     "ALTERNATING_SIGNS_4",
@@ -163,6 +168,12 @@ class AxisKernels:
     def g_dt(self, t, s):
         return axis_g_dt(self.domain, self.section, t, s)
 
+    def g_tt(self, t, s):
+        return axis_g_tt(self.domain, self.section, t, s)
+
+    def g_ts(self, t, s):
+        return axis_g_ts(self.domain, self.section, t, s)
+
     def h(self, t):
         return axis_h(self.domain, self.section, t)
 
@@ -203,20 +214,89 @@ class BoundsReport:
 # energies and gradients
 # ---------------------------------------------------------------------------
 
-def _unpack(cfg: Configuration):
-    return (np.asarray(cfg.signs, dtype=float),
-            np.asarray(cfg.Lambda, dtype=float),
-            np.asarray(cfg.t, dtype=float))
+@lru_cache(maxsize=None)
+def _pairs(k: int) -> tuple:
+    """Index arrays (i, j) of the pairs i < j among k bubbles (read-only)."""
+    i, j = np.triu_indices(k, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
-def _pair_sum(cfg: Configuration, kern: AxisKernels, pair_coeff) -> float:
-    """Σ_{i<j} pair_coeff(i,j) g(t_i, t_j) for the configuration's positions."""
-    _, L, t = _unpack(cfg)
-    acc = 0.0
-    for i in range(cfg.k):
-        for j in range(i + 1, cfg.k):
-            acc += pair_coeff(i, j) * L[i] * L[j] * kern.g(t[i], t[j])
-    return acc
+def _quadratic_form(kern: AxisKernels, C: np.ndarray, L: np.ndarray,
+                    t: np.ndarray, order: int = 0) -> tuple:
+    """½ ΛᵀAΛ − Σ log Λ_i and, up to ``order``, its gradient and Hessian.
+
+    A_ii = h(t_i), A_ij = C_ij g(t_i, t_j) for a symmetric (k, k) C; ``L``
+    and ``t`` are array-likes of shape (..., k), leading axes batching
+    configurations.  Returns (value,), (value, gradient) or (value,
+    gradient, Hessian) in the coordinates (Λ_1..k, t_1..k):
+
+        ∂/∂Λ_i      = (AΛ)_i − 1/Λ_i,
+        ∂/∂t_i      = ½ Λ_i² h'(t_i) + Λ_i (BΛ)_i,
+        ∂²/∂Λ_i∂Λ_j = A_ij + δ_ij/Λ_i²,
+        ∂²/∂Λ_i∂t_j = B_ji Λ_j + δ_ij (Λ_i h'(t_i) + (BΛ)_i),
+        ∂²/∂t_i∂t_j = C_ij Λ_i Λ_j ∂²g/∂t∂s(t_i, t_j)
+                      + δ_ij (½ Λ_i² h''(t_i) + Λ_i (DΛ)_i),
+
+    with B_ij = C_ij ∂g/∂t(t_i, t_j), D_ij = C_ij ∂²g/∂t²(t_i, t_j) off the
+    diagonal and zero on it.  Each kernel is called once, on the pairs
+    i < j (in both orders for ∂g/∂t and ∂²g/∂t²); every matrix is filled
+    from those pair values, so the Hessian is exactly symmetric.
+    """
+    L, t = np.asarray(L, dtype=float), np.asarray(t, dtype=float)
+    k = L.shape[-1]
+    i, j = _pairs(k)
+    d = np.arange(k)
+    c = C[i, j]
+    ti, tj = t[..., i], t[..., j]
+
+    def pair_matrix(upper, lower, diag):
+        M = np.zeros(t.shape + (k,))
+        M[..., i, j] = upper
+        M[..., j, i] = lower
+        M[..., d, d] = diag
+        return M
+
+    def times_L(M):
+        return np.einsum("...ij,...j->...i", M, L)
+
+    gp = c * kern.g(ti, tj)
+    A = pair_matrix(gp, gp, kern.h(t))
+    AL = times_L(A)
+    value = 0.5 * np.sum(L * AL, axis=-1) - np.sum(np.log(L), axis=-1)
+    if order == 0:
+        return (value,)
+
+    n = i.size
+    both = (np.concatenate([ti, tj], axis=-1),
+            np.concatenate([tj, ti], axis=-1))
+    gt = kern.g_dt(*both)
+    B = pair_matrix(c * gt[..., :n], c * gt[..., n:], 0.0)
+    BL = times_L(B)
+    h1 = kern.h_d1(t)
+    grad = np.concatenate([AL - 1.0 / L, 0.5 * L * L * h1 + L * BL], axis=-1)
+    if order == 1:
+        return value, grad
+
+    gtt = kern.g_tt(*both)
+    D = pair_matrix(c * gtt[..., :n], c * gtt[..., n:], 0.0)
+    Lt = np.swapaxes(B, -1, -2) * L[..., None, :]
+    Lt[..., d, d] = L * h1 + BL
+    tt = c * L[..., i] * L[..., j] * kern.g_ts(ti, tj)
+    H = np.empty(t.shape[:-1] + (2 * k, 2 * k))
+    H[..., :k, :k] = A
+    H[..., d, d] += 1.0 / (L * L)
+    H[..., :k, k:] = Lt
+    H[..., k:, :k] = np.swapaxes(Lt, -1, -2)
+    H[..., k:, k:] = pair_matrix(
+        tt, tt, 0.5 * L * L * kern.h_d2(t) + L * times_L(D))
+    return value, grad, H
+
+
+def _psi_terms(cfg: Configuration, kern: AxisKernels, order: int) -> tuple:
+    """Ψ_k of a configuration (C_ij = −a_i a_j) up to the given order."""
+    a = np.asarray(cfg.signs, dtype=float)
+    return _quadratic_form(kern, -np.outer(a, a), cfg.Lambda, cfg.t, order)
 
 
 def psi_k(cfg: Configuration, kern: AxisKernels) -> float:
@@ -226,11 +306,7 @@ def psi_k(cfg: Configuration, kern: AxisKernels) -> float:
     Positions outside the chord raise a domain error; coincident positions
     cannot occur in a valid configuration (strict ordering).
     """
-    a, L, t = _unpack(cfg)
-    hd = np.atleast_1d(kern.h(t))
-    quad = 0.5 * float(np.sum(L * L * hd)) - float(np.sum(np.log(L)))
-    inter = _pair_sum(cfg, kern, lambda i, j: a[i] * a[j])
-    return quad - inter
+    return float(_psi_terms(cfg, kern, 0)[0])
 
 
 def _require_alternating4(cfg: Configuration, who: str) -> None:
@@ -255,23 +331,7 @@ def grad_psi_k(cfg: Configuration, kern: AxisKernels) -> np.ndarray:
     using the symmetry g(t,s) = g(s,t) to reduce both partner derivatives to
     the first-argument derivative.
     """
-    a, L, t = _unpack(cfg)
-    k = cfg.k
-    hd = np.atleast_1d(kern.h(t))
-    hd1 = np.atleast_1d(kern.h_d1(t))
-    gL = np.empty(k)
-    gt = np.empty(k)
-    for i in range(k):
-        sL = L[i] * hd[i] - 1.0 / L[i]
-        st = 0.5 * L[i] * L[i] * hd1[i]
-        for j in range(k):
-            if j == i:
-                continue
-            sL -= a[i] * a[j] * L[j] * kern.g(t[i], t[j])
-            st -= a[i] * a[j] * L[i] * L[j] * kern.g_dt(t[i], t[j])
-        gL[i] = sL
-        gt[i] = st
-    return np.concatenate([gL, gt])
+    return _psi_terms(cfg, kern, 1)[1]
 
 
 def grad_psi_tilde(cfg: Configuration, kern: AxisKernels) -> np.ndarray:
@@ -282,11 +342,8 @@ def grad_psi_tilde(cfg: Configuration, kern: AxisKernels) -> np.ndarray:
 
 def phi_penalty(cfg: Configuration, kern: AxisKernels) -> float:
     """The all-attractive penalty Φ(Λ, t) (every interaction taken positive)."""
-    _, L, t = _unpack(cfg)
-    hd = np.atleast_1d(kern.h(t))
-    quad = 0.5 * float(np.sum(L * L * hd)) - float(np.sum(np.log(L)))
-    inter = _pair_sum(cfg, kern, lambda i, j: 1.0)
-    return quad + inter
+    return float(_quadratic_form(kern, np.ones((cfg.k, cfg.k)), cfg.Lambda,
+                                 cfg.t)[0])
 
 
 def in_D(cfg: Configuration, kern: AxisKernels, M: float) -> bool:
@@ -408,25 +465,16 @@ def find_t0_r0(domain: BallDomain, section: AxisSection | None = None,
         f"points, {n_check}^2 pair lattice); try a finer grid (larger n_r0)")
 
 
-def robin_min(kern: AxisKernels, n_grid: int = 2001) -> float:
+def robin_min(kern: AxisKernels) -> float:
     """Minimum H_0 of the diagonal Robin function over the chord.
 
-    Grid scan (odd count, so a symmetric chord samples its midpoint exactly)
-    polished by bounded scalar minimization between the neighbors of the
-    grid argmin.
+    h(t) = κ (R − (t − c₁)²/R)^{2−N} increases with the distance from the
+    center's first coordinate c₁, so its minimum over [a + m, b − m],
+    m = 10⁻³ (b − a), is h at the point of that interval nearest c₁.
     """
     a, b = kern.section.a, kern.section.b
     m = 1e-3 * (b - a)
-    n = n_grid if n_grid % 2 == 1 else n_grid + 1
-    ts = np.linspace(a + m, b - m, n)
-    vals = np.atleast_1d(kern.h(ts))
-    i = int(np.argmin(vals))
-    lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, n - 1)]
-    from scipy import optimize  # on first use: keeps the package scipy-free
-    res = optimize.minimize_scalar(
-        lambda t: float(kern.h(t)), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-13})
-    return float(min(float(res.fun), float(vals[i])))
+    return float(kern.h(min(max(float(kern.domain.center[0]), a + m), b - m)))
 
 
 def bounds_report(domain: BallDomain, section: AxisSection | None,

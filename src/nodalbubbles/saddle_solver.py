@@ -5,10 +5,10 @@ bracketed between an explicit lower bound driven by the Robin minimum and
 the attractive-interaction sum at an equally spaced admissible start.  This
 module finds it by a damped Newton iteration on the analytic gradient:
 
-* the Newton direction d = −H⁻¹ ∇Ψ̃ (H the finite-difference Hessian of the
-  analytic gradient) is always a descent direction for ½‖∇Ψ̃‖², whatever the
-  inertia of H, so an Armijo backtracking line search on that merit function
-  is globally well-defined;
+* the Newton direction d = −H⁻¹ ∇Ψ̃ (H the exact analytic Hessian) is
+  always a descent direction for ½‖∇Ψ̃‖², whatever the inertia of H, so an
+  Armijo backtracking line search on that merit function is globally
+  well-defined;
 * iterates are kept in the admissible set (positive scalings, strictly
   ordered positions inside the chord) by step halving — never by reordering,
   since the ordering is structural;
@@ -32,12 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, SearchError, SolverDivergenceError
+from .errors import ParameterError, SolverDivergenceError
 from .green_domain import AxisSection, BallDomain
-from .reduced_energy import (ALTERNATING_SIGNS_4, AxisKernels, BoundsReport,
-                             Configuration, base_spacing_points, find_t0_r0,
-                             grad_psi_k, grad_psi_tilde, mu_embed, phi_penalty,
-                             psi_k, psi_tilde)
+from .reduced_energy import (AxisKernels, BoundsReport, Configuration,
+                             _psi_terms, _quadratic_form,
+                             _require_alternating4, base_spacing_points,
+                             find_t0_r0, grad_psi_k, grad_psi_tilde, mu_embed,
+                             phi_penalty, psi_tilde, scaling_products)
 
 __all__ = [
     "SaddleReport",
@@ -118,66 +119,21 @@ def _admissible(x: np.ndarray, k: int, sec: AxisSection,
 
 
 # ---------------------------------------------------------------------------
-# finite-difference Hessian and inertia
+# Hessian and inertia
 # ---------------------------------------------------------------------------
 
-def hessian_psi_k(cfg: Configuration, kern: AxisKernels,
-                  rel_step: float = 1e-4, symmetrize: bool = True
-                  ) -> np.ndarray:
-    """Finite-difference Hessian of Ψ_k from its analytic gradient.
+def hessian_psi_k(cfg: Configuration, kern: AxisKernels) -> np.ndarray:
+    """Exact 2k×2k Hessian of Ψ_k in (Λ_1..k, t_1..k), exactly symmetric.
 
-    Central differences with Richardson extrapolation (steps h and h/2
-    combined as (4 D(h/2) − D(h))/3); the per-coordinate step is
-    ``rel_step * max(|x_i|, 1)`` capped so that perturbed configurations
-    stay admissible (positive scalings, preserved ordering, inside the
-    chord).  With ``symmetrize`` the matrix is replaced by its symmetric
-    part; pass False to inspect the raw finite-difference asymmetry.
+    Closed form from the kernels g, ∂g/∂t, ∂²g/∂t², ∂²g/∂t∂s, h, h' and h''.
     """
-    k = cfg.k
-    x0 = _pack(cfg)
-    sec = kern.section
-    n = 2 * k
-
-    caps = np.empty(n)
-    for i in range(k):
-        caps[i] = 0.5 * x0[i]                       # keep Lambda positive
-    t = x0[k:]
-    gaps_lo = np.diff(np.concatenate([[sec.a], t]))
-    gaps_hi = np.diff(np.concatenate([t, [sec.b]]))
-    for i in range(k):
-        caps[k + i] = 0.25 * min(gaps_lo[i], gaps_hi[i])
-
-    def grad_at(x):
-        return grad_psi_k(_unpack_x(x, k, cfg.signs), kern)
-
-    H = np.empty((n, n))
-    for i in range(n):
-        h = min(rel_step * max(abs(x0[i]), 1.0), caps[i])
-        if h <= 0.0 or x0[i] + h == x0[i]:
-            raise ParameterError(
-                f"finite-difference step underflow at coordinate {i} "
-                f"(x = {x0[i]!r}, step = {h!r})")
-
-        def column(step):
-            xp, xm = x0.copy(), x0.copy()
-            xp[i] += step
-            xm[i] -= step
-            return (grad_at(xp) - grad_at(xm)) / (2.0 * step)
-
-        H[:, i] = (4.0 * column(h / 2.0) - column(h)) / 3.0
-    if symmetrize:
-        H = 0.5 * (H + H.T)
-    return H
+    return _psi_terms(cfg, kern, 2)[2]
 
 
-def hessian_psi_tilde(cfg: Configuration, kern: AxisKernels,
-                      rel_step: float = 1e-4, symmetrize: bool = True
-                      ) -> np.ndarray:
-    """8×8 finite-difference Hessian of Ψ̃ (alternating four-bubble case)."""
-    if cfg.k != 4 or cfg.signs != ALTERNATING_SIGNS_4:
-        raise ParameterError(
-            "hessian_psi_tilde requires k=4 with signs (1, -1, 1, -1)")
-    return hessian_psi_k(cfg, kern, rel_step=rel_step, symmetrize=symmetrize)
+def hessian_psi_tilde(cfg: Configuration, kern: AxisKernels) -> np.ndarray:
+    """8×8 Hessian of Ψ̃ (alternating four-bubble case)."""
+    _require_alternating4(cfg, "hessian_psi_tilde")
+    return hessian_psi_k(cfg, kern)
 
 
 def inertia_of(H: np.ndarray, zero_tol: float = 1e-7) -> tuple:
@@ -199,7 +155,7 @@ def solve_saddle(domain: BallDomain, section: AxisSection | None,
                  guards: GuardSettings | None = None) -> SaddleReport:
     """Damped Newton iteration on ∇Ψ̃ from an admissible start.
 
-    Each step solves H d = −∇Ψ̃ with the finite-difference Hessian and
+    Each step solves H d = −∇Ψ̃ with the analytic Hessian and
     backtracks on the merit ½‖∇Ψ̃‖² (Armijo), halving also whenever the
     trial iterate would leave the admissible set.  Near-singular Hessians
     are Tikhonov-regularized and noted.  Raises a divergence error carrying
@@ -212,9 +168,7 @@ def solve_saddle(domain: BallDomain, section: AxisSection | None,
     sec = section or AxisSection.of_ball(domain)
     kern = AxisKernels(domain, sec)
     guards = guards or GuardSettings()
-    if init.k != 4 or init.signs != ALTERNATING_SIGNS_4:
-        raise ParameterError(
-            "solve_saddle requires an alternating four-bubble start")
+    _require_alternating4(init, "solve_saddle")
 
     x = _pack(init)
     if not _admissible(x, 4, sec, guards):
@@ -309,16 +263,9 @@ def solve_saddle_multistart(domain: BallDomain, section: AxisSection | None,
                                max_iter=max_iter, guards=guards)
         except (SolverDivergenceError, ParameterError):
             continue
-        is_new = True
-        for prev in reports:
-            delta = max(
-                max(abs(a - b) for a, b in
-                    zip(rep.config.Lambda, prev.config.Lambda)),
-                max(abs(a - b) for a, b in zip(rep.config.t, prev.config.t)))
-            if delta <= 1e-4:
-                is_new = False
-                break
-        if is_new:
+        x = _pack(rep.config)
+        if all(np.max(np.abs(x - _pack(prev.config))) > 1e-4
+               for prev in reports):
             reports.append(rep)
     reports.sort(key=lambda r: r.value)
     return reports
@@ -366,35 +313,22 @@ def write_trace_csv(report: SaddleReport, path) -> None:
 # coercivity probe
 # ---------------------------------------------------------------------------
 
-def _phi_ray_coefficients(cfg: Configuration, kern: AxisKernels):
-    """Split Φ along the scaling ray Λ → √c Λ as Φ(c) = c A − 2 log c + B.
-
-    A collects the quadratic terms (diagonal plus all-attractive
-    interactions), B = −Σ log Λ_i at c = 1; Φ(c) is strictly convex in c.
-    """
-    lam = np.asarray(cfg.Lambda, dtype=float)
-    t = np.asarray(cfg.t, dtype=float)
-    hd = np.atleast_1d(kern.h(t))
-    A = 0.5 * float(np.sum(lam * lam * hd))
-    for i in range(cfg.k):
-        for j in range(i + 1, cfg.k):
-            A += lam[i] * lam[j] * kern.g(t[i], t[j])
-    B = -float(np.sum(np.log(lam)))
-    return A, B
-
-
 def _scale_config(cfg: Configuration, c: float) -> Configuration:
     return cfg.with_params(Lambda=tuple(math.sqrt(c) * v for v in cfg.Lambda))
 
 
-def _level_roots(cfg: Configuration, kern: AxisKernels, level: float):
+def _level_roots(cfg: Configuration, kern: AxisKernels, level: float,
+                 anchor: Configuration):
     """Both scalings c with Φ(√c Λ, t) = level, bracketing the ray minimum.
 
-    Returns (c_lo, c_hi) or None if the ray never dips below the level.
-    Convexity of Φ(c) = cA − 2 log c + B guarantees the segment between the
-    roots stays in the sublevel set.
+    Along the ray Φ(c) = cA − 2 log c + B with B = −Σ log Λ_i and
+    A = Φ(1) − B; its convexity guarantees the segment between the roots
+    stays in the sublevel set.  Returns (c_lo, c_hi), or None if the ray
+    never dips below the level or its midpoint between the roots has no
+    certified path to the anchor.
     """
-    A, B = _phi_ray_coefficients(cfg, kern)
+    B = -float(np.sum(np.log(cfg.Lambda)))
+    A = phi_penalty(cfg, kern) - B
     c_star = 2.0 / A
     phi_min = 2.0 - 2.0 * math.log(c_star) + B
     if phi_min >= level:
@@ -412,14 +346,14 @@ def _level_roots(cfg: Configuration, kern: AxisKernels, level: float):
     while f(hi) < 0.0:
         hi *= 2.0
     c_hi = optimize.brentq(f, c_star, hi, xtol=1e-14, rtol=1e-14)
-    return c_lo, c_hi
+    mid = _scale_config(cfg, 0.5 * (c_lo + c_hi))
+    return (c_lo, c_hi) if _certified_path(kern, anchor, mid, level) else None
 
 
 def _anchor_config(kern: AxisKernels, t_base) -> Configuration:
     """Penalty-minimal point of the unit scaling ray at the base positions."""
-    base = mu_embed(1.0, 1.0, 1.0, t_base)
-    A, _ = _phi_ray_coefficients(base, kern)
-    return _scale_config(base, 2.0 / A)
+    base = mu_embed(1.0, 1.0, 1.0, t_base)   # Λ = 1, so Φ(c = 1) = A
+    return _scale_config(base, 2.0 / phi_penalty(base, kern))
 
 
 def _certified_path(kern: AxisKernels, anchor: Configuration,
@@ -430,20 +364,13 @@ def _certified_path(kern: AxisKernels, anchor: Configuration,
     Linear interpolation in (log Λ, t); a True result certifies that cfg
     lies in the same connected component of the sublevel set as the anchor.
     """
-    la = np.log(np.asarray(anchor.Lambda))
-    lb = np.log(np.asarray(cfg.Lambda))
-    ta = np.asarray(anchor.t)
-    tb = np.asarray(cfg.t)
-    for s in np.linspace(0.0, 1.0, n_checks):
-        lam = np.exp((1.0 - s) * la + s * lb)
-        t = (1.0 - s) * ta + s * tb
-        if np.any(np.diff(t) <= 0.0):
-            return False
-        mid = Configuration(k=4, signs=ALTERNATING_SIGNS_4,
-                            Lambda=tuple(lam), t=tuple(t))
-        if phi_penalty(mid, kern) >= level:
-            return False
-    return True
+    s = np.linspace(0.0, 1.0, n_checks)[:, None]
+    lam = np.exp((1.0 - s) * np.log(anchor.Lambda) + s * np.log(cfg.Lambda))
+    t = (1.0 - s) * np.asarray(anchor.t) + s * np.asarray(cfg.t)
+    if np.any(np.diff(t, axis=-1) <= 0.0):
+        return False
+    phi = _quadratic_form(kern, np.ones((cfg.k, cfg.k)), lam, t)[0]
+    return bool(np.all(phi < level))
 
 
 def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
@@ -506,18 +433,12 @@ def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
         n_cert = 0
         for _ in range(n_samples):
             cfg = mu_embed(*draw_mus(), draw_positions())
-            roots = _level_roots(cfg, kern, level)
+            roots = _level_roots(cfg, kern, level, anchor)
             if roots is None:
-                continue
-            interior = _scale_config(cfg, 0.5 * (roots[0] + roots[1]))
-            if phi_penalty(interior, kern) >= level:
-                continue
-            if not _certified_path(kern, anchor, interior, level):
                 continue
             n_cert += 1
             for c in roots:
-                on_level = _scale_config(cfg, c)
-                val = psi_tilde(on_level, kern)
+                val = psi_tilde(_scale_config(cfg, c), kern)
                 if val < best_val:
                     best_val = val
                     best_point = (cfg, c)
@@ -549,9 +470,7 @@ def _refine_level_min(kern: AxisKernels, anchor: Configuration,
     its path to the anchor, so the polish cannot leave the anchored
     component.  Returns (refined value, note).
     """
-    mu1, mu, mu4, t = (cfg0.Lambda[0] * cfg0.Lambda[1],
-                       cfg0.Lambda[1] * cfg0.Lambda[2],
-                       cfg0.Lambda[2] * cfg0.Lambda[3], cfg0.t)
+    mu1, mu, mu4, t = scaling_products(cfg0)
     z0 = np.array([math.log(mu1), math.log(mu), math.log(mu4), *t])
 
     def objective(z):
@@ -563,12 +482,8 @@ def _refine_level_min(kern: AxisKernels, anchor: Configuration,
                            tuple(tt))
         except ParameterError:
             return 1e6
-        roots = _level_roots(cfg, kern, level)
+        roots = _level_roots(cfg, kern, level, anchor)
         if roots is None:
-            return 1e6
-        interior = _scale_config(cfg, 0.5 * (roots[0] + roots[1]))
-        if (phi_penalty(interior, kern) >= level
-                or not _certified_path(kern, anchor, interior, level)):
             return 1e6
         return min(psi_tilde(_scale_config(cfg, c), kern) for c in roots)
 

@@ -122,7 +122,7 @@ def test_criterion_04_boundary_expansions(domain):
 
 def test_criterion_05_gradient_hessian_fidelity(domain, kern):
     """grad vs central differences ≤ 1e-6 relative on 100 configurations;
-    finite-difference Hessian symmetric to 1e-6 relative."""
+    analytic Hessian symmetric to 1e-6 relative."""
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(100):

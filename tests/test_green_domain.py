@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nodalbubbles import (
+    AxisKernels,
     AxisSection,
     BallDomain,
     DomainError,
@@ -14,6 +15,8 @@ from nodalbubbles import (
     axis_derivatives,
     axis_g,
     axis_g_dt,
+    axis_g_ts,
+    axis_g_tt,
     axis_h,
     axis_h_d1,
     axis_h_d2,
@@ -170,6 +173,51 @@ class TestAxisKernels:
         sec = AxisSection.of_ball(domain)
         with pytest.raises((ParameterError, DomainError)):
             axis_h(domain, sec, 1.5)
+
+
+class TestAxisSecondDerivatives:
+    """∂²g/∂t² and ∂²g/∂t∂s against central differences of ∂g/∂t."""
+
+    @pytest.mark.parametrize("N", range(3, 9))
+    @pytest.mark.parametrize("R", (0.5, 1.0, 3.0))
+    def test_match_differences_of_g_dt(self, N, R):
+        center = np.zeros(N)
+        center[0], center[1] = 0.37 * R, -0.8 * R   # shifted off the origin
+        d = BallDomain(N=N, center=center, radius=R)
+        sec = AxisSection.of_ball(d)
+        c1, h = center[0], 1e-5 * R
+        pairs = [(-0.7, -0.2), (-0.3, 0.4), (0.1, 0.15), (0.6, -0.5),
+                 (0.85, 0.2)]
+        for u, v in pairs:
+            t, s = c1 + u * R, c1 + v * R
+            fd_tt = (axis_g_dt(d, sec, t + h, s)
+                     - axis_g_dt(d, sec, t - h, s)) / (2 * h)
+            fd_ts = (axis_g_dt(d, sec, t, s + h)
+                     - axis_g_dt(d, sec, t, s - h)) / (2 * h)
+            assert axis_g_tt(d, sec, t, s) == pytest.approx(fd_tt, rel=1e-6)
+            assert axis_g_ts(d, sec, t, s) == pytest.approx(fd_ts, rel=1e-6)
+            assert axis_g_ts(d, sec, t, s) == pytest.approx(
+                axis_g_ts(d, sec, s, t), rel=1e-14)
+
+    def test_vectorized_and_kernel_methods(self, domain):
+        sec = AxisSection.of_ball(domain)
+        kern = AxisKernels.for_ball(domain)
+        t = np.array([-0.4, 0.1, 0.6])
+        s = np.array([0.2, -0.3, 0.0])
+        for f, m in ((axis_g_tt, kern.g_tt), (axis_g_ts, kern.g_ts)):
+            vec = f(domain, sec, t, s)
+            assert vec.shape == (3,)
+            for n in range(3):
+                assert vec[n] == f(domain, sec, t[n], s[n])
+            assert np.array_equal(m(t, s), vec)
+
+    def test_coincident_and_outside_rejected(self, domain):
+        sec = AxisSection.of_ball(domain)
+        for f in (axis_g_tt, axis_g_ts):
+            with pytest.raises(SingularityError):
+                f(domain, sec, 0.2, 0.2)
+            with pytest.raises(DomainError):
+                f(domain, sec, 1.2, 0.2)
 
 
 class TestHypothesisChecks:

@@ -1,7 +1,8 @@
 """Import discipline: scipy is loaded only by the code paths that use it.
 
-``import nodalbubbles`` needs numpy alone; the optimizers (``saddle``) and
-the grid LU (``verify``) import scipy when they first run.  Each check runs
+``import nodalbubbles`` needs numpy alone; the coercivity scan's root finder
+and Nelder-Mead polish and the grid LU (``verify``) import scipy when they
+first run.  Each check runs
 in a fresh interpreter, so modules imported by other tests do not count.
 """
 
@@ -42,7 +43,7 @@ def test_package_import_loads_no_scipy():
     assert result["scipy"] == []
 
 
-@pytest.mark.parametrize("command", ["constants", "assumptions"])
+@pytest.mark.parametrize("command", ["constants", "assumptions", "saddle"])
 def test_light_commands_load_no_scipy(command, tmp_path):
     result = run_probe([[command, "--out", str(tmp_path)]])
     assert result["codes"] == [0]

@@ -8,6 +8,8 @@ import pytest
 from nodalbubbles import (
     ALTERNATING_SIGNS_4,
     AxisKernels,
+    AxisSection,
+    BallDomain,
     Configuration,
     ParameterError,
     base_spacing_points,
@@ -109,11 +111,11 @@ class TestPsiTilde:
                 self._inner = inner
 
             def g(self, t, s):
-                val = orig_g(t, s)
-                if {round(float(t), 12), round(float(s), 12)} == \
-                        {round(t2, 12), round(t3, 12)}:
-                    val = val + delta
-                return val
+                # Elementwise: bump every pair whose {t, s} is {t2, t3}.
+                rt, rs = np.round(t, 12), np.round(s, 12)
+                r2, r3 = round(t2, 12), round(t3, 12)
+                hit = ((rt == r2) & (rs == r3)) | ((rt == r3) & (rs == r2))
+                return orig_g(t, s) + delta * hit
 
             def __getattr__(self, name):
                 return getattr(self._inner, name)
@@ -217,6 +219,31 @@ class TestSearchAndBounds:
 
     def test_robin_min(self, kern):
         assert robin_min(kern) == pytest.approx(1.0 / FOUR_PI, rel=1e-9)
+
+    @pytest.mark.parametrize("N", (3, 5))
+    def test_robin_min_off_center_ball(self, N):
+        center = np.zeros(N)
+        center[0], center[-1] = 3.7, -2.0
+        kern = AxisKernels.for_ball(BallDomain(N=N, center=center,
+                                               radius=10.0))
+        a, b = kern.section.a, kern.section.b
+        m = 1e-3 * (b - a)
+        grid_min = float(np.min(kern.h(np.linspace(a + m, b - m, 20001))))
+        assert robin_min(kern) == pytest.approx(grid_min, rel=1e-12)
+        assert robin_min(kern) == pytest.approx(
+            kern.domain.kappa * 10.0 ** (2 - N), rel=1e-12)
+
+    def test_robin_min_sub_chord_without_center(self, domain):
+        # The sub-chord (0.2, 0.9) excludes the center: the minimum sits at
+        # its clipped left end a + m.
+        kern = AxisKernels(domain, AxisSection(a=0.2, b=0.9))
+        m = 1e-3 * 0.7
+        grid_min = float(np.min(kern.h(np.linspace(0.2 + m, 0.9 - m,
+                                                   20001))))
+        assert robin_min(kern) == pytest.approx(grid_min, rel=1e-12)
+        assert robin_min(kern) == kern.h(0.2 + m)
+        flipped = AxisKernels(domain, AxisSection(a=-0.9, b=-0.2))
+        assert robin_min(flipped) == pytest.approx(grid_min, rel=1e-12)
 
     def test_bounds_report_frozen(self, domain):
         rep = bounds_report(domain, None, 0.0, 0.06)

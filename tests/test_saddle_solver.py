@@ -1,17 +1,22 @@
 """Newton saddle search: frozen canonical point, identities, coercivity."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
 
+import nodalbubbles.saddle_solver as saddle_solver
 from nodalbubbles import (
     AxisKernels,
+    BallDomain,
+    Configuration,
     GuardSettings,
     SolverDivergenceError,
     base_spacing_points,
     bounds_report,
     coercivity_scan,
+    grad_psi_k,
     grad_psi_tilde,
     hessian_psi_k,
     hessian_psi_tilde,
@@ -31,6 +36,52 @@ from conftest import SADDLE_LAMBDA, SADDLE_T, SADDLE_VALUE
 COERCIVITY_MINIMA = {10.0: 1.6879081385206236,
                      20.0: 3.5382164952103583,
                      40.0: 6.756219938756882}
+
+
+def richardson_hessian(cfg, kern, rel_step=1e-4):
+    """Independent oracle: finite differences of the analytic gradient.
+
+    Central differences with Richardson extrapolation, (4 D(h/2) − D(h))/3,
+    per-coordinate step rel_step·max(|x_i|, 1) capped so that perturbed
+    configurations keep positive scalings, their ordering and the chord;
+    the result is symmetrized.
+    """
+    k, sec = cfg.k, kern.section
+    x0 = np.asarray(cfg.Lambda + cfg.t, dtype=float)
+    t = x0[k:]
+    gaps_lo = np.diff(np.concatenate([[sec.a], t]))
+    gaps_hi = np.diff(np.concatenate([t, [sec.b]]))
+    caps = np.concatenate([0.5 * x0[:k], 0.25 * np.minimum(gaps_lo, gaps_hi)])
+
+    def grad_at(x):
+        return grad_psi_k(Configuration(k=k, signs=cfg.signs,
+                                        Lambda=tuple(x[:k]),
+                                        t=tuple(x[k:])), kern)
+
+    def column(i, step):
+        xp, xm = x0.copy(), x0.copy()
+        xp[i] += step
+        xm[i] -= step
+        return (grad_at(xp) - grad_at(xm)) / (2.0 * step)
+
+    H = np.empty((2 * k, 2 * k))
+    for i in range(2 * k):
+        h = min(rel_step * max(abs(x0[i]), 1.0), caps[i])
+        H[:, i] = (4.0 * column(i, h / 2.0) - column(i, h)) / 3.0
+    return 0.5 * (H + H.T)
+
+
+def random_configuration(rng, k, kern, min_gap=0.05):
+    a, b = kern.section.a, kern.section.b
+    width = b - a
+    while True:
+        t = np.sort(rng.uniform(a + 0.1 * width, b - 0.1 * width, k))
+        if k == 1 or np.min(np.diff(t)) >= min_gap * width:
+            break
+    return Configuration(
+        k=k, signs=tuple(int(v) for v in rng.choice([-1, 1], size=k)),
+        Lambda=tuple(float(v) for v in rng.uniform(0.3, 3.0, size=k)),
+        t=tuple(float(v) for v in t))
 
 
 class TestCanonicalSaddle:
@@ -114,6 +165,45 @@ class TestHessians:
         assert H.shape == (2, 2)
         evals = np.linalg.eigvalsh(0.5 * (H + H.T))
         assert np.all(evals > 0)   # strict minimum in (Lambda, t)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_richardson_oracle(self, k):
+        rng = np.random.default_rng(100 + k)
+        for N, R, c1 in ((3, 1.0, 0.0), (4, 2.0, 0.5), (6, 0.5, -0.2)):
+            center = np.zeros(N)
+            center[0] = c1
+            kern = AxisKernels.for_ball(
+                BallDomain(N=N, center=center, radius=R))
+            for _ in range(4):
+                cfg = random_configuration(rng, k, kern)
+                H = hessian_psi_k(cfg, kern)
+                assert H.shape == (2 * k, 2 * k)
+                assert np.array_equal(H, H.T)
+                fd = richardson_hessian(cfg, kern)
+                rel = np.max(np.abs(H - fd)) / np.max(np.abs(fd))
+                assert rel <= 1e-7, f"k={k}, N={N}: deviation {rel:.2e}"
+
+    def test_hessians_cost_no_gradient_calls(self, domain, monkeypatch):
+        # The Hessian is analytic: the only gradient evaluations of a solve
+        # are the start and one per admissible line-search trial.
+        calls = []
+
+        def counted(f):
+            def wrapper(cfg, kern):
+                calls.append(cfg)
+                return f(cfg, kern)
+            return wrapper
+
+        for name in ("grad_psi_k", "grad_psi_tilde"):
+            monkeypatch.setattr(saddle_solver, name,
+                                counted(getattr(saddle_solver, name)))
+        init = mu_embed(1.0, 1.0, 1.0, base_spacing_points(0.0, 0.06))
+        report = solve_saddle(domain, None, init)
+        halvings = sum(round(-math.log2(row[3])) for row in report.trace[1:])
+        assert (report.iterations, halvings) == (10, 4)
+        # Two of the four halvings left the admissible set and cost no
+        # gradient: 1 start + 10 accepted trials + 2 backtracks = 13.
+        assert len(calls) <= 13
 
     def test_inertia_of(self):
         H = np.diag([2.0, 1.0, -3.0, 1e-12])
