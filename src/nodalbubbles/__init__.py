@@ -16,7 +16,6 @@ from .bubble_core import (
     BubbleIntegrals,
     BubbleParams,
     ConstantsTable,
-    QuadratureSettings,
     alpha_N,
     bubble_integrals,
     bubble_profile,
@@ -117,7 +116,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # bubble_core
-    "BubbleIntegrals", "BubbleParams", "ConstantsTable", "QuadratureSettings",
+    "BubbleIntegrals", "BubbleParams", "ConstantsTable",
     "alpha_N", "bubble_integrals", "bubble_profile", "compute_constants",
     "eval_bubble", "eval_bubble_gradient", "lambda_of_Lambda",
     "lambda_of_Lambda_quadratic", "sigma_N", "single_bubble_energy_limit",

@@ -49,7 +49,6 @@ from .errors import ParameterError
 __all__ = [
     "BubbleParams",
     "ConstantsTable",
-    "QuadratureSettings",
     "BubbleIntegrals",
     "alpha_N",
     "sigma_N",
@@ -176,19 +175,6 @@ def eval_bubble_gradient(p: BubbleParams, x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QuadratureSettings:
-    """Quadrature settings that :func:`compute_constants` accepts.
-
-    The constants are closed forms and need no settings: an instance passed
-    to :func:`bubble_integrals` or :func:`compute_constants` is not read.
-    """
-
-    r_cut: float = 1.0e4
-    abs_tol: float = 1.0e-10
-    cross_check_nodes: int = 400
-
-
-@dataclass(frozen=True)
 class BubbleIntegrals:
     """Whole-space integrals of the unit bubble ``U_0`` in dimension N.
 
@@ -266,15 +252,15 @@ def _rounding_rel(N: int) -> float:
     return 16.0 * sys.float_info.epsilon * (N + logs)
 
 
-def bubble_integrals(N: int, quad: QuadratureSettings | None = None) -> BubbleIntegrals:
+def bubble_integrals(N: int) -> BubbleIntegrals:
     """The four whole-space integrals of the unit bubble in closed form.
 
     With U_0 = alpha (1+r^2)^{-(N-2)/2} every radial integral is
     ∫_0^∞ r^{n-1} (1+r^2)^{-p} dr = ½B(n/2, p - n/2), and the log-weighted
     one is that value times ψ(p) - ψ(p - n/2) (Euler's constant cancels).
-    ``quad`` is accepted and ignored.  ``quad_error`` is the rounding bound
-    of :func:`_rounding_rel` applied to the largest of the four (to the sum
-    of the magnitudes of both terms for the log-weighted one).
+    ``quad_error`` is the rounding bound of :func:`_rounding_rel` applied to
+    the largest of the four (to the sum of the magnitudes of both terms for
+    the log-weighted one).
     """
     if N < 3:
         raise ParameterError(f"dimension N must be >= 3, got {N}")
@@ -310,14 +296,14 @@ def bubble_integrals(N: int, quad: QuadratureSettings | None = None) -> BubbleIn
     )
 
 
-def compute_constants(N: int, quad: QuadratureSettings | None = None) -> ConstantsTable:
+def compute_constants(N: int) -> ConstantsTable:
     """Evaluate alpha_N, C_N, c_N, omega_N, gamma_N from the closed forms.
 
     Each constant is a short sum of terms whose relative rounding error is
     at most four times :func:`_rounding_rel`; ``quad_error`` is that times
     the largest sum of term magnitudes.
     """
-    ints = bubble_integrals(N, quad)
+    ints = bubble_integrals(N)
     ts = two_star(N)
     omega = ints.int_U_2star / ts
     C = ints.int_grad_sq - ints.int_U_2star / ts

@@ -24,8 +24,8 @@ Configuration comes from defaults, then an optional JSON file (``--config``),
 then explicit flags; every run writes ``{"meta": ..., "report": ...}`` under
 ``--out`` with a stable filename.  Reruns with identical configuration and
 seed produce byte-identical reports except for the timestamp line in the
-metadata.  Exit codes: 0 success, 1 configuration error, 2 quadrature
-failure, 3 assumption failure, 4 solver failure, 5 resolution guard.
+metadata.  Exit codes: 0 success, 1 configuration error, 3 assumption
+failure, 4 solver failure, 5 resolution guard.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,6 @@ from .errors import (
     ConfigurationError,
     NodalBubblesError,
     ParameterError,
-    QuadratureError,
     ResolutionError,
     SearchError,
     SolverDivergenceError,
@@ -87,7 +86,6 @@ __all__ = ["RunConfig", "main", "cmd_constants", "cmd_assumptions",
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_QUADRATURE = 2
 EXIT_ASSUMPTION = 3
 EXIT_SOLVER = 4
 EXIT_RESOLUTION = 5
@@ -153,21 +151,8 @@ class RunConfig:
                           radius=self.radius)
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "radius": self.radius,
-            "center": list(self.center),
-            "eps": list(self.eps),
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "grid_nz": self.grid_nz,
-            "grid_nr": self.grid_nr,
-            "seed": self.seed,
-            "out": self.out,
-            "format": self.format,
-            "trace": self.trace,
-            "configuration": self.configuration,
-        }
+        """Every field by name; tuples are written as JSON lists."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
@@ -435,27 +420,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "dim": args.dim,
-        "radius": args.radius,
-        "eps": args.eps,
-        "tol": args.tol,
-        "grid_nz": args.grid_nz,
-        "grid_nr": args.grid_nr,
-        "seed": args.seed,
-        "out": args.out,
-        "format": args.format,
-        "trace": args.trace,
-    }
+    overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
     try:
         config = load_run_config(args.config, overrides)
         return _COMMANDS[args.command](config)
     except (ConfigurationError, ParameterError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except QuadratureError as e:
-        print(f"quadrature error: {e}", file=sys.stderr)
-        return EXIT_QUADRATURE
     except ResolutionError as e:
         detail = ""
         if e.required_nz is not None:

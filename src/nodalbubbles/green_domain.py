@@ -433,8 +433,10 @@ def _default_boundary_samples(d: BallDomain, n_dirs: int = 6) -> list[tuple[np.n
 
     Directions spread over the sphere via a Fibonacci-style lattice; targets y
     at the center, at mid-radius along the axis, and near the boundary
-    opposite each direction.  x is placed at distance 0.1 R from the boundary
-    (the check halves this internally).
+    opposite each direction.  x is placed at distance 0.1 R/(N-2) from the
+    boundary (the check halves this internally): the first correction to
+    H(x, y) ~ kappa |x̄-y|^{2-N} grows like (N-2) d(x), so the depth shrinks
+    with N to keep the leading ratio within its bound.
     """
     R, c = d.radius, d.center
     dirs = []
@@ -452,7 +454,7 @@ def _default_boundary_samples(d: BallDomain, n_dirs: int = 6) -> list[tuple[np.n
     ys = [c.copy(), c + 0.5 * R * np.eye(d.N)[0]]
     samples = []
     for v in dirs:
-        x = c + (R - 0.1 * R) * v
+        x = c + (R - 0.1 * R / (d.N - 2)) * v
         for y in ys + [c - 0.6 * R * v]:
             samples.append((x, y.copy()))
     return samples

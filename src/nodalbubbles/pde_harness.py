@@ -56,7 +56,6 @@ from .bubble_core import (
     ConstantsTable,
     alpha_N,
     bubble_profile,
-    eval_bubble,
     lambda_of_Lambda_quadratic,
     sigma_N,
     single_bubble_energy_limit,
@@ -196,6 +195,8 @@ def projected_bubbles_of_config(
 # --------------------------------------------------------------------------
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# Angular panels over u in [-1, 1] at refine 1.
+_N_U = 12
 
 
 def _panel_nodes(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,7 +229,7 @@ def _geometric_breaks(scale: float, refine: int) -> np.ndarray:
 
 def _section_nodes(N: int, R: float, t: float, core_scale: float,
                    zlo: float | None = None, zhi: float | None = None,
-                   n_u: int = 12, refine: int = 1):
+                   refine: int = 1):
     """Quadrature nodes for an axisymmetric integrand over a slab of the ball.
 
     The region is ``{z^2 + r^2 < R^2} ∩ {zlo < z < zhi}`` (either bound may
@@ -260,7 +261,7 @@ def _section_nodes(N: int, R: float, t: float, core_scale: float,
 
     zs, rs, wds = [], [], []
     for a, b in zip(u_edges[:-1], u_edges[1:]):
-        npan = max(1, math.ceil(n_u * refine * (b - a) / 2.0))
+        npan = max(1, math.ceil(_N_U * refine * (b - a) / 2.0))
         u, wu = _panel_nodes(np.linspace(a, b, npan + 1))
 
         rmax = -t * u + np.sqrt(t * t * u * u + R * R - t * t)
@@ -289,7 +290,7 @@ def _section_nodes(N: int, R: float, t: float, core_scale: float,
     return np.concatenate(zs), np.concatenate(rs), np.concatenate(wds)
 
 
-def _slab_nodes(bubbles: list, i: int, n_u: int, refine: int):
+def _slab_nodes(bubbles: list, i: int, refine: int):
     """Nodes of the slab about bubble ``i``, cut midway to its neighbours.
 
     The slabs partition the ball so that each holds exactly one core.
@@ -298,12 +299,12 @@ def _slab_nodes(bubbles: list, i: int, n_u: int, refine: int):
     zlo = 0.5 * (bubbles[i - 1].t + b.t) if i > 0 else None
     zhi = 0.5 * (b.t + bubbles[i + 1].t) if i < len(bubbles) - 1 else None
     return _section_nodes(b.N, b.R, b.t, b.m, zlo=zlo, zhi=zhi,
-                          n_u=n_u, refine=refine)
+                          refine=refine)
 
 
 def energy_quadrature(domain: BallDomain, cfg: Configuration,
                       table: ConstantsTable, eps: float, *,
-                      n_u: int = 12, refine: int = 1) -> tuple[float, dict]:
+                      refine: int = 1) -> tuple[float, dict]:
     """Energy ``(1/2)∫|∇V|^2 - (1/(2*-eps))∫|V|^{2*-eps}`` of the ansatz.
 
     The gradient term is assembled from the pairwise integrals
@@ -327,7 +328,7 @@ def energy_quadrature(domain: BallDomain, cfg: Configuration,
 
     K = np.zeros((k, k))
     for i, bi in enumerate(bubbles):
-        z, r, wd = _section_nodes(N, R, bi.t, bi.m, n_u=n_u, refine=refine)
+        z, r, wd = _section_nodes(N, R, bi.t, bi.m, refine=refine)
         wu = wd * bi.u(z, r) ** p_grad
         for j, bj in enumerate(bubbles):
             K[i, j] = ang * float(np.sum(wu * bj.pu(z, r)))
@@ -338,7 +339,7 @@ def energy_quadrature(domain: BallDomain, cfg: Configuration,
     p_nl = ts - eps
     nonlin = 0.0
     for i in range(k):
-        z, r, wd = _slab_nodes(bubbles, i, n_u, refine)
+        z, r, wd = _slab_nodes(bubbles, i, refine)
         v = sum(s * b.pu(z, r) for s, b in zip(signs, bubbles))
         nonlin += ang * float(np.sum(wd * np.abs(v) ** p_nl))
 
@@ -350,9 +351,11 @@ def energy_quadrature(domain: BallDomain, cfg: Configuration,
 
 def energy_gradient_quadrature(domain: BallDomain, cfg: Configuration,
                                table: ConstantsTable, eps: float, *,
-                               n_u: int = 12, refine: int = 1,
-                               rel_step: float = 1.0e-3) -> np.ndarray:
+                               refine: int = 1) -> np.ndarray:
     """Central differences of :func:`energy_quadrature` in (Lambda, t).
+
+    The step is 1e-3 relative in each Lambda_i and 1e-3 in each t_i, cut to
+    a quarter of the room to the neighbouring centers and the boundary.
 
     The returned 2k-vector equals the pairing of the PDE residual of ``V``
     against the configuration tangent fields (differentiating the energy
@@ -369,11 +372,11 @@ def energy_gradient_quadrature(domain: BallDomain, cfg: Configuration,
 
     def value(L, T):
         c = Configuration(k=k, signs=cfg.signs, Lambda=tuple(L), t=tuple(T))
-        v, _ = energy_quadrature(domain, c, table, eps, n_u=n_u, refine=refine)
+        v, _ = energy_quadrature(domain, c, table, eps, refine=refine)
         return v
 
     for i in range(k):
-        h = rel_step * lam[i]
+        h = 1.0e-3 * lam[i]
         Lp = lam.copy(); Lp[i] += h
         Lm = lam.copy(); Lm[i] -= h
         out[i] = (value(Lp, tt) - value(Lm, tt)) / (2.0 * h)
@@ -381,7 +384,7 @@ def energy_gradient_quadrature(domain: BallDomain, cfg: Configuration,
         room = min(gaps[i - 1] if i > 0 else np.inf,
                    gaps[i] if i < k - 1 else np.inf)
         room = min(room, domain.radius - abs(tt[i] - float(domain.center[0])))
-        h = min(rel_step, 0.25 * room)
+        h = min(1.0e-3, 0.25 * room)
         Tp = tt.copy(); Tp[i] += h
         Tm = tt.copy(); Tm[i] -= h
         out[k + i] = (value(lam, Tp) - value(lam, Tm)) / (2.0 * h)
@@ -390,15 +393,14 @@ def energy_gradient_quadrature(domain: BallDomain, cfg: Configuration,
 
 def residual_quadrature(domain: BallDomain, cfg: Configuration,
                         table: ConstantsTable, eps: float, *,
-                        n_u: int = 12, refine: int = 1,
-                        relative: bool = True) -> float:
-    """L^2 norm of ``-ΔV - |V|^{2*-2-eps} V`` by spherical-panel quadrature.
+                        refine: int = 1) -> float:
+    """Relative L^2 norm of ``-ΔV - |V|^{2*-2-eps} V`` by spherical panels.
 
     ``-ΔV = sum_i a_i U_i^{2*-1}`` holds exactly (the harmonic corrections
     have zero Laplacian), so the residual is an explicit function evaluable
-    at any core width.  With ``relative=True`` the norm is divided by
-    ``||ΔV||_{L^2}``, which removes the core-width divergence of the
-    absolute norm and makes values comparable across eps.
+    at any core width.  The norm is divided by ``||ΔV||_{L^2}``, which
+    removes the core-width divergence of the absolute norm and makes values
+    comparable across eps.
     """
     bubbles = projected_bubbles_of_config(domain, cfg, table, eps)
     ts = two_star(domain.N)
@@ -408,7 +410,7 @@ def residual_quadrature(domain: BallDomain, cfg: Configuration,
     num = 0.0
     den = 0.0
     for i in range(cfg.k):
-        z, r, wd = _slab_nodes(bubbles, i, n_u, refine)
+        z, r, wd = _slab_nodes(bubbles, i, refine)
         lap = v = 0.0
         for s, b in zip(signs, bubbles):
             u = b.u(z, r)
@@ -418,15 +420,11 @@ def residual_quadrature(domain: BallDomain, cfg: Configuration,
         den += float(np.sum(wd * lap * lap))
     ang = sigma_N(domain.N - 1)
     num = math.sqrt(max(ang * num, 0.0))
-    if not relative:
-        return num
     return num / math.sqrt(max(ang * den, 1e-300))
 
 
 def expansion_gap(cfg: Configuration, eps_list, table: ConstantsTable,
-                  grid: "AxisymGrid | None" = None,
-                  domain: BallDomain | None = None, *,
-                  n_u: int = 12) -> dict:
+                  domain: BallDomain | None = None) -> dict:
     """Deviation of the computed energy from its first-order expansion.
 
     For each ``eps`` (the list must be strictly decreasing) computes
@@ -438,13 +436,11 @@ def expansion_gap(cfg: Configuration, eps_list, table: ConstantsTable,
     from :func:`energy_quadrature`.  The remainder theory predicts
     ``gap = o(1)``; empirically it decays like ``eps log^2(eps)``.  Each row
     carries the gap at two quadrature refinements; their difference
-    separates quadrature error from the genuine remainder.  When a grid is
-    supplied and can resolve every core, a grid-energy column is added as a
-    cross-check (the default grid cannot resolve saddle-scale cores, in
-    which case the column is ``None``).
+    separates quadrature error from the genuine remainder.  ``domain``
+    defaults to the unit ball.
     """
     if domain is None:
-        domain = grid.domain if grid is not None else BallDomain.unit(table.N)
+        domain = BallDomain.unit(table.N)
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 2 or any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ParameterError(
@@ -459,22 +455,13 @@ def expansion_gap(cfg: Configuration, eps_list, table: ConstantsTable,
 
     rows = []
     for eps in eps_arr:
-        I1, info1 = energy_quadrature(domain, cfg, table, eps,
-                                      n_u=n_u, refine=1)
-        I2, info2 = energy_quadrature(domain, cfg, table, eps,
-                                      n_u=n_u, refine=2)
+        I1, info1 = energy_quadrature(domain, cfg, table, eps, refine=1)
+        I2, info2 = energy_quadrature(domain, cfg, table, eps, refine=2)
 
         def gap_of(I):
             lead = k * E - 0.5 * k * omega * eps * math.log(eps) - k * gamma * eps
             return (I - lead) / (omega * eps) - psi
 
-        grid_I = None
-        if grid is not None:
-            try:
-                V = assemble_V(cfg, eps, table, grid)
-                grid_I = energy_I(V, eps)
-            except ResolutionError:
-                grid_I = None
         rows.append({
             "eps": eps,
             "I": I2,
@@ -482,7 +469,6 @@ def expansion_gap(cfg: Configuration, eps_list, table: ConstantsTable,
             "gap_coarse": gap_of(I1),
             "refinement_delta": abs(gap_of(I2) - gap_of(I1)),
             "K_sym_defect": max(info1["K_sym_defect"], info2["K_sym_defect"]),
-            "grid_I": grid_I,
         })
 
     gaps = [abs(r["gap"]) for r in rows]
@@ -560,15 +546,14 @@ class AxisymGrid:
         j = np.arange(self.nr)
         self.volumes = 2.0 * math.pi * self.rs * self.hr * self.hz
         self.volumes[0] = math.pi * self.hr ** 2 * self.hz / 4.0
+        # The same volumes over the whole (nz, nr) node array.
+        self.cell_volumes = np.broadcast_to(self.volumes, (self.nz, self.nr))
         self.coeff_axial = 2.0 * math.pi * self.rs * self.hr / self.hz
         self.coeff_axial[0] = math.pi * self.hr ** 2 / (4.0 * self.hz)
         # radial face between columns j and j+1
         self.coeff_radial = 2.0 * math.pi * (j[:-1] + 0.5) * self.hz
 
-        self._lu = None
-        self._bc_rows = None
-        self._bc_nodes = None
-        self._bc_coeffs = None
+        self._lu = None         # set with _A and the _bc_* arrays by _factor
 
     @classmethod
     def for_ball(cls, domain: BallDomain, nz: int = 513,
@@ -579,13 +564,6 @@ class AxisymGrid:
     @property
     def h_max(self) -> float:
         return max(self.hz, self.hr)
-
-    def _neighbor_coeff(self, di: int, dj: int, jj: np.ndarray) -> np.ndarray:
-        if dj == 0:
-            return self.coeff_axial[jj]
-        if dj == 1:
-            return self.coeff_radial[jj]
-        return self.coeff_radial[jj - 1]
 
     def _factor(self):
         """Assemble and factor the SPD operator (lazy, cached)."""
@@ -601,14 +579,15 @@ class AxisymGrid:
         rows, cols, vals = [], [], []
         bc_rows, bc_nodes, bc_coeffs = [], [], []
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            if dj == -1:
-                keep = jj > 0          # no inner face on the axis column
-            else:
-                keep = np.ones_like(jj, dtype=bool)
+            # No inner radial face on the axis column.
+            keep = jj > 0 if dj == -1 else np.ones_like(jj, dtype=bool)
             i2 = ii[keep] + di
             j2 = jj[keep] + dj
             pk = p[keep]
-            c = self._neighbor_coeff(di, dj, jj[keep])
+            if dj == 0:
+                c = self.coeff_axial[jj[keep]]
+            else:       # radial face (j, j+1), or (j-1, j) for dj == -1
+                c = self.coeff_radial[jj[keep] - (dj == -1)]
             np.add.at(diag, pk, c)
             is_int = self.interior[i2, j2]
             rows.append(pk[is_int])
@@ -621,14 +600,14 @@ class AxisymGrid:
         rows = np.concatenate(rows + [np.arange(self.n_interior)])
         cols = np.concatenate(cols + [np.arange(self.n_interior)])
         vals = np.concatenate(vals + [diag])
-        A = sparse.coo_matrix((vals, (rows, cols)),
-                              shape=(self.n_interior, self.n_interior)).tocsc()
-        self._A = A
+        self._A = sparse.coo_matrix(
+            (vals, (rows, cols)),
+            shape=(self.n_interior, self.n_interior)).tocsc()
         # A is a symmetric, diagonally dominant M-matrix: no pivoting is
         # needed, so the factor keeps the minimum-degree ordering of A^T + A
         # (half the fill of the default COLAMD ordering).
-        self._lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                        options={"SymmetricMode": True})
+        self._lu = splu(self._A, permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         self._bc_rows = np.concatenate(bc_rows)
         self._bc_nodes = np.concatenate(bc_nodes)
         self._bc_coeffs = np.concatenate(bc_coeffs)
@@ -660,7 +639,7 @@ class AxisymGrid:
         flux[:, 1:] += cr * d
         out = np.zeros_like(flux)
         out[self.interior] = flux[self.interior] / \
-            self.volumes[None, :].repeat(self.nz, axis=0)[self.interior]
+            self.cell_volumes[self.interior]
         return out
 
 
@@ -685,38 +664,21 @@ class Field:
             raise ParameterError("field contains non-finite values")
         self.values = v
 
-    def to_csv(self, path) -> None:
-        """Write rows ``z,r,value`` for every node (header included)."""
-        g = self.grid
-        flat = np.column_stack([g.z_nodes.ravel(), g.r_nodes.ravel(),
-                                self.values.ravel()])
-        np.savetxt(path, flat, delimiter=",", header="z,r,value", comments="")
 
-    def to_binary(self, path) -> None:
-        """Header nz, nr (int32 LE), hz, hr (float64 LE); row-major float64."""
-        with open(path, "wb") as fh:
-            np.array([self.grid.nz, self.grid.nr], dtype="<i4").tofile(fh)
-            np.array([self.grid.hz, self.grid.hr], dtype="<f8").tofile(fh)
-            np.ascontiguousarray(self.values, dtype="<f8").tofile(fh)
-
-    @staticmethod
-    def read_binary(path) -> tuple[dict, np.ndarray]:
-        """Read a dump; returns (header dict, (nz, nr) value array)."""
-        with open(path, "rb") as fh:
-            nz, nr = np.fromfile(fh, dtype="<i4", count=2)
-            hz, hr = np.fromfile(fh, dtype="<f8", count=2)
-            vals = np.fromfile(fh, dtype="<f8", count=int(nz) * int(nr))
-        return ({"nz": int(nz), "nr": int(nr), "hz": float(hz),
-                 "hr": float(hr)}, vals.reshape(int(nz), int(nr)))
-
-    @classmethod
-    def from_binary(cls, path, grid: AxisymGrid) -> "Field":
-        header, vals = cls.read_binary(path)
-        if (header["nz"], header["nr"]) != (grid.nz, grid.nr):
-            raise ParameterError(
-                f"binary dump is {header['nz']}x{header['nr']}, "
-                f"grid is {grid.nz}x{grid.nr}")
-        return cls(grid, vals)
+def _solve_field(grid: AxisymGrid, rhs: np.ndarray | None,
+                 boundary_data: Field | None) -> Field:
+    """Solve ``A x = rhs + lift(boundary_data)`` (either may be None for
+    zero); the data is kept on boundary nodes and the field is zero outside."""
+    grid._factor()
+    out = np.zeros((grid.nz, grid.nr))
+    if boundary_data is not None:
+        g = np.asarray(boundary_data.values, dtype=float).ravel()
+        lift = np.zeros(grid.n_interior)
+        np.add.at(lift, grid._bc_rows, grid._bc_coeffs * g[grid._bc_nodes])
+        rhs = lift if rhs is None else rhs + lift
+        out[grid.boundary] = boundary_data.values[grid.boundary]
+    out[grid.interior] = grid._solve(rhs)
+    return Field(grid, out)
 
 
 def solve_dirichlet_laplace(grid: AxisymGrid, boundary_data: Field) -> Field:
@@ -727,34 +689,14 @@ def solve_dirichlet_laplace(grid: AxisymGrid, boundary_data: Field) -> Field:
     nodes, and zeros outside; the post-solve algebraic residual is checked
     against 1e-10 (relative).
     """
-    grid._factor()
-    g = np.asarray(boundary_data.values, dtype=float).ravel()
-    rhs = np.zeros(grid.n_interior)
-    np.add.at(rhs, grid._bc_rows, grid._bc_coeffs * g[grid._bc_nodes])
-    x = grid._solve(rhs)
-    out = np.zeros((grid.nz, grid.nr))
-    out[grid.interior] = x
-    out[grid.boundary] = boundary_data.values[grid.boundary]
-    return Field(grid, out)
+    return _solve_field(grid, None, boundary_data)
 
 
 def solve_poisson(grid: AxisymGrid, source: Field,
                   boundary_data: Field | None = None) -> Field:
     """Solve ``-Δu = source`` with Dirichlet data (default zero)."""
-    grid._factor()
-    rhs = source.values[grid.interior] * \
-        grid.volumes[None, :].repeat(grid.nz, axis=0)[grid.interior]
-    if boundary_data is not None:
-        g = np.asarray(boundary_data.values, dtype=float).ravel()
-        bump = np.zeros(grid.n_interior)
-        np.add.at(bump, grid._bc_rows, grid._bc_coeffs * g[grid._bc_nodes])
-        rhs = rhs + bump
-    x = grid._solve(rhs)
-    out = np.zeros((grid.nz, grid.nr))
-    out[grid.interior] = x
-    if boundary_data is not None:
-        out[grid.boundary] = boundary_data.values[grid.boundary]
-    return Field(grid, out)
+    rhs = source.values[grid.interior] * grid.cell_volumes[grid.interior]
+    return _solve_field(grid, rhs, boundary_data)
 
 
 def _require_axis_center(p: BubbleParams, grid: AxisymGrid) -> float:
@@ -796,6 +738,17 @@ def require_core_resolution(grid: AxisymGrid, m: float) -> None:
             required_nz=need_nz, required_nr=need_nr)
 
 
+def _project(grid: AxisymGrid, signs, ms, t_abs) -> Field:
+    """``sum_i a_i U_i`` (core widths ``ms``, axis centers ``t_abs``) minus
+    the harmonic extension of its trace, zero outside the interior."""
+    trace = np.zeros((grid.nz, grid.nr))
+    for s, m, t in zip(signs, ms, t_abs):
+        trace += s * bubble_profile(
+            3, m, (grid.z_nodes - t) ** 2 + grid.r_nodes ** 2)
+    w = solve_dirichlet_laplace(grid, Field(grid, trace))
+    return Field(grid, np.where(grid.interior, trace - w.values, 0.0))
+
+
 def project_bubble(domain: BallDomain, p: BubbleParams,
                    grid: AxisymGrid) -> Field:
     """Grid projection ``P U = U - (harmonic extension of U's trace)``.
@@ -808,11 +761,7 @@ def project_bubble(domain: BallDomain, p: BubbleParams,
         raise ParameterError("domain does not match the grid's domain")
     t_abs = _require_axis_center(p, grid)
     _check_boundary_margin(grid, t_abs)
-    U = bubble_profile(3, p.core_width,
-                       (grid.z_nodes - t_abs) ** 2 + grid.r_nodes ** 2)
-    w = solve_dirichlet_laplace(grid, Field(grid, U))
-    vals = np.where(grid.interior, U - w.values, 0.0)
-    return Field(grid, vals)
+    return _project(grid, [1.0], [p.core_width], [t_abs])
 
 
 def assemble_V(cfg: Configuration, eps: float, table: ConstantsTable,
@@ -827,22 +776,13 @@ def assemble_V(cfg: Configuration, eps: float, table: ConstantsTable,
     """
     if not (eps > 0):
         raise ParameterError(f"eps must be positive, got {eps}")
-    ms, t_abs = [], []
-    for Lam, t in zip(cfg.Lambda, cfg.t):
-        lam = lambda_of_Lambda_quadratic(float(Lam), table, N=3)
-        ms.append(lam * eps)
-        t_abs.append(float(t))
+    ms = [lambda_of_Lambda_quadratic(float(L), table, N=3) * eps
+          for L in cfg.Lambda]
+    t_abs = [float(t) for t in cfg.t]
     require_core_resolution(grid, min(ms))
     for t in t_abs:
         _check_boundary_margin(grid, t)
-
-    trace = np.zeros((grid.nz, grid.nr))
-    for s, m, t in zip(cfg.signs, ms, t_abs):
-        trace += s * bubble_profile(
-            3, m, (grid.z_nodes - t) ** 2 + grid.r_nodes ** 2)
-    w = solve_dirichlet_laplace(grid, Field(grid, trace))
-    vals = np.where(grid.interior, trace - w.values, 0.0)
-    return Field(grid, vals)
+    return _project(grid, cfg.signs, ms, t_abs)
 
 
 def residual_norm(V: Field, eps: float, *, relative: bool = False) -> float:
@@ -858,7 +798,7 @@ def residual_norm(V: Field, eps: float, *, relative: bool = False) -> float:
     u = V.values
     lap = grid.minus_laplacian(u)
     nl = np.abs(u) ** (4.0 - eps) * u
-    vol = grid.volumes[None, :].repeat(grid.nz, axis=0)
+    vol = grid.cell_volumes
     mask = grid.interior
     num = math.sqrt(float(np.sum(vol[mask] * (lap[mask] - nl[mask]) ** 2)))
     if not relative:
@@ -884,7 +824,7 @@ def energy_I(u: Field, eps: float) -> float:
     grad = float(np.sum(grid.coeff_axial[None, :] * d_ax ** 2))
     d_rad = v[:, 1:] - v[:, :-1]
     grad += float(np.sum(grid.coeff_radial[None, :] * d_rad ** 2))
-    vol = grid.volumes[None, :].repeat(grid.nz, axis=0)
+    vol = grid.cell_volumes
     mask = grid.interior
     p = two_star(3) - eps
     nonlin = float(np.sum(vol[mask] * np.abs(v[mask]) ** p))

@@ -18,7 +18,6 @@ from scipy import integrate
 from nodalbubbles import (
     BubbleParams,
     ParameterError,
-    QuadratureSettings,
     alpha_N,
     bubble_integrals,
     compute_constants,
@@ -212,10 +211,6 @@ class TestConstantsTable:
         assert d["values_implementer_derived"] is True
         assert set(d) >= {"N", "alphaN", "CN", "cN", "omegaN", "gammaN",
                           "quad_error"}
-
-    def test_custom_quadrature_settings(self):
-        loose = compute_constants(3, QuadratureSettings(abs_tol=1e-8))
-        assert rel(loose.omegaN, OMEGA3) <= 1e-6
 
 
 class TestScaleMaps:

@@ -237,6 +237,14 @@ class TestHypothesisChecks:
         for r in reports[:2]:
             assert 0.5 <= r.worst_value <= 2.0
 
+    @pytest.mark.parametrize("N", range(3, 17))
+    def test_boundary_expansion_passes_in_every_dimension(self, N):
+        # The sample depth 0.1 R/(N-2) keeps the (N-2) d(x) correction to
+        # the leading reflection term small in high dimensions.
+        reports = check_boundary_expansion(BallDomain.unit(N))
+        failed = [(r.check, r.worst_value) for r in reports if not r.passed]
+        assert failed == []
+
     def test_directional_monotonicity_passes(self, domain):
         report = check_directional_monotonicity(domain, n_samples=1000, seed=0)
         assert report.passed

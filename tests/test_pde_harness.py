@@ -213,19 +213,6 @@ class TestExpansionGap:
         with pytest.raises(ParameterError):
             expansion_gap(centered1(), [0.05, 0.1], table3)
 
-    def test_grid_column_none_at_unresolvable_scale(self, table3, grid257,
-                                                    saddle_config):
-        rep = expansion_gap(saddle_config, [0.1, 0.05], table3, grid=grid257)
-        assert all(row["grid_I"] is None for row in rep["rows"])
-
-    def test_grid_column_present_when_resolvable(self, table3, grid257):
-        # Lambda = sqrt(1/c_N) gives lam = 1: core width = eps is resolvable.
-        cfg = centered1(L=math.sqrt(128.0))
-        rep = expansion_gap(cfg, [0.1, 0.05], table3, grid=grid257)
-        for row in rep["rows"]:
-            assert row["grid_I"] is not None
-            assert abs(row["grid_I"] - row["I"]) < 0.05
-
 
 class TestAxisymGrid:
     def test_shapes_and_steps(self, grid257, domain):
@@ -477,29 +464,6 @@ class TestEnergyI:
 
 
 class TestFieldIO:
-    def test_csv_round_trip(self, grid257, tmp_path):
-        g = grid257
-        vals = np.where(g.interior, g.z_nodes + 2.0 * g.r_nodes, 0.0)
-        f = Field(g, vals)
-        path = tmp_path / "field.csv"
-        f.to_csv(path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (g.nz * g.nr, 3)
-        assert np.allclose(data[:, 2].reshape(g.nz, g.nr), vals)
-
-    def test_binary_round_trip(self, grid257, tmp_path):
-        g = grid257
-        rng = np.random.default_rng(9)
-        vals = rng.normal(size=(g.nz, g.nr))
-        f = Field(g, vals)
-        path = tmp_path / "field.bin"
-        f.to_binary(path)
-        header, back = Field.read_binary(path)
-        assert header == {"nz": g.nz, "nr": g.nr, "hz": g.hz, "hr": g.hr}
-        assert np.array_equal(back, vals)
-        f2 = Field.from_binary(path, g)
-        assert np.array_equal(f2.values, vals)
-
     def test_validation(self, grid257):
         with pytest.raises(ParameterError):
             Field(grid257, np.zeros((3, 3)))
