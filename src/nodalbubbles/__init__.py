@@ -21,7 +21,6 @@ from .bubble_core import (
     bubble_profile,
     compute_constants,
     eval_bubble,
-    eval_bubble_gradient,
     lambda_of_Lambda,
     lambda_of_Lambda_quadratic,
     sigma_N,
@@ -43,7 +42,6 @@ from .green_domain import (
     AxisSection,
     BallDomain,
     ValidationReport,
-    axis_derivatives,
     axis_g,
     axis_g_dt,
     axis_g_ts,
@@ -87,7 +85,6 @@ from .reduced_energy import (
     find_t0_r0,
     grad_psi_k,
     grad_psi_tilde,
-    in_D,
     log_plus,
     mu_embed,
     phi_penalty,
@@ -98,7 +95,6 @@ from .reduced_energy import (
     spacing_margin,
 )
 from .saddle_solver import (
-    GuardSettings,
     SaddleReport,
     coercivity_scan,
     hessian_psi_k,
@@ -118,17 +114,15 @@ __all__ = [
     # bubble_core
     "BubbleIntegrals", "BubbleParams", "ConstantsTable",
     "alpha_N", "bubble_integrals", "bubble_profile", "compute_constants",
-    "eval_bubble", "eval_bubble_gradient", "lambda_of_Lambda",
-    "lambda_of_Lambda_quadratic", "sigma_N", "single_bubble_energy_limit",
-    "two_star",
+    "eval_bubble", "lambda_of_Lambda", "lambda_of_Lambda_quadratic",
+    "sigma_N", "single_bubble_energy_limit", "two_star",
     # errors
     "ConfigurationError", "DomainError", "NodalBubblesError",
     "ParameterError", "QuadratureError", "ResolutionError", "SearchError",
     "SingularityError", "SolverDivergenceError",
     # green_domain
-    "AxisSection", "BallDomain", "ValidationReport", "axis_derivatives",
-    "axis_g", "axis_g_dt", "axis_g_ts", "axis_g_tt", "axis_h", "axis_h_d1",
-    "axis_h_d2",
+    "AxisSection", "BallDomain", "ValidationReport", "axis_g", "axis_g_dt",
+    "axis_g_ts", "axis_g_tt", "axis_h", "axis_h_d1", "axis_h_d2",
     "check_boundary_expansion", "check_directional_monotonicity", "grad_x_G",
     "grad_x_H", "green_G", "harmonic_defect_order", "robin_H", "validate_A3",
     # pde_harness
@@ -140,10 +134,10 @@ __all__ = [
     # reduced_energy
     "ALTERNATING_SIGNS_4", "AxisKernels", "BoundsReport", "Configuration",
     "base_spacing_points", "bounds_report", "find_t0_r0", "grad_psi_k",
-    "grad_psi_tilde", "in_D", "log_plus", "mu_embed", "phi_penalty", "psi_k",
+    "grad_psi_tilde", "log_plus", "mu_embed", "phi_penalty", "psi_k",
     "psi_tilde", "robin_min", "scaling_products", "spacing_margin",
     # saddle_solver
-    "GuardSettings", "SaddleReport", "coercivity_scan", "hessian_psi_k",
+    "SaddleReport", "coercivity_scan", "hessian_psi_k",
     "hessian_psi_tilde", "inertia_of", "solve_saddle",
     "solve_saddle_multistart", "stationarity_identities", "verify_bounds",
     "write_trace_csv",

@@ -55,7 +55,6 @@ __all__ = [
     "two_star",
     "bubble_profile",
     "eval_bubble",
-    "eval_bubble_gradient",
     "bubble_integrals",
     "compute_constants",
     "lambda_of_Lambda",
@@ -152,26 +151,6 @@ def eval_bubble(p: BubbleParams, x) -> float | np.ndarray:
     scalar = (x.ndim == 1)
     val = bubble_profile(p.N, p.core_width, np.sum((x - p.xi) ** 2, axis=-1))
     return float(val) if scalar else val
-
-
-def eval_bubble_gradient(p: BubbleParams, x) -> np.ndarray:
-    """Spatial gradient of :func:`eval_bubble`.
-
-    Differentiating ``U = alpha (m / (m^2 + r^2))^{(N-2)/2}`` in ``x`` gives
-
-        ∇U(x) = -(N-2) * U(x) * (x - xi) / (m^2 + |x - xi|^2),
-
-    which vanishes at the center and always points toward ``xi``.
-    Accepts the same point shapes as :func:`eval_bubble`.
-    """
-    x = np.asarray(x, dtype=float)
-    scalar = (x.ndim == 1)
-    m = p.core_width
-    d = x - p.xi
-    r2 = np.sum(d * d, axis=-1)
-    u = bubble_profile(p.N, m, r2)
-    grad = -(p.N - 2) * u[..., None] * d / (m * m + r2)[..., None]
-    return grad[0] if (scalar and grad.ndim == 2) else grad
 
 
 @dataclass(frozen=True)

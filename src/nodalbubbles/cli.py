@@ -91,6 +91,11 @@ EXIT_SOLVER = 4
 EXIT_RESOLUTION = 5
 
 
+def _is_number(v, kind=(int, float)) -> bool:
+    """``v`` is an instance of ``kind`` and not a bool (JSON true/false)."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run parameters shared by all subcommands."""
@@ -110,39 +115,51 @@ class RunConfig:
     configuration: dict | None = None
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 3:
+        if not _is_number(self.dim, int) or self.dim < 3:
             raise ConfigurationError(
                 f"N >= 3 required, got dim={self.dim!r}")
-        if not (isinstance(self.radius, (int, float)) and self.radius > 0
+        if not (_is_number(self.radius) and self.radius > 0
                 and math.isfinite(self.radius)):
             raise ConfigurationError(f"radius must be positive, got {self.radius!r}")
+        if self.center is not None and not all(map(_is_number, self.center)):
+            raise ConfigurationError(
+                f"center entries must be numbers, got {self.center!r}")
         center = ((0.0,) * self.dim if self.center is None
                   else tuple(float(c) for c in self.center))
         if len(center) != self.dim:
             raise ConfigurationError(
                 f"center must have dim={self.dim} entries, got {len(center)}")
         object.__setattr__(self, "center", center)
+        if not all(map(_is_number, self.eps)):
+            raise ConfigurationError(
+                f"eps values must be numbers, got {self.eps!r}")
         eps = tuple(float(e) for e in self.eps)
         if not eps or any(not (0.0 < e < 1.0) for e in eps):
             raise ConfigurationError(
                 f"eps values must lie in (0, 1), got {self.eps!r}")
         eps = tuple(sorted(set(eps), reverse=True))
         object.__setattr__(self, "eps", eps)
-        if not (self.tol > 0 and math.isfinite(self.tol)):
+        if not (_is_number(self.tol) and self.tol > 0
+                and math.isfinite(self.tol)):
             raise ConfigurationError(f"tol must be positive, got {self.tol!r}")
-        if not isinstance(self.max_iter, int) or self.max_iter < 1:
+        if not _is_number(self.max_iter, int) or self.max_iter < 1:
             raise ConfigurationError(
                 f"max_iter must be a positive integer, got {self.max_iter!r}")
         for name, v in (("grid_nz", self.grid_nz), ("grid_nr", self.grid_nr)):
-            if not isinstance(v, int) or v < 5:
+            if not _is_number(v, int) or v < 5:
                 raise ConfigurationError(
                     f"{name} must be an integer >= 5, got {v!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_number(self.seed, int) or self.seed < 0:
             raise ConfigurationError(
                 f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not isinstance(self.out, str):
+            raise ConfigurationError(f"out must be a string, got {self.out!r}")
         if self.format not in ("json", "csv"):
             raise ConfigurationError(
                 f"format must be 'json' or 'csv', got {self.format!r}")
+        if not isinstance(self.trace, bool):
+            raise ConfigurationError(
+                f"trace must be true or false, got {self.trace!r}")
         if self.configuration is not None and not isinstance(self.configuration, dict):
             raise ConfigurationError("configuration must be a JSON object")
 

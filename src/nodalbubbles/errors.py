@@ -7,6 +7,10 @@ so a single ``except`` clause can fence off the whole package.
 
 from __future__ import annotations
 
+__all__ = ["NodalBubblesError", "ParameterError", "ConfigurationError",
+           "DomainError", "SingularityError", "QuadratureError",
+           "SearchError", "ResolutionError", "SolverDivergenceError"]
+
 
 class NodalBubblesError(Exception):
     """Base class for all errors raised by this package."""

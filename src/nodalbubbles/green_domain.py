@@ -55,11 +55,9 @@ __all__ = [
     "axis_g_ts",
     "axis_h_d1",
     "axis_h_d2",
-    "axis_derivatives",
     "validate_A3",
     "check_boundary_expansion",
     "check_directional_monotonicity",
-    "stencil_laplacian",
     "harmonic_defect_order",
 ]
 
@@ -108,14 +106,6 @@ class BallDomain:
         """Fundamental-solution normalization 1/((N-2) sigma_N)."""
         return 1.0 / ((self.N - 2) * self.sigma)
 
-    def contains(self, x, *, closed: bool = False, tol: float = 1e-12) -> np.ndarray:
-        """Vectorized membership test for the (open or closed) ball."""
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x - self.center, axis=-1)
-        if closed:
-            return r <= self.radius * (1.0 + tol)
-        return r < self.radius
-
 
 @dataclass(frozen=True)
 class AxisSection:
@@ -149,18 +139,14 @@ class ValidationReport:
     sample_count: int
     worst_value: float
     passed: bool
-    note: str = ""
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "check": self.check,
             "sample_count": self.sample_count,
             "worst_value": self.worst_value,
             "pass": bool(self.passed),
         }
-        if self.note:
-            out["note"] = self.note
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -370,27 +356,18 @@ def axis_h_d2(d: BallDomain, sec: AxisSection, t) -> float | np.ndarray:
     return float(val) if np.ndim(val) == 0 else val
 
 
-def axis_derivatives(d: BallDomain, sec: AxisSection, t, s) -> dict:
-    """Bundle {∂g/∂t at (t,s), h''(t)} of the axis kernels."""
-    return {
-        "dg_dt": axis_g_dt(d, sec, t, s),
-        "h_diag_d2": axis_h_d2(d, sec, t),
-    }
-
-
 # ---------------------------------------------------------------------------
 # validators
 # ---------------------------------------------------------------------------
 
 def validate_A3(d: BallDomain, sec: AxisSection, n_grid: int = 256,
-                margin: float | None = None,
                 n_pairs: int = 10_000) -> list[ValidationReport]:
     """Sample the two axis hypotheses: h'' > 0 and (t-s) ∂g/∂t < 0.
 
-    ``n_grid`` uniform points of (a+margin, b-margin) feed the convexity
-    check; a uniform ~sqrt(n_pairs) x sqrt(n_pairs) lattice with the diagonal
-    removed feeds the monotonicity check.  The default margin is
-    0.02 (b-a), excluding the endpoints where h blows up.
+    ``n_grid`` uniform points of (a+m, b-m), m = 0.02 (b-a), feed the
+    convexity check; a uniform ~sqrt(n_pairs) x sqrt(n_pairs) lattice of the
+    same interval with the diagonal removed feeds the monotonicity check.
+    The margin m excludes the endpoints where h blows up.
 
     Returns two reports, in order: convexity (worst = min h'', passes iff
     positive) and monotonicity (worst = max (t-s) ∂g/∂t, passes iff negative).
@@ -398,10 +375,7 @@ def validate_A3(d: BallDomain, sec: AxisSection, n_grid: int = 256,
     if n_grid < 16:
         raise ConfigurationError(f"n_grid must be >= 16, got {n_grid}")
     width = sec.b - sec.a
-    m = 0.02 * width if margin is None else float(margin)
-    if m >= width / 2.0:
-        raise ConfigurationError(
-            f"margin {m} leaves an empty sample interval of ({sec.a}, {sec.b})")
+    m = 0.02 * width
 
     ts = np.linspace(sec.a + m, sec.b - m, n_grid)
     h2 = axis_h_d2(d, sec, ts)
@@ -428,17 +402,18 @@ def validate_A3(d: BallDomain, sec: AxisSection, n_grid: int = 256,
     return [conv, mono]
 
 
-def _default_boundary_samples(d: BallDomain, n_dirs: int = 6) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Deterministic (x, y) sample set for the boundary-expansion check.
+def _boundary_samples(d: BallDomain) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The fixed (x, y) sample set of the boundary-expansion check.
 
-    Directions spread over the sphere via a Fibonacci-style lattice; targets y
-    at the center, at mid-radius along the axis, and near the boundary
-    opposite each direction.  x is placed at distance 0.1 R/(N-2) from the
-    boundary (the check halves this internally): the first correction to
-    H(x, y) ~ kappa |x̄-y|^{2-N} grows like (N-2) d(x), so the depth shrinks
-    with N to keep the leading ratio within its bound.
+    Six directions spread over the sphere via a Fibonacci-style lattice;
+    targets y at the center, at mid-radius along the axis, and near the
+    boundary opposite each direction.  x is placed at distance 0.1 R/(N-2)
+    from the boundary (the check halves this internally): the first
+    correction to H(x, y) ~ kappa |x̄-y|^{2-N} grows like (N-2) d(x), so the
+    depth shrinks with N to keep the leading ratio within its bound.
     """
     R, c = d.radius, d.center
+    n_dirs = 6
     dirs = []
     ga = math.pi * (3.0 - math.sqrt(5.0))
     for i in range(n_dirs):
@@ -448,8 +423,7 @@ def _default_boundary_samples(d: BallDomain, n_dirs: int = 6) -> list[tuple[np.n
         v = np.zeros(d.N)
         v[0] = z
         v[1] = r * math.cos(phi)
-        if d.N > 2:
-            v[2] = r * math.sin(phi)
+        v[2] = r * math.sin(phi)
         dirs.append(v / np.linalg.norm(v))
     ys = [c.copy(), c + 0.5 * R * np.eye(d.N)[0]]
     samples = []
@@ -460,12 +434,11 @@ def _default_boundary_samples(d: BallDomain, n_dirs: int = 6) -> list[tuple[np.n
     return samples
 
 
-def check_boundary_expansion(d: BallDomain, samples=None,
-                             halvings: int = 2) -> list[ValidationReport]:
+def check_boundary_expansion(d: BallDomain) -> list[ValidationReport]:
     """Probe the near-boundary reflection expansions of the regular part.
 
-    For x in the boundary strip (dist(x, ∂Ω) < R/4) with nearest boundary
-    point p(x), reflection x̄ = 2 p(x) - x, and inward normal ν = (x-p)/|x-p|:
+    For x near the boundary with nearest boundary point p(x), reflection
+    x̄ = 2 p(x) - x, and inward normal ν = (x-p)/|x-p|:
 
     * regular part:   H(x,y) = kappa |x̄-y|^{2-N} + O(d(x)/|x̄-y|^{N-2});
       the fitted constant C1 = |H - kappa |x̄-y|^{2-N}| |x̄-y|^{N-2} / d(x)
@@ -476,28 +449,21 @@ def check_boundary_expansion(d: BallDomain, samples=None,
     * the leading ratio H(x,y) (N-2) sigma_N |x̄-y|^{N-2} tends to 1 as
       d(x) -> 0 (reported at the deepest halving).
 
-    ``samples`` is a list of (x, y) pairs; x deeper than R/4 is skipped with a
-    note, and configurations where x̄ lands on y are rejected as singular.
-    Returns three reports: the two fitted-constant stability checks (worst =
-    most extreme halving ratio) and the leading-ratio check (worst = max
-    |ratio - 1|, informational threshold 0.15).
+    The 18 fixed samples of :func:`_boundary_samples` start at depth
+    0.1 R/(N-2) and are halved twice; every reflection x̄ lies outside the
+    ball, so it never meets y.  Returns three reports: the two
+    fitted-constant stability checks (worst = most extreme halving ratio)
+    and the leading-ratio check (worst = max |ratio - 1|, informational
+    threshold 0.15).
     """
-    if samples is None:
-        samples = _default_boundary_samples(d)
     R, c = d.radius, d.center
-    delta0 = R / 4.0
     kappa = d.kappa
+    halvings = 2
 
+    samples = _boundary_samples(d)
     ratios1, ratios2, lead_dev = [], [], []
-    skipped = []
-    n_used = 0
     for (x, y) in samples:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         dist0 = R - float(np.linalg.norm(x - c))
-        if dist0 <= 0 or dist0 >= delta0:
-            skipped.append(f"sample at depth {dist0:.3g} outside the boundary strip")
-            continue
         xdir = (x - c) / np.linalg.norm(x - c)
         c1_fits, c2_fits = [], []
         for k in range(halvings + 1):
@@ -507,9 +473,6 @@ def check_boundary_expansion(d: BallDomain, samples=None,
             xbar = 2.0 * p - xk
             nu = (xk - p) / np.linalg.norm(xk - p)        # inward normal
             rbar = float(np.linalg.norm(xbar - y))
-            if rbar < 1e-10 * R:
-                raise SingularityError(
-                    "boundary-expansion sample has reflection x̄ == y")
             Hval = robin_H(d, xk, y)
             lead1 = kappa * rbar ** (2.0 - d.N)
             c1_fits.append(abs(Hval - lead1) * rbar ** (d.N - 2.0) / dk)
@@ -522,29 +485,23 @@ def check_boundary_expansion(d: BallDomain, samples=None,
             ratios1.append(b / a if a > 0 else 1.0)
         for a, b in zip(c2_fits, c2_fits[1:]):
             ratios2.append(b / a if a > 0 else 1.0)
-        n_used += 1
-
-    note = "; ".join(skipped)
 
     def _extreme(rs: list[float]) -> float:
         # the ratio farthest from 1 on a log scale
-        return max(rs, key=lambda r: abs(math.log(max(r, 1e-300)))) if rs else 1.0
+        return max(rs, key=lambda r: abs(math.log(max(r, 1e-300))))
 
-    w1, w2 = _extreme(ratios1), _extreme(ratios2)
-    w3 = max(lead_dev) if lead_dev else 0.0
+    w1, w2, w3 = _extreme(ratios1), _extreme(ratios2), max(lead_dev)
+    n = len(samples)
     return [
         ValidationReport(
             check="boundary_expansion_regular_part (fitted C ratio in [1/2,2])",
-            sample_count=n_used, worst_value=w1,
-            passed=bool(0.5 <= w1 <= 2.0), note=note),
+            sample_count=n, worst_value=w1, passed=bool(0.5 <= w1 <= 2.0)),
         ValidationReport(
             check="boundary_expansion_normal_derivative (fitted C ratio in [1/2,2])",
-            sample_count=n_used, worst_value=w2,
-            passed=bool(0.5 <= w2 <= 2.0), note=note),
+            sample_count=n, worst_value=w2, passed=bool(0.5 <= w2 <= 2.0)),
         ValidationReport(
             check="boundary_expansion_leading_ratio (|H/lead - 1| at deepest halving)",
-            sample_count=n_used, worst_value=w3,
-            passed=bool(w3 <= 0.15), note=note),
+            sample_count=n, worst_value=w3, passed=bool(w3 <= 0.15)),
     ]
 
 
@@ -591,7 +548,7 @@ def check_directional_monotonicity(d: BallDomain, n_samples: int = 1000,
 # discrete-harmonicity probes
 # ---------------------------------------------------------------------------
 
-def stencil_laplacian(func, x: np.ndarray, h: float) -> float:
+def _stencil_laplacian(func, x: np.ndarray, h: float) -> float:
     """Second-order (2N+1)-point discrete Laplacian of ``func`` at ``x``."""
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -605,21 +562,16 @@ def stencil_laplacian(func, x: np.ndarray, h: float) -> float:
 
 
 def harmonic_defect_order(d: BallDomain, x: np.ndarray, y: np.ndarray,
-                          h0: float, which: str = "H") -> float:
-    """Measured convergence order of the discrete Laplacian defect of a kernel.
+                          h0: float) -> float:
+    """Measured convergence order of the discrete Laplacian defect of H.
 
-    Applies the stencil in the second argument at ``y`` with steps h0 and
-    h0/2 and returns log2 of the defect ratio; for a harmonic function the
-    defect is O(h^2), so the measurement should sit near 2.
+    Applies the stencil to the regular part H(x, ·) at ``y`` with steps h0
+    and h0/2 and returns log2 of the defect ratio; H is harmonic, so the
+    defect is O(h^2) and the measurement should sit near 2.
     """
-    if which == "H":
-        f = lambda z: robin_H(d, x, z)
-    elif which == "G":
-        f = lambda z: green_G(d, x, z)
-    else:
-        raise ParameterError(f"unknown kernel {which!r}; use 'G' or 'H'")
-    d1 = abs(stencil_laplacian(f, y, h0))
-    d2 = abs(stencil_laplacian(f, y, h0 / 2.0))
+    f = lambda z: robin_H(d, x, z)
+    d1 = abs(_stencil_laplacian(f, y, h0))
+    d2 = abs(_stencil_laplacian(f, y, h0 / 2.0))
     if d2 == 0.0:
         return float("inf")
     return math.log2(d1 / d2)

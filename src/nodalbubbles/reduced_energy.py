@@ -60,7 +60,6 @@ __all__ = [
     "grad_psi_k",
     "grad_psi_tilde",
     "phi_penalty",
-    "in_D",
     "log_plus",
     "mu_embed",
     "scaling_products",
@@ -132,12 +131,19 @@ class Configuration:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Configuration":
+        """Inverse of :meth:`to_json_dict`; a missing key or an entry of the
+        wrong type raises ParameterError."""
         try:
             return cls(k=data["k"], signs=tuple(data["signs"]),
                        Lambda=tuple(data["Lambda"]), t=tuple(data["t"]))
         except KeyError as exc:
             raise ParameterError(
                 f"configuration dict is missing key {exc}") from exc
+        except ParameterError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(
+                f"malformed configuration dict: {exc}") from exc
 
     def with_params(self, Lambda=None, t=None) -> "Configuration":
         """Copy with replaced scalings and/or positions (signs fixed)."""
@@ -346,11 +352,6 @@ def phi_penalty(cfg: Configuration, kern: AxisKernels) -> float:
                                  cfg.t)[0])
 
 
-def in_D(cfg: Configuration, kern: AxisKernels, M: float) -> bool:
-    """Membership in the working sublevel set {Φ < M}."""
-    return bool(phi_penalty(cfg, kern) < M)
-
-
 def log_plus(x):
     """The positive part of the logarithm, max(log x, 0); requires x > 0."""
     arr = np.asarray(x, dtype=float)
@@ -418,17 +419,18 @@ def spacing_margin(kern: AxisKernels, t0: float, r0: float,
     return float(np.min(vals))
 
 
-def find_t0_r0(domain: BallDomain, section: AxisSection | None = None,
-               *, n_t0: int = 9, n_r0: int = 200, n_check: int = 33
+def find_t0_r0(domain: BallDomain, section: AxisSection | None = None
                ) -> tuple:
     """Search for an admissible base point and spacing (t0, r0).
 
     Admissibility means the window [t0−4r0, t0+4r0] lies strictly inside the
     chord (with a 1% end guard) and the near-diagonal dominance
     ½h(t) + ½h(s) ≤ g(t,s) holds on it with strictly positive margin.
-    Candidates are scanned with r0 descending (largest admissible spacing
-    wins) and t0 ordered center-out; the winning pair is re-validated on a
-    10× finer pair lattice before being returned.
+    Candidates are the spacings r0 = j·(b − a)/200, scanned descending
+    (largest admissible spacing wins), and nine base points t0 ordered
+    center-out in steps of 2.5% of the chord.  Each is checked on a 33 × 33
+    pair lattice, and the winning pair is re-validated on a 330 × 330
+    lattice before being returned.
 
     Returns (t0, r0); raises a search error with the scanned grid sizes if
     no candidate passes.
@@ -439,30 +441,30 @@ def find_t0_r0(domain: BallDomain, section: AxisSection | None = None,
     mid = 0.5 * (sec.a + sec.b)
     guard = 0.01 * width
 
-    step = width / float(n_r0)
+    step = width / 200.0
     r_max = (width / 2.0 - guard) / 4.0
     r_cands = np.arange(math.floor(r_max / step), 0, -1) * step
 
     offsets = [0.0]
-    for i in range(1, (n_t0 + 1) // 2):
+    for i in range(1, 5):
         delta = 0.025 * i * width
         offsets.extend([delta, -delta])
-    t_cands = [mid + o for o in offsets[:n_t0]]
+    t_cands = [mid + o for o in offsets]
 
     for r0 in r_cands:
         for t0 in t_cands:
             if not (t0 - 4.0 * r0 > sec.a + guard
                     and t0 + 4.0 * r0 < sec.b - guard):
                 continue
-            if spacing_margin(kern, t0, r0, n_check) <= 0.0:
+            if spacing_margin(kern, t0, r0) <= 0.0:
                 continue
-            if spacing_margin(kern, t0, r0, 10 * n_check) <= 0.0:
+            if spacing_margin(kern, t0, r0, 330) <= 0.0:
                 continue
             return (float(t0), float(r0))
     raise SearchError(
         "no admissible (t0, r0) found: near-diagonal dominance failed on "
         f"every candidate ({len(r_cands)} spacings x {len(t_cands)} base "
-        f"points, {n_check}^2 pair lattice); try a finer grid (larger n_r0)")
+        "points, 33^2 pair lattice)")
 
 
 def robin_min(kern: AxisKernels) -> float:

@@ -42,7 +42,6 @@ from .reduced_energy import (AxisKernels, BoundsReport, Configuration,
 
 __all__ = [
     "SaddleReport",
-    "GuardSettings",
     "hessian_psi_k",
     "hessian_psi_tilde",
     "inertia_of",
@@ -85,17 +84,11 @@ class SaddleReport:
         }
 
 
-@dataclass(frozen=True)
-class GuardSettings:
-    """Admissible-set guards for solver iterates.
-
-    Scalings are confined to [lam_min, lam_max] and positions to the chord
-    shrunk by ``t_margin``, with strict ordering always enforced.
-    """
-
-    lam_min: float = 1e-6
-    lam_max: float = 1e6
-    t_margin: float = 1e-6
+# Admissible-set guards for solver iterates: scalings in [LAM_MIN, LAM_MAX],
+# positions in the chord shrunk by T_MARGIN, strict ordering always enforced.
+LAM_MIN = 1e-6
+LAM_MAX = 1e6
+T_MARGIN = 1e-6
 
 
 def _pack(cfg: Configuration) -> np.ndarray:
@@ -107,13 +100,11 @@ def _unpack_x(x: np.ndarray, k: int, signs) -> Configuration:
                          t=tuple(x[k:]))
 
 
-def _admissible(x: np.ndarray, k: int, sec: AxisSection,
-                guards: GuardSettings) -> bool:
+def _admissible(x: np.ndarray, k: int, sec: AxisSection) -> bool:
     lam, t = x[:k], x[k:]
-    if np.any(lam < guards.lam_min) or np.any(lam > guards.lam_max):
+    if np.any(lam < LAM_MIN) or np.any(lam > LAM_MAX):
         return False
-    if (np.any(t <= sec.a + guards.t_margin)
-            or np.any(t >= sec.b - guards.t_margin)):
+    if np.any(t <= sec.a + T_MARGIN) or np.any(t >= sec.b - T_MARGIN):
         return False
     return bool(np.all(np.diff(t) > 0.0))
 
@@ -136,11 +127,11 @@ def hessian_psi_tilde(cfg: Configuration, kern: AxisKernels) -> np.ndarray:
     return hessian_psi_k(cfg, kern)
 
 
-def inertia_of(H: np.ndarray, zero_tol: float = 1e-7) -> tuple:
-    """Eigenvalue sign counts (n₊, n₋, n₀) with a relative zero threshold."""
+def inertia_of(H: np.ndarray) -> tuple:
+    """Eigenvalue sign counts (n₊, n₋, n₀); zero means |λ| <= 1e-7 max(‖H‖, 1)."""
     w = np.linalg.eigvalsh(0.5 * (H + H.T))
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    thr = zero_tol * max(scale, 1.0)
+    thr = 1e-7 * max(scale, 1.0)
     n_plus = int(np.sum(w > thr))
     n_minus = int(np.sum(w < -thr))
     return (n_plus, n_minus, int(w.size) - n_plus - n_minus)
@@ -151,8 +142,8 @@ def inertia_of(H: np.ndarray, zero_tol: float = 1e-7) -> tuple:
 # ---------------------------------------------------------------------------
 
 def solve_saddle(domain: BallDomain, section: AxisSection | None,
-                 init: Configuration, tol: float = 1e-8, max_iter: int = 50,
-                 guards: GuardSettings | None = None) -> SaddleReport:
+                 init: Configuration, tol: float = 1e-8, max_iter: int = 50
+                 ) -> SaddleReport:
     """Damped Newton iteration on ∇Ψ̃ from an admissible start.
 
     Each step solves H d = −∇Ψ̃ with the analytic Hessian and
@@ -167,11 +158,10 @@ def solve_saddle(domain: BallDomain, section: AxisSection | None,
         raise ParameterError(f"tol must be positive, got {tol}")
     sec = section or AxisSection.of_ball(domain)
     kern = AxisKernels(domain, sec)
-    guards = guards or GuardSettings()
     _require_alternating4(init, "solve_saddle")
 
     x = _pack(init)
-    if not _admissible(x, 4, sec, guards):
+    if not _admissible(x, 4, sec):
         raise ParameterError("initial configuration violates the guards")
 
     warnings: list[str] = []
@@ -205,7 +195,7 @@ def solve_saddle(domain: BallDomain, section: AxisSection | None,
         accepted = False
         while step >= 1e-12:
             x_try = x + step * d
-            if _admissible(x_try, 4, sec, guards):
+            if _admissible(x_try, 4, sec):
                 cfg_try = _unpack_x(x_try, 4, init.signs)
                 F_try = grad_psi_tilde(cfg_try, kern)
                 phi_try = 0.5 * float(F_try @ F_try)
@@ -235,10 +225,14 @@ def solve_saddle(domain: BallDomain, section: AxisSection | None,
         warnings=warnings)
 
 
+def _draw_mus(rng: np.random.Generator) -> tuple:
+    """Log-uniform scaling-family parameters (μ1, μ, μ4), each in [1/4, 4]."""
+    return tuple(float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
+                 for _ in range(3))
+
+
 def solve_saddle_multistart(domain: BallDomain, section: AxisSection | None,
-                            t_base, n_starts: int = 8, seed: int = 0,
-                            tol: float = 1e-8, max_iter: int = 50,
-                            guards: GuardSettings | None = None
+                            t_base, n_starts: int = 8, seed: int = 0
                             ) -> list[SaddleReport]:
     """Newton from perturbed scaling-family starts; distinct solutions only.
 
@@ -252,15 +246,9 @@ def solve_saddle_multistart(domain: BallDomain, section: AxisSection | None,
     t_base = tuple(float(v) for v in t_base)
     reports: list[SaddleReport] = []
     for s in range(n_starts):
-        if s == 0:
-            mus = (1.0, 1.0, 1.0)
-        else:
-            mus = tuple(float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
-                        for _ in range(3))
+        mus = (1.0, 1.0, 1.0) if s == 0 else _draw_mus(rng)
         try:
-            init = mu_embed(*mus, t_base)
-            rep = solve_saddle(domain, section, init, tol=tol,
-                               max_iter=max_iter, guards=guards)
+            rep = solve_saddle(domain, section, mu_embed(*mus, t_base))
         except (SolverDivergenceError, ParameterError):
             continue
         x = _pack(rep.config)
@@ -357,45 +345,42 @@ def _anchor_config(kern: AxisKernels, t_base) -> Configuration:
 
 
 def _certified_path(kern: AxisKernels, anchor: Configuration,
-                    cfg: Configuration, level: float, n_checks: int = 17
-                    ) -> bool:
+                    cfg: Configuration, level: float) -> bool:
     """Is the straight segment from anchor to cfg inside {Φ < level}?
 
-    Linear interpolation in (log Λ, t); a True result certifies that cfg
-    lies in the same connected component of the sublevel set as the anchor.
+    Linear interpolation in (log Λ, t), checked at 17 points; a True result
+    certifies that cfg lies in the same connected component of the sublevel
+    set as the anchor.  Both position vectors are strictly increasing, so
+    every point of the segment is ordered too.
     """
-    s = np.linspace(0.0, 1.0, n_checks)[:, None]
+    s = np.linspace(0.0, 1.0, 17)[:, None]
     lam = np.exp((1.0 - s) * np.log(anchor.Lambda) + s * np.log(cfg.Lambda))
     t = (1.0 - s) * np.asarray(anchor.t) + s * np.asarray(cfg.t)
-    if np.any(np.diff(t, axis=-1) <= 0.0):
-        return False
     phi = _quadratic_form(kern, np.ones((cfg.k, cfg.k)), lam, t)[0]
     return bool(np.all(phi < level))
 
 
 def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
                     M_list=(10.0, 20.0, 40.0), n_samples: int = 64,
-                    seed: int = 0, t0: float | None = None,
-                    r0: float | None = None, refine: bool = True
-                    ) -> list[dict]:
+                    seed: int = 0) -> list[dict]:
     """Sampled minima of Ψ̃ on the penalty level sets {Φ = M/2}.
 
-    For each M the scan draws scaling-family configurations (log-uniform
-    μ's in [1/4, 4], ordered positions in the admissible window with a
-    minimum gap of r0/8), keeps those connected to the base family's
-    penalty-minimal anchor inside {Φ < M/2} along a straight certified
-    path, pushes each along its scaling ray to both crossings of the level
-    (the convex ray segment stays in the sublevel set, so the crossings
-    remain in the anchored component), and records the smallest Ψ̃ seen;
-    with ``refine`` a Nelder-Mead polish of the level-set parametrization
-    around the best sample tightens the minimum.  Levels the anchor cannot
-    reach are skipped with a note.  Minima must increase with M — the
-    observable trace of penalty coercivity.
+    The window and spacing come from :func:`find_t0_r0`.  For each M the
+    scan draws scaling-family configurations (log-uniform μ's in [1/4, 4],
+    ordered positions in the window [t0 − 4r0, t0 + 4r0] with a minimum gap
+    of r0/8), keeps those connected to the base family's penalty-minimal
+    anchor inside {Φ < M/2} along a straight certified path, pushes each
+    along its scaling ray to both crossings of the level (the convex ray
+    segment stays in the sublevel set, so the crossings remain in the
+    anchored component), and records the smallest Ψ̃ seen; a Nelder-Mead
+    polish of the level-set parametrization around the best sample then
+    tightens the minimum.  Levels the anchor cannot reach are skipped with a
+    note.  Minima must increase with M — the observable trace of penalty
+    coercivity.
     """
     sec = section or AxisSection.of_ball(domain)
     kern = AxisKernels(domain, sec)
-    if t0 is None or r0 is None:
-        t0, r0 = find_t0_r0(domain, sec)
+    t0, r0 = find_t0_r0(domain, sec)
     t_base = base_spacing_points(t0, r0)
     anchor = _anchor_config(kern, t_base)
     anchor_phi = phi_penalty(anchor, kern)
@@ -414,10 +399,6 @@ def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
                 return tuple(t)
         return t_base
 
-    def draw_mus():
-        return tuple(float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
-                     for _ in range(3))
-
     results = []
     for M in M_list:
         level = 0.5 * float(M)
@@ -432,7 +413,7 @@ def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
         best_point = None
         n_cert = 0
         for _ in range(n_samples):
-            cfg = mu_embed(*draw_mus(), draw_positions())
+            cfg = mu_embed(*_draw_mus(rng), draw_positions())
             roots = _level_roots(cfg, kern, level, anchor)
             if roots is None:
                 continue
@@ -443,16 +424,14 @@ def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
                     best_val = val
                     best_point = (cfg, c)
 
-        note = ""
         if best_point is None:
             results.append({
                 "M": float(M), "min_psi_tilde": None, "n_certified": 0,
                 "note": "no certified sample reached the level"})
             continue
 
-        if refine:
-            best_val, note = _refine_level_min(
-                kern, anchor, best_point[0], level, best_val, window, min_gap)
+        best_val, note = _refine_level_min(
+            kern, anchor, best_point[0], level, best_val, window, min_gap)
 
         results.append({
             "M": float(M), "min_psi_tilde": float(best_val),

@@ -22,7 +22,6 @@ from nodalbubbles import (
     bubble_integrals,
     compute_constants,
     eval_bubble,
-    eval_bubble_gradient,
     lambda_of_Lambda,
     lambda_of_Lambda_quadratic,
     sigma_N,
@@ -270,17 +269,6 @@ class TestBubbleEvaluation:
         assert vals.shape == (3,)
         for i in range(3):
             assert vals[i] == pytest.approx(eval_bubble(p, xs[i]), rel=1e-14)
-
-    def test_gradient_matches_finite_differences(self):
-        p = BubbleParams(N=3, eps=0.05, lam=1.3, xi=np.array([0.2, -0.1, 0.0]))
-        x = np.array([0.35, 0.05, -0.2])
-        g = eval_bubble_gradient(p, x)
-        h = 1e-6
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            fd = (eval_bubble(p, x + e) - eval_bubble(p, x - e)) / (2 * h)
-            assert g[i] == pytest.approx(fd, rel=1e-7, abs=1e-10)
 
     def test_solves_critical_equation(self):
         # -ΔU = U^{2*-1} checked by a second-difference stencil.

@@ -68,6 +68,45 @@ class TestRunConfig:
         assert "penalty_M" not in RunConfig().to_json_dict()
 
 
+_SADDLE_CONFIG = {"k": 4, "signs": [1, -1, 1, -1],
+                  "Lambda": [1.0, 1.0, 1.0, 1.0], "t": [0.0, 0.06, 0.12, 0.18]}
+
+
+class TestConfigFileValues:
+    """Malformed config-file values exit 1 with a message, and no run starts.
+
+    Each saddle case also asks for the trace, so a value that slipped through
+    would leave a trace.csv behind.
+    """
+
+    @pytest.mark.parametrize("command, data", [
+        ("saddle", {"trace": "no"}),
+        ("saddle", {"trace": 1}),
+        ("saddle", {"trace": True, "eps": ["abc"]}),
+        ("saddle", {"trace": True, "center": ["x", 0, 0]}),
+        ("saddle", {"trace": True, "radius": True}),
+        ("saddle", {"trace": True, "tol": True}),
+        ("saddle", {"trace": True, "seed": True}),
+        ("saddle", {"trace": True, "max_iter": True}),
+        ("verify", {"configuration": dict(_SADDLE_CONFIG, signs=1)}),
+        ("verify", {"configuration": dict(_SADDLE_CONFIG, Lambda=["a"] * 4)}),
+    ])
+    def test_rejected(self, tmp_path, capsys, command, data):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(data))
+        rc = main([command, "--config", str(cfg_file), "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "trace.csv").exists()
+        assert not (tmp_path / f"{command}.json").exists()
+
+    def test_out_must_be_a_string(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"out": 5}))
+        with pytest.raises(ConfigurationError, match="out"):
+            load_run_config(str(cfg_file), {})
+
+
 class TestConstantsCommand:
     def test_report_values(self, tmp_path):
         rc = main(["constants", "--dim", "3", "--out", str(tmp_path)])

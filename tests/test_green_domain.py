@@ -12,7 +12,6 @@ from nodalbubbles import (
     DomainError,
     ParameterError,
     SingularityError,
-    axis_derivatives,
     axis_g,
     axis_g_dt,
     axis_g_ts,
@@ -161,13 +160,6 @@ class TestAxisKernels:
         t, s, h = 0.2, -0.4, 1e-6
         fd = (axis_g(domain, sec, t + h, s) - axis_g(domain, sec, t - h, s)) / (2 * h)
         assert axis_g_dt(domain, sec, t, s) == pytest.approx(fd, rel=1e-7)
-
-    def test_axis_derivatives_bundle(self, domain):
-        sec = AxisSection.of_ball(domain)
-        d = axis_derivatives(domain, sec, 0.2, -0.4)
-        assert d["dg_dt"] == pytest.approx(
-            axis_g_dt(domain, sec, 0.2, -0.4), rel=1e-14)
-        assert d["h_diag_d2"] > 0.0
 
     def test_positions_outside_chord_rejected(self, domain):
         sec = AxisSection.of_ball(domain)

@@ -1,11 +1,13 @@
-"""Import discipline: scipy is loaded only by the code paths that use it.
+"""Import discipline and the export surface.
 
 ``import nodalbubbles`` needs numpy alone; the coercivity scan's root finder
 and Nelder-Mead polish and the grid LU (``verify``) import scipy when they
-first run.  Each check runs
-in a fresh interpreter, so modules imported by other tests do not count.
+first run.  Each scipy check runs in a fresh interpreter, so modules imported
+by other tests do not count.  Every name in an ``__all__`` resolves, and the
+package re-exports each library module's ``__all__``.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -13,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import nodalbubbles
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -48,3 +52,22 @@ def test_light_commands_load_no_scipy(command, tmp_path):
     result = run_probe([[command, "--out", str(tmp_path)]])
     assert result["codes"] == [0]
     assert result["scipy"] == []
+
+
+LIBRARY_MODULES = ["bubble_core", "errors", "green_domain", "pde_harness",
+                   "reduced_energy", "saddle_solver"]
+
+
+@pytest.mark.parametrize("module", ["__init__", "cli"] + LIBRARY_MODULES)
+def test_every_exported_name_resolves(module):
+    mod = (nodalbubbles if module == "__init__"
+           else importlib.import_module(f"nodalbubbles.{module}"))
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
+
+@pytest.mark.parametrize("module", LIBRARY_MODULES)
+def test_package_reexports_module_surface(module):
+    mod = importlib.import_module(f"nodalbubbles.{module}")
+    missing = [n for n in mod.__all__ if n not in nodalbubbles.__all__
+               or getattr(nodalbubbles, n) is not getattr(mod, n)]
+    assert missing == []

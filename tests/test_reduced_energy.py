@@ -17,7 +17,6 @@ from nodalbubbles import (
     find_t0_r0,
     grad_psi_k,
     grad_psi_tilde,
-    in_D,
     log_plus,
     mu_embed,
     phi_penalty,
@@ -176,10 +175,6 @@ class TestPenaltyAndEmbedding:
         # pointwise on alternating configurations.
         assert phi_penalty(saddle_config, kern) >= psi_tilde(saddle_config,
                                                              kern)
-
-    def test_in_D(self, kern, saddle_config):
-        assert in_D(saddle_config, kern, M=100.0)
-        assert not in_D(saddle_config, kern, M=-1000.0)
 
     def test_log_plus(self):
         assert log_plus(0.5) == 0.0

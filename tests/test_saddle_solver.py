@@ -11,7 +11,7 @@ from nodalbubbles import (
     AxisKernels,
     BallDomain,
     Configuration,
-    GuardSettings,
+    ParameterError,
     SolverDivergenceError,
     base_spacing_points,
     bounds_report,
@@ -224,12 +224,19 @@ class TestSolverBehavior:
             solve_saddle(domain, None, init, max_iter=1)
         assert exc_info.value.trace
 
-    def test_guard_settings_respected(self, domain, saddle_report):
-        guards = GuardSettings(lam_min=1e-3, lam_max=1e3)
-        init = mu_embed(1.0, 1.0, 1.0, base_spacing_points(0.0, 0.06))
-        r = solve_saddle(domain, None, init, guards=guards)
-        assert r.value == pytest.approx(saddle_report.value, abs=1e-9)
-        assert all(1e-3 <= L <= 1e3 for L in r.config.Lambda)
+    def test_start_below_scaling_guard_rejected(self, domain):
+        # Λ₁ = 1e-7 lies below the 1e-6 scaling guard.
+        init = Configuration(k=4, signs=(1, -1, 1, -1),
+                             Lambda=(1e-7, 1.0, 1.0, 1.0),
+                             t=base_spacing_points(0.0, 0.06))
+        with pytest.raises(ParameterError, match="violates the guards"):
+            solve_saddle(domain, None, init)
+
+    def test_start_at_chord_end_rejected(self, domain):
+        # t₁ within 1e-7 of the chord end a = −1, inside the 1e-6 margin.
+        init = mu_embed(1.0, 1.0, 1.0, (-1.0 + 1e-7, 0.0, 0.06, 0.12))
+        with pytest.raises(ParameterError, match="violates the guards"):
+            solve_saddle(domain, None, init)
 
     def test_multistart_contains_canonical(self, domain):
         reports = solve_saddle_multistart(
@@ -258,6 +265,10 @@ class TestCoercivity:
         for row in scan:
             assert row["min_psi_tilde"] == pytest.approx(
                 COERCIVITY_MINIMA[row["M"]], rel=1e-9)
+
+    def test_frozen_certified_counts(self, scan):
+        # Samples whose path to the anchor stays inside {Phi < M/2}.
+        assert [row["n_certified"] for row in scan] == [43, 64, 64]
 
     def test_strictly_increasing_in_M(self, scan):
         mins = [row["min_psi_tilde"] for row in scan]
