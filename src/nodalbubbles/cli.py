@@ -160,8 +160,13 @@ class RunConfig:
         if not isinstance(self.trace, bool):
             raise ConfigurationError(
                 f"trace must be true or false, got {self.trace!r}")
-        if self.configuration is not None and not isinstance(self.configuration, dict):
-            raise ConfigurationError("configuration must be a JSON object")
+        if self.configuration is not None:
+            if not isinstance(self.configuration, dict):
+                raise ConfigurationError("configuration must be a JSON object")
+            try:
+                Configuration.from_json_dict(self.configuration)
+            except ParameterError as e:
+                raise ConfigurationError(f"configuration: {e}") from e
 
     def domain(self) -> BallDomain:
         return BallDomain(N=self.dim, center=np.array(self.center),

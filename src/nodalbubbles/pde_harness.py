@@ -138,8 +138,45 @@ class ProjectedBubbleExact:
         m2 = self.m * self.m
         s = m2 + self.R * self.R + self.t * self.t
         disc = (m2 + (self.R - self.t) ** 2) * (m2 + (self.R + self.t) ** 2)
-        c = 2.0 * self.t * self.t / (s + math.sqrt(disc))
+        # np.sqrt, not math.sqrt: the same bits for floats, and it also takes
+        # a complex step in m or t.
+        c = 2.0 * self.t * self.t / (s + np.sqrt(disc))
         return c, s - c * self.R * self.R
+
+    @property
+    def _coeff_tangents(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """``(∂c, ∂q0)`` along ``m`` and along ``t``.
+
+        Differentiating ``R^2 c^2 - s c + t^2 = 0`` gives
+        ``dc = (c ds - 2t dt) / (2 R^2 c - s)``, where ``2 R^2 c - s =
+        -sqrt(disc)`` for the smaller root; ``ds = 2m dm + 2t dt`` and
+        ``dq0 = ds - R^2 dc``.
+        """
+        m, R, t = self.m, self.R, self.t
+        c, _ = self._coeffs
+        root = math.sqrt((m * m + (R - t) ** 2) * (m * m + (R + t) ** 2))
+        dc_m = -2.0 * m * c / root
+        dc_t = 2.0 * t * (1.0 - c) / root
+        return (dc_m, 2.0 * m - R * R * dc_m), (dc_t, 2.0 * t - R * R * dc_t)
+
+    def pu_tangents(self, z, r, u, w):
+        """``∂PU/∂m`` and ``∂PU/∂t`` at (z, r), given ``u`` and ``w`` there.
+
+        With ``h = (N-2)/2``, ``∂u = h u ∂log(m/D)`` for
+        ``D = m^2 + |x - xi|^2`` and ``∂w = h w ∂log(m/q)``.
+        """
+        m, t = self.m, self.t
+        h = (self.N - 2) / 2.0
+        c, q0 = self._coeffs
+        (dc_m, dq0_m), (dc_t, dq0_t) = self._coeff_tangents
+        rho2 = z * z + r * r
+        inv_d = 1.0 / (m * m + (z - t) ** 2 + r * r)
+        inv_q = 1.0 / (c * rho2 - 2.0 * t * z + q0)
+        d_m = h * (u * (1.0 / m - 2.0 * m * inv_d)
+                   - w * (1.0 / m - (dc_m * rho2 + dq0_m) * inv_q))
+        d_t = h * (u * 2.0 * (z - t) * inv_d
+                   + w * (dc_t * rho2 - 2.0 * z + dq0_t) * inv_q)
+        return d_m, d_t
 
     def u(self, z, r):
         """The bubble itself at half-section points (z, r)."""
@@ -329,9 +366,11 @@ def energy_quadrature(domain: BallDomain, cfg: Configuration,
     K = np.zeros((k, k))
     for i, bi in enumerate(bubbles):
         z, r, wd = _section_nodes(N, R, bi.t, bi.m, refine=refine)
-        wu = wd * bi.u(z, r) ** p_grad
+        ui = bi.u(z, r)
+        wu = wd * ui ** p_grad
         for j, bj in enumerate(bubbles):
-            K[i, j] = ang * float(np.sum(wu * bj.pu(z, r)))
+            puj = ui - bi.w(z, r) if j == i else bj.pu(z, r)
+            K[i, j] = ang * float(np.sum(wu * puj))
     sym_defect = float(np.max(np.abs(K - K.T)) / np.max(np.abs(K)))
     Ks = 0.5 * (K + K.T)
     grad_sq = float(signs @ Ks @ signs)
@@ -349,46 +388,69 @@ def energy_quadrature(domain: BallDomain, cfg: Configuration,
     return value, info
 
 
+def _slab_fields(bubbles: list, signs: np.ndarray, refine: int):
+    """Per slab of :func:`_slab_nodes`, the fields the residual pairs need.
+
+    Yields ``(z, r, wd, us, ws, lap, v)``: the nodes and weights, every
+    ``U_j`` and ``w_j`` on them, ``-ΔV = sum_i a_i U_i^{2*-1}`` and
+    ``V = sum_i a_i (U_i - w_i)``.
+    """
+    p1 = two_star(bubbles[0].N) - 1.0
+    for i in range(len(bubbles)):
+        z, r, wd = _slab_nodes(bubbles, i, refine)
+        us, ws = [], []
+        lap = v = 0.0
+        for s, b in zip(signs, bubbles):
+            u = b.u(z, r)
+            w = b.w(z, r)
+            us.append(u)
+            ws.append(w)
+            lap = lap + s * u ** p1
+            v = v + s * (u - w)
+        yield z, r, wd, us, ws, lap, v
+
+
 def energy_gradient_quadrature(domain: BallDomain, cfg: Configuration,
                                table: ConstantsTable, eps: float, *,
                                refine: int = 1) -> np.ndarray:
-    """Central differences of :func:`energy_quadrature` in (Lambda, t).
+    """Gradient of :func:`energy_quadrature`'s ``I_eps(V)`` in (Lambda, t).
 
-    The step is 1e-3 relative in each Lambda_i and 1e-3 in each t_i, cut to
-    a quarter of the room to the neighbouring centers and the boundary.
+    For ``p_j`` either parameter of bubble ``j``,
 
-    The returned 2k-vector equals the pairing of the PDE residual of ``V``
-    against the configuration tangent fields (differentiating the energy
-    under the integral), so it measures how close the ansatz is to a
-    critical point *within its own family* -- near-criticality that a plain
-    residual norm cannot see because of the configuration-independent
-    O(eps) mismatch of every projected bubble.
+        ∂I/∂p_j = a_j ∫_B (sum_i a_i U_i^{2*-1} - |V|^{2*-2-eps} V) ∂PU_j/∂p_j.
+
+    The identity is exact: differentiating under the integral gives
+    ``∫∇V·∇∂V - ∫|V|^{2*-2-eps} V ∂V``; every ``PU_j`` vanishes on the
+    sphere for every (m, t), so ``∂PU_j`` does too, and the first term
+    integrates by parts to ``∫(-ΔV) ∂V`` with ``-ΔV = sum_i a_i U_i^{2*-1}``
+    holding exactly.  The tangents are closed forms
+    (:meth:`ProjectedBubbleExact.pu_tangents`) and ``∂m/∂Lambda =
+    2m/((N-2) Lambda)`` (:func:`lambda_of_Lambda_quadratic`); the pairing
+    runs on the slab nodes of :func:`residual_quadrature`.
+
+    Returns the 2k-vector (∂/∂Lambda_1..k, ∂/∂t_1..k).  It is the residual of
+    ``V`` paired against the configuration tangents, so it measures how close
+    the ansatz is to a critical point *within its own family* --
+    near-criticality that a plain residual norm cannot see because of the
+    configuration-independent O(eps) mismatch of every projected bubble.
     """
-    lam = np.asarray(cfg.Lambda, dtype=float)
-    tt = np.asarray(cfg.t, dtype=float)
+    bubbles = projected_bubbles_of_config(domain, cfg, table, eps)
+    N = domain.N
     k = cfg.k
-    gaps = np.diff(tt)
-    out = np.zeros(2 * k)
+    signs = np.asarray(cfg.signs, dtype=float)
+    p_nl = two_star(N) - 2.0 - eps
 
-    def value(L, T):
-        c = Configuration(k=k, signs=cfg.signs, Lambda=tuple(L), t=tuple(T))
-        v, _ = energy_quadrature(domain, c, table, eps, refine=refine)
-        return v
-
-    for i in range(k):
-        h = 1.0e-3 * lam[i]
-        Lp = lam.copy(); Lp[i] += h
-        Lm = lam.copy(); Lm[i] -= h
-        out[i] = (value(Lp, tt) - value(Lm, tt)) / (2.0 * h)
-    for i in range(k):
-        room = min(gaps[i - 1] if i > 0 else np.inf,
-                   gaps[i] if i < k - 1 else np.inf)
-        room = min(room, domain.radius - abs(tt[i] - float(domain.center[0])))
-        h = min(1.0e-3, 0.25 * room)
-        Tp = tt.copy(); Tp[i] += h
-        Tm = tt.copy(); Tm[i] -= h
-        out[k + i] = (value(lam, Tp) - value(lam, Tm)) / (2.0 * h)
-    return out
+    pair = np.zeros((2, k))
+    for z, r, wd, us, ws, lap, v in _slab_fields(bubbles, signs, refine):
+        res = wd * (lap - np.abs(v) ** p_nl * v)
+        for j, b in enumerate(bubbles):
+            d_m, d_t = b.pu_tangents(z, r, us[j], ws[j])
+            pair[0, j] += float(res @ d_m)
+            pair[1, j] += float(res @ d_t)
+    dm_dLam = np.array([2.0 * b.m / ((N - 2.0) * L)
+                        for b, L in zip(bubbles, cfg.Lambda)])
+    pair[0] *= dm_dLam
+    return sigma_N(N - 1) * np.concatenate(signs * pair)
 
 
 def residual_quadrature(domain: BallDomain, cfg: Configuration,
@@ -404,18 +466,11 @@ def residual_quadrature(domain: BallDomain, cfg: Configuration,
     """
     bubbles = projected_bubbles_of_config(domain, cfg, table, eps)
     ts = two_star(domain.N)
-    p1 = ts - 1.0
     signs = np.asarray(cfg.signs, dtype=float)
 
     num = 0.0
     den = 0.0
-    for i in range(cfg.k):
-        z, r, wd = _slab_nodes(bubbles, i, refine)
-        lap = v = 0.0
-        for s, b in zip(signs, bubbles):
-            u = b.u(z, r)
-            lap = lap + s * u ** p1
-            v = v + s * (u - b.w(z, r))
+    for z, r, wd, _, _, lap, v in _slab_fields(bubbles, signs, refine):
         num += float(np.sum(wd * (lap - np.abs(v) ** (ts - 2.0 - eps) * v) ** 2))
         den += float(np.sum(wd * lap * lap))
     ang = sigma_N(domain.N - 1)

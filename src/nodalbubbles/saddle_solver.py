@@ -100,13 +100,17 @@ def _unpack_x(x: np.ndarray, k: int, signs) -> Configuration:
                          t=tuple(x[k:]))
 
 
-def _admissible(x: np.ndarray, k: int, sec: AxisSection) -> bool:
-    lam, t = x[:k], x[k:]
-    if np.any(lam < LAM_MIN) or np.any(lam > LAM_MAX):
-        return False
+def _positions_admissible(t: np.ndarray, sec: AxisSection) -> bool:
     if np.any(t <= sec.a + T_MARGIN) or np.any(t >= sec.b - T_MARGIN):
         return False
     return bool(np.all(np.diff(t) > 0.0))
+
+
+def _admissible(x: np.ndarray, k: int, sec: AxisSection) -> bool:
+    lam = x[:k]
+    if np.any(lam < LAM_MIN) or np.any(lam > LAM_MAX):
+        return False
+    return _positions_admissible(x[k:], sec)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +244,15 @@ def solve_saddle_multistart(domain: BallDomain, section: AxisSection | None,
     (the first start is the unperturbed (1,1,1)) and the given base
     positions.  Failed starts are dropped; converged configurations closer
     than 1e-4 (max-norm over scalings and positions) count as the same
-    point.  Results are sorted by energy.
+    point.  Results are sorted by energy.  Base positions outside the chord
+    (shrunk by ``T_MARGIN``) or not strictly increasing raise ParameterError.
     """
-    rng = np.random.default_rng(seed)
     t_base = tuple(float(v) for v in t_base)
+    if not _positions_admissible(np.array(t_base),
+                                 section or AxisSection.of_ball(domain)):
+        raise ParameterError(
+            f"t_base {t_base} must be strictly increasing inside the chord")
+    rng = np.random.default_rng(seed)
     reports: list[SaddleReport] = []
     for s in range(n_starts):
         mus = (1.0, 1.0, 1.0) if s == 0 else _draw_mus(rng)

@@ -90,6 +90,10 @@ class TestConfigFileValues:
         ("saddle", {"trace": True, "max_iter": True}),
         ("verify", {"configuration": dict(_SADDLE_CONFIG, signs=1)}),
         ("verify", {"configuration": dict(_SADDLE_CONFIG, Lambda=["a"] * 4)}),
+        # Every subcommand parses an inline configuration, not only verify.
+        ("constants", {"configuration": {"k": 4, "signs": 1}}),
+        ("assumptions", {"configuration": {"k": 4, "signs": 1}}),
+        ("saddle", {"trace": True, "configuration": {"k": 4, "signs": 1}}),
     ])
     def test_rejected(self, tmp_path, capsys, command, data):
         cfg_file = tmp_path / "run.json"

@@ -7,12 +7,15 @@ reproduce them through its own spherical-panel route.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import nodalbubbles.pde_harness as pde_harness
 from nodalbubbles import (
     AxisymGrid,
+    BallDomain,
     BubbleParams,
     Configuration,
     Field,
@@ -21,6 +24,7 @@ from nodalbubbles import (
     ResolutionError,
     alpha_N,
     assemble_V,
+    compute_constants,
     energy_I,
     energy_gradient_quadrature,
     energy_quadrature,
@@ -33,7 +37,7 @@ from nodalbubbles import (
     solve_dirichlet_laplace,
     solve_poisson,
 )
-from conftest import SADDLE_VALUE
+from conftest import SADDLE_LAMBDA, SADDLE_T, SADDLE_VALUE
 
 # Exact-projection energies of a single centered bubble at the reduced-energy
 # minimizer scale (Lambda = sqrt(4 pi), quadratic scale map), from the
@@ -181,6 +185,125 @@ class TestEnergyQuadrature:
         assert vals[0] > vals[1] > vals[2]
         assert vals[0] == pytest.approx(0.34665730611964873, rel=1e-6)
         assert vals[2] == pytest.approx(0.1165717851788002, rel=1e-6)
+
+
+def richardson_gradient(domain, cfg, table, eps, refine, h=1e-3):
+    """Independent oracle: central differences of energy_quadrature.
+
+    Richardson-extrapolated, (4 D(h/2) - D(h))/3, with step h relative in
+    each Lambda_i and absolute in each t_i.
+    """
+    k = cfg.k
+    x = np.array(cfg.Lambda + cfg.t, dtype=float)
+    scale = np.concatenate([x[:k], np.ones(k)])
+
+    def energy(y):
+        c = cfg.with_params(Lambda=y[:k], t=y[k:])
+        return energy_quadrature(domain, c, table, eps, refine=refine)[0]
+
+    def central(step):
+        out = np.zeros(2 * k)
+        for n in range(2 * k):
+            e = np.zeros(2 * k)
+            e[n] = step * scale[n]
+            out[n] = (energy(x + e) - energy(x - e)) / (2.0 * e[n])
+        return out
+
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+def perturbed(cfg):
+    """The 5% perturbation: scalings times 1.05, positions moved by 0.05."""
+    return cfg.with_params(Lambda=[1.05 * v for v in cfg.Lambda],
+                           t=[v + 0.05 for v in cfg.t])
+
+
+_SADDLE4 = Configuration(k=4, signs=(1, -1, 1, -1), Lambda=SADDLE_LAMBDA,
+                         t=SADDLE_T)
+_K2 = Configuration(k=2, signs=(1, -1), Lambda=(1.3, 0.8), t=(-0.3, 0.25))
+
+
+class TestEnergyGradient:
+    """The residual pairing against central differences of the energy."""
+
+    @pytest.mark.parametrize("N, cfg", [
+        (3, centered1()),                   # the k = 1 critical point
+        (5, perturbed(centered1())),
+        (3, perturbed(_K2)),
+        (5, _K2),
+    ], ids=["N3-k1-critical", "N5-k1-perturbed",
+            "N3-k2-perturbed", "N5-k2"])
+    def test_matches_oracle(self, N, cfg):
+        # The oracle's own refine 1/2 delta bounds its quadrature noise.
+        d, table = BallDomain.unit(N), compute_constants(N)
+        eps = 0.025
+        g = energy_gradient_quadrature(d, cfg, table, eps)
+        o1 = richardson_gradient(d, cfg, table, eps, refine=1)
+        o2 = richardson_gradient(d, cfg, table, eps, refine=2)
+        tol = np.max(np.abs(o1 - o2)) + 1e-6 * np.max(np.abs(g))
+        assert np.max(np.abs(g - o1)) <= tol
+
+    @pytest.mark.parametrize("N, cfg", [(3, _SADDLE4), (5, perturbed(_SADDLE4))],
+                             ids=["N3-saddle", "N5-perturbed"])
+    def test_k4_matches_oracle(self, N, cfg):
+        # A refine-2 oracle costs 32 refine-2 energies, so the oracle's
+        # quadrature noise is bounded instead from the energy's refine 1/2
+        # delta: an error of size delta in each energy moves the
+        # extrapolated difference by at most 3 delta / step.
+        d, table = BallDomain.unit(N), compute_constants(N)
+        eps = 0.025
+        g = energy_gradient_quadrature(d, cfg, table, eps)
+        o1 = richardson_gradient(d, cfg, table, eps, refine=1)
+        delta = abs(energy_quadrature(d, cfg, table, eps, refine=1)[0]
+                    - energy_quadrature(d, cfg, table, eps, refine=2)[0])
+        step = 1e-3 * min(min(cfg.Lambda), 1.0)
+        tol = 3.0 * delta / step + 1e-6 * np.max(np.abs(g))
+        assert np.max(np.abs(g - o1)) <= tol
+
+    def test_even_N_within_its_refinement_delta(self):
+        # For N = 4 the t-components move by up to 3.2e-4 between refine 1
+        # and 2 (the angular weight (1-u^2)^{1/2} is not a polynomial in u);
+        # the oracle agrees with refine 1 only within that delta.
+        d, table = BallDomain.unit(4), compute_constants(4)
+        eps = 0.025
+        g1 = energy_gradient_quadrature(d, _K2, table, eps)
+        g2 = energy_gradient_quadrature(d, _K2, table, eps, refine=2)
+        o1 = richardson_gradient(d, _K2, table, eps, refine=1)
+        delta = np.max(np.abs(g1 - g2))
+        assert 1e-5 <= delta <= 1e-3
+        assert np.max(np.abs(g1 - o1)) <= delta + 1e-6 * np.max(np.abs(g1))
+
+    @pytest.mark.parametrize("cfg", [perturbed(_SADDLE4), perturbed(_K2)],
+                             ids=["k4-perturbed", "k2-perturbed"])
+    def test_refinements_agree(self, domain, table3, cfg):
+        g1 = energy_gradient_quadrature(domain, cfg, table3, 0.025)
+        g2 = energy_gradient_quadrature(domain, cfg, table3, 0.025, refine=2)
+        assert np.max(np.abs(g1 - g2)) <= 1e-9 * np.max(np.abs(g2))
+
+    @pytest.mark.parametrize("m, t", [(0.03, 0.0), (0.03, 0.4), (0.2, -0.7),
+                                      (1e-3, 0.9)])
+    def test_coefficient_tangents_complex_step(self, m, t):
+        R, hs = 1.3, 1e-30
+        b = ProjectedBubbleExact(N=3, R=R, m=m, t=t)
+        coeffs = ProjectedBubbleExact._coeffs.fget
+        along_m = coeffs(SimpleNamespace(R=R, m=m + 1j * hs, t=t))
+        along_t = coeffs(SimpleNamespace(R=R, m=m, t=t + 1j * hs))
+        for exact, stepped in zip(b._coeff_tangents, (along_m, along_t)):
+            cs = [v.imag / hs for v in stepped]
+            assert exact == pytest.approx(cs, rel=1e-13, abs=1e-15)
+
+    def test_makes_no_energy_calls(self, domain, table3, saddle_config,
+                                   monkeypatch):
+        calls = []
+        real = pde_harness.energy_quadrature
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pde_harness, "energy_quadrature", counted)
+        energy_gradient_quadrature(domain, saddle_config, table3, 0.025)
+        assert calls == []
 
 
 class TestExpansionGap:

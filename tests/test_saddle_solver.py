@@ -238,6 +238,13 @@ class TestSolverBehavior:
         with pytest.raises(ParameterError, match="violates the guards"):
             solve_saddle(domain, None, init)
 
+    @pytest.mark.parametrize("t_base", [(2.0, 3.0, 4.0, 5.0),
+                                        (0.0, 0.2, 0.1, 0.3),
+                                        (-1.0, 0.0, 0.1, 0.2)])
+    def test_multistart_rejects_bad_base_positions(self, domain, t_base):
+        with pytest.raises(ParameterError, match="t_base"):
+            solve_saddle_multistart(domain, None, t_base, n_starts=3)
+
     def test_multistart_contains_canonical(self, domain):
         reports = solve_saddle_multistart(
             domain, None, base_spacing_points(0.0, 0.06), n_starts=4, seed=0)
