@@ -13,10 +13,13 @@ Grid instrument
     boundary trace)``, assembles ``V = sum_i a_i P U_i``, and evaluates
     discrete residuals and energies.  The discrete operator uses exact
     finite-volume face areas (including the ``r = 0`` axis cells), giving a
-    symmetric, diagonally dominant M-matrix.  It is factored once per grid
-    by SuperLU in symmetric mode, without pivoting, under the minimum-degree
-    ordering of ``A^T + A`` (L + U fill 5.88M on the default 513 x 257 grid,
-    half that of the COLAMD ordering), and the factor is cached.
+    symmetric, diagonally dominant M-matrix.  It is solved exactly, in numpy
+    alone, by the capacitance-matrix method (Buzbee, Dorr, George & Golub,
+    SIAM J. Numer. Anal. 8, 1971): the operator is separable on the
+    enclosing rectangle, where a sine transform in ``z`` and one tridiagonal
+    sweep per mode solve it, and the staircase boundary enters through the
+    inverse of a dense capacitance matrix over its 636 nodes (on the default
+    513 x 257 grid).  The set-up is cached per grid.
 
 Quadrature instrument
     On a ball the harmonic correction of an axis-centered bubble is known in
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -545,12 +549,43 @@ def expansion_gap(cfg: Configuration, eps_list, table: ConstantsTable,
 # Finite-volume grid
 # --------------------------------------------------------------------------
 
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along the last axis (its own inverse), by one FFT."""
+    n = x.shape[-1]
+    y = np.zeros(x.shape[:-1] + (2 * n + 2,))
+    y[..., 1:n + 1] = x
+    y[..., n + 2:] = -x[..., ::-1]
+    return np.fft.rfft(y)[..., 1:n + 1].imag * (-1.0 / math.sqrt(2.0 * n + 2.0))
+
+
+@dataclass(frozen=True)
+class _GridFactor:
+    """What :meth:`AxisymGrid._factor` stores: per sine mode (columns) and
+    radial node (rows) the reciprocal pivots and the ratios ``b_j/p_j``,
+    the flat rectangle indices of ``Γ`` and ``C^{-1}``."""
+
+    inv_pivots: np.ndarray
+    ratios: np.ndarray
+    gamma: np.ndarray
+    cap_inv: np.ndarray
+
+    # perfbench/layers.py (GridWatch) reads L.nnz + U.nnz as the factor size.
+    @property
+    def L(self):
+        return SimpleNamespace(nnz=self.cap_inv.size)
+
+    @property
+    def U(self):
+        return SimpleNamespace(nnz=self.inv_pivots.size)
+
+
 class AxisymGrid:
     """Finite-volume grid on the (z, r) half-section of a three-dimensional ball.
 
     Nodes sit at ``z_i = z_c - R + i hz`` (0 <= i < nz) and ``r_j = j hr``
     (0 <= j < nr) with ``hz = 2R/(nz-1)``, ``hr = R/(nr-1)``.  A node is
-    *interior* when strictly inside the ball; a *boundary* node is a
+    *interior* when strictly inside the ball and off the frame (the first
+    and last rows and the last column); a *boundary* node is a
     non-interior node with an interior 4-neighbor, and carries Dirichlet
     data (staircase boundary: data comes from globally defined traces, so
     the scheme retains second order against smooth exact solutions).
@@ -561,8 +596,9 @@ class AxisymGrid:
     cells), radial faces ``2 pi r_{j+1/2} hz``, volumes ``2 pi r_j hr hz``
     (``pi hr^2 hz / 4`` on the axis).  The axis itself needs no condition:
     the inner radial face has zero area.  The resulting system is symmetric
-    positive definite; a sparse LU factorization is computed once per grid
-    and reused.
+    positive definite.  It is solved directly by the capacitance-matrix
+    method on the enclosing rectangle (see :meth:`_factor`), set up once per
+    grid on the first solve and reused.
     """
 
     def __init__(self, domain: BallDomain, nz: int = 513, nr: int = 257):
@@ -585,7 +621,13 @@ class AxisymGrid:
         Z, Rr = np.meshgrid(self.zs, self.rs, indexing="ij")
         self.z_nodes = Z
         self.r_nodes = Rr
-        self.interior = (Z - zc) ** 2 + Rr ** 2 < R * R
+        # Offsets from the center written symmetrically, not as Z - zc, whose
+        # rounding can admit a node of the frame; the frame rows and the
+        # last column stay outside in any case.
+        dz = self.hz * (np.arange(self.nz) - 0.5 * (self.nz - 1))
+        self.interior = dz[:, None] ** 2 + Rr ** 2 < R * R
+        self.interior[[0, -1], :] = False
+        self.interior[:, -1] = False
 
         nb = np.zeros_like(self.interior)
         nb[1:, :] |= self.interior[:-1, :]
@@ -595,8 +637,6 @@ class AxisymGrid:
         self.boundary = (~self.interior) & nb
 
         self.n_interior = int(np.count_nonzero(self.interior))
-        self.index = -np.ones((self.nz, self.nr), dtype=np.int64)
-        self.index[self.interior] = np.arange(self.n_interior)
 
         j = np.arange(self.nr)
         self.volumes = 2.0 * math.pi * self.rs * self.hr * self.hz
@@ -608,7 +648,7 @@ class AxisymGrid:
         # radial face between columns j and j+1
         self.coeff_radial = 2.0 * math.pi * (j[:-1] + 0.5) * self.hz
 
-        self._lu = None         # set with _A and the _bc_* arrays by _factor
+        self._lu = None         # the _GridFactor, set by _factor
 
     @classmethod
     def for_ball(cls, domain: BallDomain, nz: int = 513,
@@ -621,60 +661,114 @@ class AxisymGrid:
         return max(self.hz, self.hr)
 
     def _factor(self):
-        """Assemble and factor the SPD operator (lazy, cached)."""
+        """Set up the direct solver of the interior system (lazy, cached).
+
+        The interior operator ``A`` is the principal submatrix of the
+        operator of the enclosing rectangle (rows ``1..nz-2``, columns
+        ``0..nr-2``, zero data on its frame),
+
+            A_rect = K_z ⊗ diag(coeff_axial) + I ⊗ L_r,
+
+        with ``K_z = tridiag(-1, 2, -1)`` and ``L_r`` the radial
+        tridiagonal.  The orthonormal DST-I in ``z`` diagonalizes ``K_z``
+        (eigenvalues ``lam_k = 4 sin^2(pi k / (2(nz-1)))``), leaving one
+        symmetric tridiagonal ``T_k = lam_k diag(coeff_axial) + L_r`` per
+        sine mode.  The staircase boundary ``Γ`` (boundary nodes inside the
+        rectangle) enters through the capacitance matrix
+        ``C = (A_rect^{-1})_ΓΓ``, which is symmetric positive definite and
+        inverted once (see :meth:`_solve`).
+
+        With ``b_j`` the radial face coefficients and ``a_j = lam_k
+        coeff_axial[j]``, the pivots of ``T_k`` from the axis are
+        ``p_j = a_j + g_j + b_j`` and those from the rim ``a_j + h_j +
+        b_{j-1}``, where ``g_0 = 0``, ``g_{j+1} = b_j (a_j + g_j)/p_j`` and
+        ``h_last = b_last``, ``h_{j-1} = b_{j-1}(a_j + h_j)/(a_j + h_j +
+        b_{j-1})``; every term is positive, so nothing cancels.  The inverse
+        is semiseparable: ``G_k[j, j] = 1/(a_j + g_j + h_j)`` and, for
+        ``j <= j'``, ``G_k[j, j'] = G_k[j', j'] prod_{l=j}^{j'-1} b_l/p_l``.
+        ``C`` is then one GEMM per block of ``Γ`` sorted by ``j``; each
+        block divides by the products from its own first column, and a
+        block ends before they pass ``e^200``.
+        """
         if self._lu is not None:
             return
-        # Imported on first use, so the package itself loads no scipy.
-        from scipy import sparse
-        from scipy.sparse.linalg import splu
+        nz2, nr1 = self.nz - 2, self.nr - 1
+        n = nz2 + 1
+        modes = np.arange(1, n)
+        lam = 4.0 * np.sin(0.5 * np.pi * modes / n) ** 2
+        a = np.outer(self.coeff_axial[:nr1], lam)      # (nr1, nz2)
+        b = self.coeff_radial[:, None]                 # b[-1]: the rim face
+        g = np.zeros_like(a)
+        h = np.zeros_like(a)
+        h[-1] = b[-1]
+        for j in range(nr1 - 1):
+            e = a[j] + g[j]
+            g[j + 1] = b[j] * e / (e + b[j])
+            f = a[-1 - j] + h[-1 - j]
+            h[-2 - j] = b[-2 - j] * f / (f + b[-2 - j])
+        pivots = a + g + b
+        ratios = b / pivots
+        diag = 1.0 / (a + g + h)
 
-        ii, jj = np.nonzero(self.interior)
-        p = self.index[ii, jj]
-        diag = np.zeros(self.n_interior)
-        rows, cols, vals = [], [], []
-        bc_rows, bc_nodes, bc_coeffs = [], [], []
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            # No inner radial face on the axis column.
-            keep = jj > 0 if dj == -1 else np.ones_like(jj, dtype=bool)
-            i2 = ii[keep] + di
-            j2 = jj[keep] + dj
-            pk = p[keep]
-            if dj == 0:
-                c = self.coeff_axial[jj[keep]]
-            else:       # radial face (j, j+1), or (j-1, j) for dj == -1
-                c = self.coeff_radial[jj[keep] - (dj == -1)]
-            np.add.at(diag, pk, c)
-            is_int = self.interior[i2, j2]
-            rows.append(pk[is_int])
-            cols.append(self.index[i2[is_int], j2[is_int]])
-            vals.append(-c[is_int])
-            is_bnd = ~is_int
-            bc_rows.append(pk[is_bnd])
-            bc_nodes.append(i2[is_bnd] * self.nr + j2[is_bnd])
-            bc_coeffs.append(c[is_bnd])
-        rows = np.concatenate(rows + [np.arange(self.n_interior)])
-        cols = np.concatenate(cols + [np.arange(self.n_interior)])
-        vals = np.concatenate(vals + [diag])
-        self._A = sparse.coo_matrix(
-            (vals, (rows, cols)),
-            shape=(self.n_interior, self.n_interior)).tocsc()
-        # A is a symmetric, diagonally dominant M-matrix: no pivoting is
-        # needed, so the factor keeps the minimum-degree ordering of A^T + A
-        # (half the fill of the default COLAMD ordering).
-        self._lu = splu(self._A, permc_spec="MMD_AT_PLUS_A",
-                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        self._bc_rows = np.concatenate(bc_rows)
-        self._bc_nodes = np.concatenate(bc_nodes)
-        self._bc_coeffs = np.concatenate(bc_coeffs)
+        gj, gi = np.nonzero(self.boundary[1:-1, :-1].T)   # sorted by j
+        # Exact integer reduction of the sine arguments.
+        S = math.sqrt(2.0 / n) * np.sin(
+            (np.pi / n) * (np.outer(gi + 1, modes) % (2 * n)))
+        Y0 = S * diag[gj]
+        worst = np.log(np.max(pivots / b, axis=1))
+        block = np.concatenate(([0.0], np.cumsum(worst)))[gj] // 200.0
+        starts = np.flatnonzero(np.diff(block, prepend=-1.0))
+        C = np.zeros((gj.size, gj.size))
+        for s, stop in zip(starts, np.append(starts[1:], gj.size)):
+            j0 = gj[s]
+            span = np.ones((nr1 - j0, nz2))
+            np.cumprod(ratios[j0:-1], axis=0, out=span[1:])
+            X = S[s:stop] / span[gj[s:stop] - j0]
+            C[s:stop, s:] = X @ (Y0[s:] * span[gj[s:] - j0]).T
+        C = np.triu(C) + np.triu(C, 1).T
+        if not np.all(np.isfinite(C)):
+            raise SolverDivergenceError("non-finite capacitance matrix")
+        try:
+            np.linalg.cholesky(C)
+        except np.linalg.LinAlgError:
+            raise SolverDivergenceError(
+                "capacitance matrix is not positive definite") from None
+        self._lu = _GridFactor(1.0 / pivots, ratios, gj * nz2 + gi,
+                               np.linalg.inv(C))
+
+    def _rect_solve(self, f: np.ndarray) -> np.ndarray:
+        """``A_rect^{-1} f`` for ``f`` of shape (nr-1, nz-2), r by z."""
+        inv_p, ratios = self._lu.inv_pivots, self._lu.ratios
+        y = _dst1(f)
+        for j in range(1, len(y)):
+            y[j] += ratios[j - 1] * y[j - 1]
+        y[-1] *= inv_p[-1]
+        for j in range(len(y) - 2, -1, -1):
+            y[j] = y[j] * inv_p[j] + ratios[j] * y[j + 1]
+        return _dst1(y)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``A x = rhs`` over the interior nodes.
+
+        The rectangle solution of ``rhs`` plus sources ``beta`` on ``Γ``
+        solves the interior system exactly when it vanishes on ``Γ``; that
+        fixes ``beta = -C^{-1} u_Γ`` for ``u`` the rectangle solution of
+        ``rhs`` alone.
+        """
         self._factor()
-        x = self._lu.solve(rhs)
-        res = np.linalg.norm(self._A @ x - rhs)
+        gamma, cap_inv = self._lu.gamma, self._lu.cap_inv
+        x = np.zeros((self.nz, self.nr))
+        x[self.interior] = rhs
+        f = np.ascontiguousarray(x[1:-1, :-1].T)
+        f.flat[gamma] = -cap_inv @ self._rect_solve(f).flat[gamma]
+        x[1:-1, :-1] = self._rect_solve(f).T
+        x[~self.interior] = 0.0
+        vol = self.cell_volumes[self.interior]
+        res = np.linalg.norm(self.minus_laplacian(x)[self.interior] * vol - rhs)
         if not np.isfinite(res) or res > 1e-10 * (np.linalg.norm(rhs) + 1.0):
             raise SolverDivergenceError(
-                f"sparse solve residual {res:.3e} exceeds tolerance")
-        return x
+                f"grid solve residual {res:.3e} exceeds tolerance")
+        return x[self.interior]
 
     def minus_laplacian(self, values: np.ndarray) -> np.ndarray:
         """Discrete ``-Δ`` (flux balance / volume) at interior nodes.
@@ -724,14 +818,12 @@ def _solve_field(grid: AxisymGrid, rhs: np.ndarray | None,
                  boundary_data: Field | None) -> Field:
     """Solve ``A x = rhs + lift(boundary_data)`` (either may be None for
     zero); the data is kept on boundary nodes and the field is zero outside."""
-    grid._factor()
     out = np.zeros((grid.nz, grid.nr))
     if boundary_data is not None:
-        g = np.asarray(boundary_data.values, dtype=float).ravel()
-        lift = np.zeros(grid.n_interior)
-        np.add.at(lift, grid._bc_rows, grid._bc_coeffs * g[grid._bc_nodes])
-        rhs = lift if rhs is None else rhs + lift
         out[grid.boundary] = boundary_data.values[grid.boundary]
+        # The stencil applied to the boundary data alone, moved to the right.
+        lift = -(grid.minus_laplacian(out) * grid.cell_volumes)[grid.interior]
+        rhs = lift if rhs is None else rhs + lift
     out[grid.interior] = grid._solve(rhs)
     return Field(grid, out)
 

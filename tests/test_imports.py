@@ -1,8 +1,8 @@
 """Import discipline and the export surface.
 
-``import nodalbubbles`` needs numpy alone; the coercivity scan's root finder
-and Nelder-Mead polish and the grid LU (``verify``) import scipy when they
-first run.  Each scipy check runs in a fresh interpreter, so modules imported
+``import nodalbubbles`` needs numpy alone, and so does every subcommand; only
+the coercivity scan's root finder and Nelder-Mead polish import scipy, when
+they first run.  Each scipy check runs in a fresh interpreter, so modules imported
 by other tests do not count.  Every name in an ``__all__`` resolves, and the
 package re-exports each library module's ``__all__``.
 """
@@ -51,6 +51,13 @@ def test_package_import_loads_no_scipy():
 def test_light_commands_load_no_scipy(command, tmp_path):
     result = run_probe([[command, "--out", str(tmp_path)]])
     assert result["codes"] == [0]
+    assert result["scipy"] == []
+
+
+def test_verify_after_saddle_loads_no_scipy(tmp_path):
+    out = ["--out", str(tmp_path)]
+    result = run_probe([["saddle"] + out, ["verify"] + out])
+    assert result["codes"] == [0, 0]
     assert result["scipy"] == []
 
 

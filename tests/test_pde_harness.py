@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 import nodalbubbles.pde_harness as pde_harness
 from nodalbubbles import (
@@ -22,6 +24,7 @@ from nodalbubbles import (
     ParameterError,
     ProjectedBubbleExact,
     ResolutionError,
+    SolverDivergenceError,
     alpha_N,
     assemble_V,
     compute_constants,
@@ -67,6 +70,32 @@ SADDLE_RAW_TERMS_0025 = {1: (51.07028806326982, 45.96095185224311),
 
 def centered1(L=LAMBDA_STAR):
     return Configuration(k=1, signs=(1,), Lambda=(L,), t=(0.0,))
+
+
+def ball_at(z, radius=1.0):
+    return BallDomain(N=3, center=np.array([z, 0.0, 0.0]), radius=radius)
+
+
+def sparse_operator(g):
+    """The interior operator of ``g`` as a sparse matrix, assembled node by
+    node from the face coefficients (the reference for the grid solver)."""
+    ii, jj = np.nonzero(g.interior)
+    index = np.zeros((g.nz, g.nr), dtype=np.int64)
+    p = index[ii, jj] = np.arange(ii.size)
+    rows, cols, vals = [p], [p], [np.zeros(p.size)]
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        keep = jj > 0 if dj == -1 else np.ones_like(jj, dtype=bool)
+        i2, j2, pk = ii[keep] + di, jj[keep] + dj, p[keep]
+        c = (g.coeff_axial[jj[keep]] if dj == 0
+             else g.coeff_radial[jj[keep] - (dj == -1)])
+        np.add.at(vals[0], pk, c)
+        inner = g.interior[i2, j2]
+        rows.append(pk[inner])
+        cols.append(index[i2[inner], j2[inner]])
+        vals.append(-c[inner])
+    return sparse.csc_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                      np.concatenate(cols))),
+                             shape=(ii.size, ii.size))
 
 
 class TestExactProjection:
@@ -398,15 +427,32 @@ class TestAxisymGrid:
         assert err <= 1e-9  # quadratic solution: FV scheme is exact
 
     def test_factor_fill_and_residual(self, grid513):
-        # Symmetric-mode factor under the minimum-degree ordering of
-        # A^T + A: about half the 11.29M fill of the COLAMD ordering.
-        g = grid513
-        g._factor()
-        assert g._lu.L.nnz + g._lu.U.nnz <= 6_500_000
-        rhs = np.random.default_rng(0).normal(size=g.n_interior)
-        x = g._solve(rhs)
-        rel = np.linalg.norm(g._A @ x - rhs) / np.linalg.norm(rhs)
-        assert rel <= 1e-12
+        # The capacitance solver against SuperLU on an independently
+        # assembled sparse operator, on square, flat, tall and long grids
+        # and on shifted balls.
+        others = [(ball_at(0.0), 513, 33), (ball_at(0.0), 33, 513),
+                  (ball_at(0.0), 1025, 65), (ball_at(-1.8), 513, 257),
+                  (ball_at(-1.7), 513, 257), (ball_at(3.22, 0.3), 513, 257)]
+        for g in [grid513] + [AxisymGrid.for_ball(d, nz=nz, nr=nr)
+                              for d, nz, nr in others]:
+            A = sparse_operator(g)
+            b = np.random.default_rng(0).normal(size=g.n_interior)
+            x = g._solve(b)
+            ref = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True}).solve(b)
+            assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
+            assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+        # C^{-1} and the pivots: 0.54M entries where SuperLU stored 5.88M.
+        assert grid513._lu.L.nnz + grid513._lu.U.nnz <= 600_000
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [math.nan, -1.0])
+    def test_broken_operator_raises(self, domain, scale):
+        # A non-finite or an indefinite capacitance matrix stops the set-up.
+        g = AxisymGrid.for_ball(domain, nz=65, nr=33)
+        g.coeff_axial = scale * g.coeff_axial
+        with pytest.raises(SolverDivergenceError):
+            solve_dirichlet_laplace(g, Field(g, np.ones((g.nz, g.nr))))
 
     def test_n3_only(self):
         from nodalbubbles import BallDomain
@@ -466,6 +512,18 @@ class TestGridProjection:
         p = BubbleParams(N=3, eps=0.1, lam=1.0, xi=np.array([0.0, 0.2, 0.0]))
         with pytest.raises(ParameterError):
             project_bubble(domain, p, grid257)
+
+    @pytest.mark.parametrize("center, radius", [(-1.8, 1.0), (-1.7, 1.0),
+                                                (3.22, 0.3)])
+    def test_shifted_ball_matches_centered(self, center, radius):
+        # Translating the ball translates the grid: the frame rows and the
+        # last column never enter the interior, whatever the rounding.
+        pus = []
+        for c in (0.0, center):
+            d = ball_at(c, radius)
+            p = BubbleParams(N=3, eps=0.1, lam=radius, xi=d.center)
+            pus.append(project_bubble(d, p, AxisymGrid.for_ball(d)).values)
+        assert np.max(np.abs(pus[1] - pus[0])) <= 1e-12
 
     def test_near_boundary_center_rejected(self, domain, grid257):
         p = BubbleParams(N=3, eps=0.1, lam=1.0,
