@@ -26,13 +26,15 @@ Quadrature instrument
     closed form (a Kelvin image of the bubble, see
     :class:`ProjectedBubbleExact`), so ``V`` is evaluable pointwise to
     machine precision at any core width -- far below what any grid can
-    resolve.  Energies then reduce to integrals of explicit functions,
-    computed with spherical panels about each bubble center: Gauss-Legendre
-    nodes on geometrically graded radial panels (resolving the core scale)
-    times angular panels split at the slab/ball switch directions.  One node
-    set is built per center and region (the full ball, or the slab holding
-    that center's core), and every integrand about that center is evaluated
-    on it.  The gradient term uses the exact identity
+    resolve.  Energies then reduce to integrals of explicit functions over
+    one node family: the ball is cut into slabs midway between consecutive
+    centers, so each slab holds one core, and each slab is integrated with
+    spherical panels about its center -- Gauss-Legendre nodes on
+    geometrically graded radial panels (resolving the core scale) times
+    angular panels split at the slab/ball switch directions.  The energy, its
+    gradient and the residual all consume the same fields on these nodes,
+    streamed one angular panel at a time, so memory stays at one panel
+    whatever the refinement.  The gradient term uses the exact identity
     ``∫∇PU_i·∇PU_j = ∫U_i^{2*-1} PU_j`` (the harmonic parts drop out), whose
     numerical asymmetry in (i, j) doubles as an accuracy diagnostic.
 
@@ -269,8 +271,7 @@ def _geometric_breaks(scale: float, refine: int) -> np.ndarray:
 
 
 def _section_nodes(N: int, R: float, t: float, core_scale: float,
-                   zlo: float | None = None, zhi: float | None = None,
-                   refine: int = 1):
+                   zlo: float | None, zhi: float | None, refine: int):
     """Quadrature nodes for an axisymmetric integrand over a slab of the ball.
 
     The region is ``{z^2 + r^2 < R^2} ∩ {zlo < z < zhi}`` (either bound may
@@ -286,10 +287,11 @@ def _section_nodes(N: int, R: float, t: float, core_scale: float,
     ``refine`` doubles the angular panel count and halves the geometric
     ratio, giving an independent accuracy column.
 
-    Returns flattened ``(z, r, wd)`` with ``wd`` the weight times the
-    density, so that the integral of ``f`` is
-    ``sigma_N(N-1) * sum(wd * f(z, r))``.  Every integrand about one center
-    is evaluated on the same nodes.
+    Yields ``(z, r, wd)`` one Gauss-Legendre angular panel at a time (its
+    ``_GL_X.size`` directions times every radial node), ``wd`` the weight
+    times the density, so that the integral of ``f`` is ``sigma_N(N-1)``
+    times the sum over panels of ``sum(wd * f(z, r))``.  No more than one
+    panel is held at once.
     """
     pw = (N - 3) / 2.0
 
@@ -300,7 +302,6 @@ def _section_nodes(N: int, R: float, t: float, core_scale: float,
         u_edges.append((zlo - t) / math.sqrt((zlo - t) ** 2 + R * R - zlo * zlo))
     u_edges = sorted(set(u_edges))
 
-    zs, rs, wds = [], [], []
     for a, b in zip(u_edges[:-1], u_edges[1:]):
         npan = max(1, math.ceil(_N_U * refine * (b - a) / 2.0))
         u, wu = _panel_nodes(np.linspace(a, b, npan + 1))
@@ -320,27 +321,44 @@ def _section_nodes(N: int, R: float, t: float, core_scale: float,
 
         sig = _geometric_breaks(min(core_scale / 8.0 / top, 1.0), refine)
         s_nodes, s_w = _panel_nodes(sig)
+        s_w = s_w * s_nodes ** (N - 1)
 
         # rho = rmax(u) * s, so the coordinates and the weight times the
         # density are outer products of an angular and a radial factor.
         sin = np.sqrt(np.maximum(1.0 - u * u, 0.0))
-        zs.append((t + np.outer(rmax * u, s_nodes)).ravel())
-        rs.append(np.outer(rmax * sin, s_nodes).ravel())
-        wds.append(np.outer(wu * rmax ** N * (1.0 - u * u) ** pw,
-                            s_w * s_nodes ** (N - 1)).ravel())
-    return np.concatenate(zs), np.concatenate(rs), np.concatenate(wds)
+        angular = (rmax * u, rmax * sin, wu * rmax ** N * (1.0 - u * u) ** pw)
+        for zu, ru, wa in zip(*(f.reshape(npan, _GL_X.size) for f in angular)):
+            yield (t + np.outer(zu, s_nodes).ravel(),
+                   np.outer(ru, s_nodes).ravel(), np.outer(wa, s_w).ravel())
 
 
 def _slab_nodes(bubbles: list, i: int, refine: int):
-    """Nodes of the slab about bubble ``i``, cut midway to its neighbours.
+    """Panels of :func:`_section_nodes` over the slab about bubble ``i``, cut
+    midway to its neighbours.
 
-    The slabs partition the ball so that each holds exactly one core.
+    The slabs partition the ball so that each holds exactly one core; for a
+    single bubble the slab is the whole ball.
     """
     b = bubbles[i]
     zlo = 0.5 * (bubbles[i - 1].t + b.t) if i > 0 else None
     zhi = 0.5 * (b.t + bubbles[i + 1].t) if i < len(bubbles) - 1 else None
-    return _section_nodes(b.N, b.R, b.t, b.m, zlo=zlo, zhi=zhi,
-                          refine=refine)
+    return _section_nodes(b.N, b.R, b.t, b.m, zlo, zhi, refine)
+
+
+def _slab_fields(bubbles: list, signs: np.ndarray, refine: int):
+    """Per angular panel of every slab of :func:`_slab_nodes`, the fields
+    that all three quadratures need.
+
+    Yields ``(z, r, wd, us, ws, ups, v)``: the panel's nodes and weights;
+    every ``U_j``, ``w_j`` and ``U_j^{2*-1}`` on them as the rows of three
+    (k, n) arrays; and ``V = sum_i a_i (U_i - w_i)``.  ``-ΔV = signs @ ups``.
+    """
+    p1 = two_star(bubbles[0].N) - 1.0
+    for i in range(len(bubbles)):
+        for z, r, wd in _slab_nodes(bubbles, i, refine):
+            us = np.array([b.u(z, r) for b in bubbles])
+            ws = np.array([b.w(z, r) for b in bubbles])
+            yield z, r, wd, us, ws, us ** p1, signs @ (us - ws)
 
 
 def energy_quadrature(domain: BallDomain, cfg: Configuration,
@@ -350,68 +368,33 @@ def energy_quadrature(domain: BallDomain, cfg: Configuration,
 
     The gradient term is assembled from the pairwise integrals
     ``K_ij = ∫ U_i^{2*-1} PU_j`` (exact identity; harmonic corrections drop
-    out of the cross terms).  Row ``i`` of ``K`` is computed on one node set
-    of spherical panels about center ``i``, where ``U_i^{2*-1}`` is
-    evaluated once and paired with every ``PU_j``.  The nonlinear term is
-    split into slabs at the midpoints between consecutive centers so each
-    slab contains exactly one core.  Returns ``(value, info)`` with ``info``
+    out of the cross terms).  Both terms are accumulated in one pass over
+    the panels of :func:`_slab_fields`, the node family of
+    :func:`residual_quadrature` and :func:`energy_gradient_quadrature`: the
+    slabs are cut at the midpoints between consecutive centers, so each
+    resolves exactly one core.  Returns ``(value, info)`` with ``info``
     carrying the K-matrix asymmetry (an a-posteriori accuracy check: the
     matrix is symmetric analytically) and the two raw terms.
     """
     bubbles = projected_bubbles_of_config(domain, cfg, table, eps)
-    k = cfg.k
-    N = domain.N
-    R = domain.radius
-    ang = sigma_N(N - 1)
-    ts = two_star(N)
-    p_grad = ts - 1.0
+    ang = sigma_N(domain.N - 1)
     signs = np.asarray(cfg.signs, dtype=float)
+    p_nl = two_star(domain.N) - eps
 
-    K = np.zeros((k, k))
-    for i, bi in enumerate(bubbles):
-        z, r, wd = _section_nodes(N, R, bi.t, bi.m, refine=refine)
-        ui = bi.u(z, r)
-        wu = wd * ui ** p_grad
-        for j, bj in enumerate(bubbles):
-            puj = ui - bi.w(z, r) if j == i else bj.pu(z, r)
-            K[i, j] = ang * float(np.sum(wu * puj))
-    sym_defect = float(np.max(np.abs(K - K.T)) / np.max(np.abs(K)))
-    Ks = 0.5 * (K + K.T)
-    grad_sq = float(signs @ Ks @ signs)
-
-    p_nl = ts - eps
+    K = np.zeros((cfg.k, cfg.k))
     nonlin = 0.0
-    for i in range(k):
-        z, r, wd = _slab_nodes(bubbles, i, refine)
-        v = sum(s * b.pu(z, r) for s, b in zip(signs, bubbles))
-        nonlin += ang * float(np.sum(wd * np.abs(v) ** p_nl))
+    for _, _, wd, us, ws, ups, v in _slab_fields(bubbles, signs, refine):
+        K += (wd * ups) @ (us - ws).T
+        nonlin += float(wd @ np.abs(v) ** p_nl)
+    K *= ang
+    nonlin *= ang
+    sym_defect = float(np.max(np.abs(K - K.T)) / np.max(np.abs(K)))
+    grad_sq = float(signs @ (0.5 * (K + K.T)) @ signs)
 
     value = 0.5 * grad_sq - nonlin / p_nl
     info = {"K_sym_defect": sym_defect, "grad_sq": grad_sq,
             "nonlinear": nonlin}
     return value, info
-
-
-def _slab_fields(bubbles: list, signs: np.ndarray, refine: int):
-    """Per slab of :func:`_slab_nodes`, the fields the residual pairs need.
-
-    Yields ``(z, r, wd, us, ws, lap, v)``: the nodes and weights, every
-    ``U_j`` and ``w_j`` on them, ``-ΔV = sum_i a_i U_i^{2*-1}`` and
-    ``V = sum_i a_i (U_i - w_i)``.
-    """
-    p1 = two_star(bubbles[0].N) - 1.0
-    for i in range(len(bubbles)):
-        z, r, wd = _slab_nodes(bubbles, i, refine)
-        us, ws = [], []
-        lap = v = 0.0
-        for s, b in zip(signs, bubbles):
-            u = b.u(z, r)
-            w = b.w(z, r)
-            us.append(u)
-            ws.append(w)
-            lap = lap + s * u ** p1
-            v = v + s * (u - w)
-        yield z, r, wd, us, ws, lap, v
 
 
 def energy_gradient_quadrature(domain: BallDomain, cfg: Configuration,
@@ -430,7 +413,7 @@ def energy_gradient_quadrature(domain: BallDomain, cfg: Configuration,
     holding exactly.  The tangents are closed forms
     (:meth:`ProjectedBubbleExact.pu_tangents`) and ``∂m/∂Lambda =
     2m/((N-2) Lambda)`` (:func:`lambda_of_Lambda_quadratic`); the pairing
-    runs on the slab nodes of :func:`residual_quadrature`.
+    runs on the panels of :func:`_slab_fields`, as the energy does.
 
     Returns the 2k-vector (∂/∂Lambda_1..k, ∂/∂t_1..k).  It is the residual of
     ``V`` paired against the configuration tangents, so it measures how close
@@ -445,8 +428,8 @@ def energy_gradient_quadrature(domain: BallDomain, cfg: Configuration,
     p_nl = two_star(N) - 2.0 - eps
 
     pair = np.zeros((2, k))
-    for z, r, wd, us, ws, lap, v in _slab_fields(bubbles, signs, refine):
-        res = wd * (lap - np.abs(v) ** p_nl * v)
+    for z, r, wd, us, ws, ups, v in _slab_fields(bubbles, signs, refine):
+        res = wd * (signs @ ups - np.abs(v) ** p_nl * v)
         for j, b in enumerate(bubbles):
             d_m, d_t = b.pu_tangents(z, r, us[j], ws[j])
             pair[0, j] += float(res @ d_m)
@@ -474,7 +457,8 @@ def residual_quadrature(domain: BallDomain, cfg: Configuration,
 
     num = 0.0
     den = 0.0
-    for z, r, wd, _, _, lap, v in _slab_fields(bubbles, signs, refine):
+    for _, _, wd, _, _, ups, v in _slab_fields(bubbles, signs, refine):
+        lap = signs @ ups
         num += float(np.sum(wd * (lap - np.abs(v) ** (ts - 2.0 - eps) * v) ** 2))
         den += float(np.sum(wd * lap * lap))
     ang = sigma_N(domain.N - 1)
