@@ -20,8 +20,6 @@ from .bubble_core import (
     bubble_integrals,
     bubble_profile,
     compute_constants,
-    eval_bubble,
-    lambda_of_Lambda,
     lambda_of_Lambda_quadratic,
     sigma_N,
     single_bubble_energy_limit,
@@ -114,8 +112,8 @@ __all__ = [
     # bubble_core
     "BubbleIntegrals", "BubbleParams", "ConstantsTable",
     "alpha_N", "bubble_integrals", "bubble_profile", "compute_constants",
-    "eval_bubble", "lambda_of_Lambda", "lambda_of_Lambda_quadratic",
-    "sigma_N", "single_bubble_energy_limit", "two_star",
+    "lambda_of_Lambda_quadratic", "sigma_N", "single_bubble_energy_limit",
+    "two_star",
     # errors
     "ConfigurationError", "DomainError", "NodalBubblesError",
     "ParameterError", "QuadratureError", "ResolutionError", "SearchError",

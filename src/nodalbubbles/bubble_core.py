@@ -28,12 +28,12 @@ the standard library's ``math`` alone and reported together with a rounding
 bound.  None of these constants is quoted numerically by the underlying
 theory, so reports flag the values as implementer-derived.
 
-The scaling change of variables ``lam = (c_N * Lambda)^{1/(N-2)}`` converts
-the dimensionless scaling ``Lambda`` used by the reduced energies into the
-bubble parameter ``lam``; :func:`lambda_of_Lambda_quadratic` applies the
-variant ``lam = (c_N * Lambda^2)^{1/(N-2)}`` under which the computed energy
-of a projected multi-bubble ansatz reproduces the reduced energy's quadratic
-scaling weights term by term (see the pde harness module).
+The reduced energies use a dimensionless scaling ``Lambda``; the one change
+of variables to the bubble parameter is the quadratic map
+``lam = (c_N * Lambda^2)^{1/(N-2)}`` of :func:`lambda_of_Lambda_quadratic`,
+under which the computed energy of a projected multi-bubble ansatz
+reproduces the reduced energy's scaling weights term by term (see the pde
+harness module).
 """
 
 from __future__ import annotations
@@ -54,10 +54,8 @@ __all__ = [
     "sigma_N",
     "two_star",
     "bubble_profile",
-    "eval_bubble",
     "bubble_integrals",
     "compute_constants",
-    "lambda_of_Lambda",
     "lambda_of_Lambda_quadratic",
     "single_bubble_energy_limit",
 ]
@@ -131,26 +129,6 @@ def bubble_profile(N: int, m: float, d2):
     Every bubble evaluation in the package goes through this one formula.
     """
     return alpha_N(N) * (m / (m * m + d2)) ** ((N - 2) / 2.0)
-
-
-def eval_bubble(p: BubbleParams, x) -> float | np.ndarray:
-    """Evaluate the bubble profile at one or many points.
-
-    Parameters
-    ----------
-    p : BubbleParams
-    x : array_like
-        A single point of shape ``(N,)`` or a batch of shape ``(..., N)``.
-
-    Returns
-    -------
-    float or numpy.ndarray
-        ``U(x)``; strictly positive, radially decreasing in ``|x - xi|``.
-    """
-    x = np.asarray(x, dtype=float)
-    scalar = (x.ndim == 1)
-    val = bubble_profile(p.N, p.core_width, np.sum((x - p.xi) ** 2, axis=-1))
-    return float(val) if scalar else val
 
 
 @dataclass(frozen=True)
@@ -309,24 +287,7 @@ def compute_constants(N: int) -> ConstantsTable:
     )
 
 
-def lambda_of_Lambda(Lambda: float, table: ConstantsTable,
-                     N: int | None = None) -> float:
-    """Change of variables lam = (c_N * Lambda)^{1/(N-2)}.
-
-    ``N`` defaults to the table's dimension; passing it explicitly guards
-    against mixing tables across dimensions.
-    """
-    if not (Lambda > 0):
-        raise ParameterError(f"Lambda must be positive, got {Lambda}")
-    n = table.N if N is None else N
-    if n != table.N:
-        raise ParameterError(
-            f"dimension mismatch: table has N={table.N}, caller says N={n}")
-    return float((table.cN * Lambda) ** (1.0 / (n - 2.0)))
-
-
-def lambda_of_Lambda_quadratic(Lambda: float, table: ConstantsTable,
-                               N: int | None = None) -> float:
+def lambda_of_Lambda_quadratic(Lambda: float, table: ConstantsTable) -> float:
     """Change of variables lam = (c_N * Lambda^2)^{1/(N-2)}.
 
     This is the scaling map under which the energy of a projected
@@ -339,16 +300,11 @@ def lambda_of_Lambda_quadratic(Lambda: float, table: ConstantsTable,
     ∫U^{2*-1} = alpha_N (N-2) sigma_N turns the pairwise interaction
     ∫U_i^{2*-1} P U_j into omega_N (m_i m_j)^{(N-2)/2}/c_N * G(xi_i, xi_j),
     so matching the reduced energy's Lambda_i Lambda_j weights forces
-    m_i^{N-2} = c_N Lambda_i^2 eps.  The linear map
-    :func:`lambda_of_Lambda` does not reproduce those quadratic weights.
+    m_i^{N-2} = c_N Lambda_i^2 eps.
     """
     if not (Lambda > 0):
         raise ParameterError(f"Lambda must be positive, got {Lambda}")
-    n = table.N if N is None else N
-    if n != table.N:
-        raise ParameterError(
-            f"dimension mismatch: table has N={table.N}, caller says N={n}")
-    return float((table.cN * Lambda * Lambda) ** (1.0 / (n - 2.0)))
+    return float((table.cN * Lambda * Lambda) ** (1.0 / (table.N - 2.0)))
 
 
 def single_bubble_energy_limit(table: ConstantsTable) -> float:

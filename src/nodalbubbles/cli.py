@@ -13,12 +13,13 @@ Four subcommands orchestrate the library with machine-readable outputs:
     Full reduced-energy pipeline: spacing search, a-priori bounds, damped
     Newton from the scaling-family start, bracket verification and
     stationarity identities -> ``saddle.json`` (optional per-iteration
-    ``trace.csv``).
+    ``trace.csv``); exit 4, with no report, when the critical point found is
+    not of max-min type (Hessian inertia other than (2k-1, 1, 0)).
 ``verify``
     Grid and quadrature verification at a saddle configuration (reused from
     ``saddle.json`` when present): projection rate check, residual
-    comparisons, and the energy-expansion gap over the eps list
-    -> ``verify.json``.
+    comparisons, and the energy-expansion gap over the eps list (at least
+    two distinct values) -> ``verify.json``.
 
 Configuration comes from defaults, then an optional JSON file (``--config``),
 then explicit flags; every run writes ``{"meta": ..., "report": ...}`` under
@@ -304,6 +305,11 @@ def cmd_saddle(config: RunConfig) -> int:
     init = mu_embed(1.0, 1.0, 1.0, base_spacing_points(t0, r0))
     report = solve_saddle(domain, None, init, tol=config.tol,
                           max_iter=config.max_iter)
+    expected = (2 * init.k - 1, 1, 0)
+    if tuple(report.inertia) != expected:
+        raise SolverDivergenceError(
+            f"critical point is not of max-min type: Hessian inertia "
+            f"{tuple(report.inertia)}, expected {expected}")
     verify_bounds(report, bounds)
     ids = stationarity_identities(report.config, kern)
     payload = {
@@ -347,18 +353,26 @@ def cmd_verify(config: RunConfig) -> int:
     if domain.N != 3:
         raise ConfigurationError(
             "verify requires dim=3 (the grid instrument is axisymmetric)")
+    grid = AxisymGrid.for_ball(domain, nz=config.grid_nz, nr=config.grid_nr)
+    # Every guard before any solve: the grid resolves the lam = 1 core at
+    # each eps, and the expansion gap has at least two eps.
+    params = [BubbleParams(N=3, eps=eps, lam=1.0, xi=np.array(domain.center))
+              for eps in config.eps]
+    for p in params:
+        require_core_resolution(grid, p.core_width)
+    if len(params) < 2:
+        raise ConfigurationError(
+            "verify needs at least two distinct eps values for the "
+            f"expansion gap, got eps={list(config.eps)}")
     table = compute_constants(domain.N)
     cfg = _verify_configuration(config)
-    grid = AxisymGrid.for_ball(domain, nz=config.grid_nz, nr=config.grid_nr)
 
     # Per eps: the projection rate ||PU - U||_inf / sqrt(eps), the grid
     # residual of the same lam=1 projection, and the quadrature relative
     # residual of the configuration under test.
     rate_rows = []
     residual_rows = []
-    for eps in config.eps:
-        p = BubbleParams(N=3, eps=eps, lam=1.0, xi=np.array(domain.center))
-        require_core_resolution(grid, p.core_width)
+    for eps, p in zip(config.eps, params):
         PU = project_bubble(domain, p, grid)
         U = bubble_profile(3, p.core_width,
                            (grid.z_nodes - domain.center[0]) ** 2

@@ -121,21 +121,26 @@ class ProjectedBubbleExact:
     vanishes on the boundary *exactly*.  The quadratic ``q`` has its zero
     set outside the closed ball (the pole of the Kelvin image), so all three
     evaluators are smooth inside.
+
+    ``m`` and ``t`` may also be arrays that broadcast against the points:
+    with (k, 1) columns one object is the whole family of a configuration
+    (see :func:`projected_bubbles_of_config`), and :meth:`u`, :meth:`w` and
+    :meth:`pu_tangents` return one row per bubble.
     """
 
     N: int
     R: float
-    m: float
-    t: float
+    m: float | np.ndarray
+    t: float | np.ndarray
 
     def __post_init__(self):
         if self.N < 3:
             raise ParameterError(f"dimension N must be >= 3, got {self.N}")
         if not (self.R > 0):
             raise ParameterError(f"radius must be positive, got {self.R}")
-        if not (self.m > 0):
+        if not np.all(self.m > 0):
             raise ParameterError(f"core width must be positive, got {self.m}")
-        if not (abs(self.t) < self.R):
+        if not np.all(np.abs(self.t) < self.R):
             raise DomainError(
                 f"bubble center offset {self.t} not inside ball of radius {self.R}")
 
@@ -145,7 +150,7 @@ class ProjectedBubbleExact:
         s = m2 + self.R * self.R + self.t * self.t
         disc = (m2 + (self.R - self.t) ** 2) * (m2 + (self.R + self.t) ** 2)
         # np.sqrt, not math.sqrt: the same bits for floats, and it also takes
-        # a complex step in m or t.
+        # a family's columns and a complex step in m or t.
         c = 2.0 * self.t * self.t / (s + np.sqrt(disc))
         return c, s - c * self.R * self.R
 
@@ -160,7 +165,7 @@ class ProjectedBubbleExact:
         """
         m, R, t = self.m, self.R, self.t
         c, _ = self._coeffs
-        root = math.sqrt((m * m + (R - t) ** 2) * (m * m + (R + t) ** 2))
+        root = np.sqrt((m * m + (R - t) ** 2) * (m * m + (R + t) ** 2))
         dc_m = -2.0 * m * c / root
         dc_t = 2.0 * t * (1.0 - c) / root
         return (dc_m, 2.0 * m - R * R * dc_m), (dc_t, 2.0 * t - R * R * dc_t)
@@ -206,13 +211,16 @@ class ProjectedBubbleExact:
 
 def projected_bubbles_of_config(
         domain: BallDomain, cfg: Configuration, table: ConstantsTable,
-        eps: float) -> list[ProjectedBubbleExact]:
-    """Exact projected bubbles for a reduced-energy configuration.
+        eps: float) -> ProjectedBubbleExact:
+    """The exact projected bubbles of a configuration, as one family.
 
-    Scales follow ``lam_i = (c_N Lambda_i^2)^{1/(N-2)}``,
-    ``m_i = lam_i eps^{1/(N-2)}`` (see
-    :func:`nodalbubbles.bubble_core.lambda_of_Lambda_quadratic`); axis
-    positions are taken relative to the ball center.
+    The family's ``m`` and ``t`` are (k, 1) columns, so each evaluator
+    returns one row per bubble.  Scales follow ``lam_i = (c_N
+    Lambda_i^2)^{1/(N-2)}``, ``m_i = lam_i eps^{1/(N-2)}`` (see
+    :func:`nodalbubbles.bubble_core.lambda_of_Lambda_quadratic`); this is
+    the package's one map from ``Lambda`` to core widths, which
+    :func:`assemble_V` reads too.  Axis positions are taken relative to the
+    ball center.
     """
     if not (eps > 0):
         raise ParameterError(f"eps must be positive, got {eps}")
@@ -220,17 +228,14 @@ def projected_bubbles_of_config(
     if N != table.N:
         raise ParameterError(
             f"dimension mismatch: domain N={N}, table N={table.N}")
-    zc = float(domain.center[0])
-    out = []
-    for Lam, t in zip(cfg.Lambda, cfg.t):
-        lam = lambda_of_Lambda_quadratic(float(Lam), table)
-        m = lam * eps ** (1.0 / (N - 2.0))
-        tc = float(t) - zc
-        if not (abs(tc) < domain.radius):
-            raise DomainError(
-                f"configuration point t={t} lies outside the ball section")
-        out.append(ProjectedBubbleExact(N=N, R=domain.radius, m=m, t=tc))
-    return out
+    lam = [lambda_of_Lambda_quadratic(L, table) for L in cfg.Lambda]
+    t = np.array(cfg.t) - float(domain.center[0])
+    outside = ~(np.abs(t) < domain.radius)
+    if np.any(outside):
+        raise DomainError(f"configuration point t={cfg.t[np.argmax(outside)]} "
+                          "lies outside the ball section")
+    m = np.array(lam)[:, None] * eps ** (1.0 / (N - 2.0))
+    return ProjectedBubbleExact(N=N, R=domain.radius, m=m, t=t[:, None])
 
 
 # --------------------------------------------------------------------------
@@ -332,32 +337,25 @@ def _section_nodes(N: int, R: float, t: float, core_scale: float,
                    np.outer(ru, s_nodes).ravel(), np.outer(wa, s_w).ravel())
 
 
-def _slab_nodes(bubbles: list, i: int, refine: int):
-    """Panels of :func:`_section_nodes` over the slab about bubble ``i``, cut
-    midway to its neighbours.
-
-    The slabs partition the ball so that each holds exactly one core; for a
-    single bubble the slab is the whole ball.
-    """
-    b = bubbles[i]
-    zlo = 0.5 * (bubbles[i - 1].t + b.t) if i > 0 else None
-    zhi = 0.5 * (b.t + bubbles[i + 1].t) if i < len(bubbles) - 1 else None
-    return _section_nodes(b.N, b.R, b.t, b.m, zlo, zhi, refine)
-
-
-def _slab_fields(bubbles: list, signs: np.ndarray, refine: int):
-    """Per angular panel of every slab of :func:`_slab_nodes`, the fields
+def _slab_fields(fam: ProjectedBubbleExact, signs: np.ndarray, refine: int):
+    """Per angular panel of :func:`_section_nodes` over each slab, the fields
     that all three quadratures need.
 
-    Yields ``(z, r, wd, us, ws, ups, v)``: the panel's nodes and weights;
-    every ``U_j``, ``w_j`` and ``U_j^{2*-1}`` on them as the rows of three
-    (k, n) arrays; and ``V = sum_i a_i (U_i - w_i)``.  ``-ΔV = signs @ ups``.
+    The slab about center ``i`` of the family ``fam`` is cut midway to its
+    neighbours, so the slabs partition the ball and each holds exactly one
+    core (for a single bubble the slab is the whole ball).  Yields ``(z, r,
+    wd, us, ws, ups, v)``: the panel's nodes and weights; every ``U_j``,
+    ``w_j`` and ``U_j^{2*-1}`` on them as the rows of three (k, n) arrays,
+    from one call each of ``fam.u`` and ``fam.w``; and ``V = sum_i a_i (U_i
+    - w_i)``.  ``-ΔV = signs @ ups``.
     """
-    p1 = two_star(bubbles[0].N) - 1.0
-    for i in range(len(bubbles)):
-        for z, r, wd in _slab_nodes(bubbles, i, refine):
-            us = np.array([b.u(z, r) for b in bubbles])
-            ws = np.array([b.w(z, r) for b in bubbles])
+    p1 = two_star(fam.N) - 1.0
+    ts = fam.t[:, 0].tolist()
+    cuts = [None] + [0.5 * (a + b) for a, b in zip(ts, ts[1:])] + [None]
+    for t, m, zlo, zhi in zip(ts, fam.m[:, 0].tolist(), cuts, cuts[1:]):
+        for z, r, wd in _section_nodes(fam.N, fam.R, t, m, zlo, zhi, refine):
+            us = fam.u(z, r)
+            ws = fam.w(z, r)
             yield z, r, wd, us, ws, us ** p1, signs @ (us - ws)
 
 
@@ -376,14 +374,14 @@ def energy_quadrature(domain: BallDomain, cfg: Configuration,
     carrying the K-matrix asymmetry (an a-posteriori accuracy check: the
     matrix is symmetric analytically) and the two raw terms.
     """
-    bubbles = projected_bubbles_of_config(domain, cfg, table, eps)
+    fam = projected_bubbles_of_config(domain, cfg, table, eps)
     ang = sigma_N(domain.N - 1)
     signs = np.asarray(cfg.signs, dtype=float)
     p_nl = two_star(domain.N) - eps
 
     K = np.zeros((cfg.k, cfg.k))
     nonlin = 0.0
-    for _, _, wd, us, ws, ups, v in _slab_fields(bubbles, signs, refine):
+    for _, _, wd, us, ws, ups, v in _slab_fields(fam, signs, refine):
         K += (wd * ups) @ (us - ws).T
         nonlin += float(wd @ np.abs(v) ** p_nl)
     K *= ang
@@ -410,10 +408,11 @@ def energy_gradient_quadrature(domain: BallDomain, cfg: Configuration,
     ``∫∇V·∇∂V - ∫|V|^{2*-2-eps} V ∂V``; every ``PU_j`` vanishes on the
     sphere for every (m, t), so ``∂PU_j`` does too, and the first term
     integrates by parts to ``∫(-ΔV) ∂V`` with ``-ΔV = sum_i a_i U_i^{2*-1}``
-    holding exactly.  The tangents are closed forms
-    (:meth:`ProjectedBubbleExact.pu_tangents`) and ``∂m/∂Lambda =
-    2m/((N-2) Lambda)`` (:func:`lambda_of_Lambda_quadratic`); the pairing
-    runs on the panels of :func:`_slab_fields`, as the energy does.
+    holding exactly.  The tangents are closed forms, all k rows from one
+    :meth:`ProjectedBubbleExact.pu_tangents` call of the family per panel,
+    and ``∂m/∂Lambda = 2m/((N-2) Lambda)`` is read off the family's ``m``
+    column (:func:`lambda_of_Lambda_quadratic`); the pairing runs on the
+    panels of :func:`_slab_fields`, as the energy does.
 
     Returns the 2k-vector (∂/∂Lambda_1..k, ∂/∂t_1..k).  It is the residual of
     ``V`` paired against the configuration tangents, so it measures how close
@@ -421,22 +420,17 @@ def energy_gradient_quadrature(domain: BallDomain, cfg: Configuration,
     near-criticality that a plain residual norm cannot see because of the
     configuration-independent O(eps) mismatch of every projected bubble.
     """
-    bubbles = projected_bubbles_of_config(domain, cfg, table, eps)
+    fam = projected_bubbles_of_config(domain, cfg, table, eps)
     N = domain.N
-    k = cfg.k
     signs = np.asarray(cfg.signs, dtype=float)
     p_nl = two_star(N) - 2.0 - eps
 
-    pair = np.zeros((2, k))
-    for z, r, wd, us, ws, ups, v in _slab_fields(bubbles, signs, refine):
+    pair = np.zeros((2, cfg.k))
+    for z, r, wd, us, ws, ups, v in _slab_fields(fam, signs, refine):
         res = wd * (signs @ ups - np.abs(v) ** p_nl * v)
-        for j, b in enumerate(bubbles):
-            d_m, d_t = b.pu_tangents(z, r, us[j], ws[j])
-            pair[0, j] += float(res @ d_m)
-            pair[1, j] += float(res @ d_t)
-    dm_dLam = np.array([2.0 * b.m / ((N - 2.0) * L)
-                        for b, L in zip(bubbles, cfg.Lambda)])
-    pair[0] *= dm_dLam
+        d_m, d_t = fam.pu_tangents(z, r, us, ws)
+        pair += (d_m @ res, d_t @ res)
+    pair[0] *= 2.0 * fam.m[:, 0] / ((N - 2.0) * np.asarray(cfg.Lambda))
     return sigma_N(N - 1) * np.concatenate(signs * pair)
 
 
@@ -451,13 +445,13 @@ def residual_quadrature(domain: BallDomain, cfg: Configuration,
     removes the core-width divergence of the absolute norm and makes values
     comparable across eps.
     """
-    bubbles = projected_bubbles_of_config(domain, cfg, table, eps)
+    fam = projected_bubbles_of_config(domain, cfg, table, eps)
     ts = two_star(domain.N)
     signs = np.asarray(cfg.signs, dtype=float)
 
     num = 0.0
     den = 0.0
-    for _, _, wd, _, _, ups, v in _slab_fields(bubbles, signs, refine):
+    for _, _, wd, _, _, ups, v in _slab_fields(fam, signs, refine):
         lap = signs @ ups
         num += float(np.sum(wd * (lap - np.abs(v) ** (ts - 2.0 - eps) * v) ** 2))
         den += float(np.sum(wd * lap * lap))
@@ -899,21 +893,18 @@ def assemble_V(cfg: Configuration, eps: float, table: ConstantsTable,
                grid: AxisymGrid) -> Field:
     """Signed sum of grid-projected bubbles for a configuration.
 
-    Scales follow the quadratic map ``lam_i = (c_N Lambda_i^2)^{1/(N-2)}``
-    (the map under which the energy expansion holds; see module docstring).
-    All harmonic corrections are obtained in a single combined solve.
-    Raises :class:`ResolutionError` naming the required resolution when any
-    core width spans fewer than 6 cells.
+    The core widths are those of :func:`projected_bubbles_of_config`, so
+    both instruments share one scale map (and its checks: a table of
+    another dimension raises :class:`ParameterError`, a position outside
+    the ball :class:`DomainError`).  All harmonic corrections are obtained
+    in a single combined solve.  Raises :class:`ResolutionError` naming the
+    required resolution when any core width spans fewer than 6 cells.
     """
-    if not (eps > 0):
-        raise ParameterError(f"eps must be positive, got {eps}")
-    ms = [lambda_of_Lambda_quadratic(float(L), table, N=3) * eps
-          for L in cfg.Lambda]
-    t_abs = [float(t) for t in cfg.t]
+    ms = projected_bubbles_of_config(grid.domain, cfg, table, eps).m[:, 0]
     require_core_resolution(grid, min(ms))
-    for t in t_abs:
+    for t in cfg.t:
         _check_boundary_margin(grid, t)
-    return _project(grid, cfg.signs, ms, t_abs)
+    return _project(grid, cfg.signs, ms, cfg.t)
 
 
 def residual_norm(V: Field, eps: float, *, relative: bool = False) -> float:

@@ -20,9 +20,8 @@ from nodalbubbles import (
     ParameterError,
     alpha_N,
     bubble_integrals,
+    bubble_profile,
     compute_constants,
-    eval_bubble,
-    lambda_of_Lambda,
     lambda_of_Lambda_quadratic,
     sigma_N,
     single_bubble_energy_limit,
@@ -213,18 +212,6 @@ class TestConstantsTable:
 
 
 class TestScaleMaps:
-    def test_linear_map_n3(self, table3):
-        # lam = (c_N Lambda)^{1/(N-2)}: Lambda = 1/c_N maps to 1.
-        assert lambda_of_Lambda(1.0 / table3.cN, table3) == pytest.approx(
-            1.0, rel=1e-14)
-        assert lambda_of_Lambda(1.0, table3) == pytest.approx(
-            table3.cN, rel=1e-14)
-
-    def test_linear_map_n4(self):
-        t4 = compute_constants(4)
-        lam = lambda_of_Lambda(2.0, t4)
-        assert lam == pytest.approx((2.0 * t4.cN) ** 0.5, rel=1e-14)
-
     def test_quadratic_map(self, table3):
         # lam = (c_N Lambda^2)^{1/(N-2)}: the map under which the energy
         # expansion holds (interaction weights Lambda_i Lambda_j).
@@ -234,8 +221,6 @@ class TestScaleMaps:
             9.0 * table3.cN, rel=1e-14)
 
     def test_maps_reject_nonpositive(self, table3):
-        with pytest.raises(ParameterError):
-            lambda_of_Lambda(0.0, table3)
         with pytest.raises(ParameterError):
             lambda_of_Lambda_quadratic(-1.0, table3)
 
@@ -252,7 +237,7 @@ class TestBubbleEvaluation:
         m = p.core_width
         assert m == pytest.approx(0.04, rel=1e-15)
         # U(xi) = alpha_N m^{-(N-2)/2}.
-        assert eval_bubble(p, p.xi) == pytest.approx(
+        assert bubble_profile(3, m, 0.0) == pytest.approx(
             alpha_N(3) / math.sqrt(m), rel=1e-13)
 
     def test_far_field_decay(self):
@@ -260,28 +245,35 @@ class TestBubbleEvaluation:
         x = np.array([10.0, 0.0, 0.0])
         # U ~ alpha_N m^{(N-2)/2} |x|^{2-N} far from the core.
         expected = alpha_N(3) * math.sqrt(p.core_width) / 10.0
-        assert eval_bubble(p, x) == pytest.approx(expected, rel=1e-3)
+        d2 = float(np.sum((x - p.xi) ** 2))
+        assert bubble_profile(3, p.core_width, d2) == pytest.approx(
+            expected, rel=1e-3)
 
     def test_vectorized_evaluation(self):
         p = BubbleParams(N=3, eps=0.05, lam=2.0, xi=np.array([0.1, 0.0, 0.0]))
         xs = np.array([[0.1, 0.0, 0.0], [0.5, 0.2, -0.1], [0.0, 0.0, 0.9]])
-        vals = eval_bubble(p, xs)
+        d2 = np.sum((xs - p.xi) ** 2, axis=-1)
+        vals = bubble_profile(3, p.core_width, d2)
         assert vals.shape == (3,)
         for i in range(3):
-            assert vals[i] == pytest.approx(eval_bubble(p, xs[i]), rel=1e-14)
+            assert vals[i] == pytest.approx(
+                bubble_profile(3, p.core_width, float(d2[i])), rel=1e-14)
 
     def test_solves_critical_equation(self):
         # -ΔU = U^{2*-1} checked by a second-difference stencil.
         p = BubbleParams(N=3, eps=0.05, lam=1.0, xi=np.zeros(3))
         x = np.array([0.3, 0.1, -0.05])
         h = 1e-4
+
+        def U(y):
+            return bubble_profile(3, p.core_width, float(np.sum((y - p.xi) ** 2)))
+
         lap = 0.0
-        u0 = eval_bubble(p, x)
+        u0 = U(x)
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
-            lap += (eval_bubble(p, x + e) - 2.0 * u0
-                    + eval_bubble(p, x - e)) / h ** 2
+            lap += (U(x + e) - 2.0 * u0 + U(x - e)) / h ** 2
         assert -lap == pytest.approx(u0 ** 5, rel=1e-4)
 
     def test_parameter_validation(self):

@@ -10,6 +10,7 @@ from nodalbubbles.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RESOLUTION,
+    EXIT_SOLVER,
     RunConfig,
     load_run_config,
     main,
@@ -203,6 +204,17 @@ class TestSaddleCommand:
         assert len(rows) >= 3
         assert float(rows[-1][2]) <= 1e-8
 
+    @pytest.mark.parametrize("flags", [["--dim", "5"], ["--radius", "10"]],
+                             ids=["dim5", "radius10"])
+    def test_local_minimum_is_not_reported(self, tmp_path, capsys, flags):
+        # Both runs converge to a local minimum, inertia (8, 0, 0): a
+        # solver failure with no report, not a max-min saddle.
+        rc = main(["saddle", "--out", str(tmp_path), "--trace", *flags])
+        assert rc == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "(8, 0, 0)" in err and "(7, 1, 0)" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerifyCommand:
     def test_inline_configuration(self, tmp_path):
@@ -253,6 +265,28 @@ class TestVerifyCommand:
         assert calls == [0.1, 0.05]
         rows = read_json(tmp_path / "verify.json")["report"]["residuals"]
         assert [r["eps"] for r in rows] == [0.1, 0.05]
+
+    @pytest.mark.parametrize("eps", [["0.05"], ["0.05", "0.05"]],
+                             ids=["one", "repeated"])
+    def test_single_eps_rejected_before_any_work(self, tmp_path, monkeypatch,
+                                                 capsys, eps):
+        import nodalbubbles.cli as cli
+        calls = []
+        monkeypatch.setattr(cli, "project_bubble",
+                            lambda *args: calls.append(args))
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({
+            "configuration": {"k": 1, "signs": [1],
+                              "Lambda": [math.sqrt(4 * math.pi)], "t": [0.0]},
+        }))
+        flags = [f for e in eps for f in ("--eps", e)]
+        rc = main(["verify", "--config", str(cfg_file), "--out",
+                   str(tmp_path / "out"), *flags])
+        assert rc == EXIT_CONFIG
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "eps" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_configuration(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -21,6 +21,7 @@ from nodalbubbles import (
     BallDomain,
     BubbleParams,
     Configuration,
+    DomainError,
     Field,
     ParameterError,
     ProjectedBubbleExact,
@@ -163,12 +164,11 @@ class TestExactProjection:
             assert abs(w - lead) <= tol * abs(lead)
 
     def test_config_bubbles(self, domain, table3, saddle_config):
-        bubbles = projected_bubbles_of_config(domain, saddle_config, table3,
-                                              0.05)
-        assert len(bubbles) == 4
-        for b, L, t in zip(bubbles, saddle_config.Lambda, saddle_config.t):
-            assert b.t == pytest.approx(t)
-            assert b.m == pytest.approx(table3.cN * L * L * 0.05, rel=1e-12)
+        fam = projected_bubbles_of_config(domain, saddle_config, table3, 0.05)
+        assert fam.m.shape == fam.t.shape == (4, 1)
+        assert fam.t[:, 0] == pytest.approx(saddle_config.t)
+        assert fam.m[:, 0] == pytest.approx(
+            [table3.cN * L * L * 0.05 for L in saddle_config.Lambda], rel=1e-12)
 
 
 class TestEnergyQuadrature:
@@ -277,6 +277,52 @@ def perturbed(cfg):
 _SADDLE4 = Configuration(k=4, signs=(1, -1, 1, -1), Lambda=SADDLE_LAMBDA,
                          t=SADDLE_T)
 _K2 = Configuration(k=2, signs=(1, -1), Lambda=(1.3, 0.8), t=(-0.3, 0.25))
+
+
+class TestConfigFamily:
+    """One ProjectedBubbleExact with (k, 1) columns is the k single bubbles."""
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    @pytest.mark.parametrize("cfg", [_SADDLE4, _K2], ids=["k4-saddle", "k2"])
+    def test_rows_are_single_bubbles(self, N, cfg):
+        fam = projected_bubbles_of_config(BallDomain.unit(N), cfg,
+                                          compute_constants(N), 0.025)
+        rng = np.random.default_rng(N)
+        z = rng.uniform(-0.95, 0.95, 300)
+        r = rng.uniform(0.0, 0.3, 300)
+        us, ws = fam.u(z, r), fam.w(z, r)
+        tangents = fam.pu_tangents(z, r, us, ws)
+        assert us.shape == ws.shape == tangents[0].shape == (cfg.k, z.size)
+        for i in range(cfg.k):
+            b = ProjectedBubbleExact(N=N, R=1.0, m=float(fam.m[i, 0]),
+                                     t=float(fam.t[i, 0]))
+            u, w = b.u(z, r), b.w(z, r)
+            assert np.array_equal(us[i], u) and np.array_equal(ws[i], w)
+            for rows, single in zip(tangents, b.pu_tangents(z, r, u, w)):
+                assert np.array_equal(rows[i], single)
+
+    def test_one_field_call_per_panel(self, domain, table3, saddle_config,
+                                      monkeypatch):
+        # No loop over the bubbles: u, w and the tangents are evaluated once
+        # per angular panel for all four bubbles together.
+        calls = {"panel": 0, "u": 0, "w": 0, "pu_tangents": 0}
+        nodes = pde_harness._section_nodes
+
+        def counted_nodes(*args):
+            for panel in nodes(*args):
+                calls["panel"] += 1
+                yield panel
+
+        monkeypatch.setattr(pde_harness, "_section_nodes", counted_nodes)
+        for name in ("u", "w", "pu_tangents"):
+            def counted(self, *args, _name=name,
+                        _real=getattr(ProjectedBubbleExact, name)):
+                calls[_name] += 1
+                return _real(self, *args)
+            monkeypatch.setattr(ProjectedBubbleExact, name, counted)
+        energy_gradient_quadrature(domain, saddle_config, table3, 0.025)
+        assert calls["panel"] > 0
+        assert calls["u"] == calls["w"] == calls["pu_tangents"] == calls["panel"]
 
 
 class TestEnergyGradient:
@@ -587,6 +633,15 @@ class TestAssembleV:
         V = assemble_V(cfg, eps, table3, grid257)
         peak = alpha_N(3) / math.sqrt(eps)   # alpha lam^{-1/2} eps^{-1/2}
         assert abs(np.max(np.abs(V.values)) - peak) / peak <= 0.1
+
+    def test_shares_the_scale_map(self, grid257, saddle_config):
+        # The core widths come from projected_bubbles_of_config, with its
+        # dimension and position checks.
+        with pytest.raises(ParameterError, match="dimension mismatch"):
+            assemble_V(saddle_config, 0.1, compute_constants(4), grid257)
+        outside = centered1(L=math.sqrt(128.0)).with_params(t=[1.2])
+        with pytest.raises(DomainError):
+            assemble_V(outside, 0.1, compute_constants(3), grid257)
 
     def test_resolution_guard(self, table3, grid257, saddle_config):
         with pytest.raises(ResolutionError) as exc_info:
