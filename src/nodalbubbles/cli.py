@@ -10,14 +10,15 @@ Four subcommands orchestrate the library with machine-readable outputs:
     boundary behaviour, directional monotonicity) -> ``assumptions.json``;
     exit 3 if any check fails.
 ``saddle``
-    Full reduced-energy pipeline: spacing search, a-priori bounds, damped
-    Newton from the scaling-family start, bracket verification and
-    stationarity identities -> ``saddle.json`` (optional per-iteration
-    ``trace.csv``); exit 4, with no report, when the critical point found is
-    not of max-min type (Hessian inertia other than (2k-1, 1, 0)).
+    Full reduced-energy pipeline: spacing search and damped Newton from the
+    scaling-family start on the unit ball, mapped onto the configured ball by
+    dilation, bracket verification and stationarity identities ->
+    ``saddle.json`` (optional per-iteration ``trace.csv``); exit 4, with no
+    report, when the critical point found is not of max-min type (Hessian
+    inertia other than (2k-1, 1, 0)).
 ``verify``
-    Grid and quadrature verification at a saddle configuration (reused from
-    ``saddle.json`` when present): projection rate check, residual
+    Grid and quadrature verification in any N at a saddle configuration
+    (inline, else ``saddle.json`` of the same ball): projection rate, residual
     comparisons, and the energy-expansion gap over the eps list (at least
     two distinct values) -> ``verify.json``.
 
@@ -297,21 +298,31 @@ def cmd_assumptions(config: RunConfig) -> int:
 
 
 def cmd_saddle(config: RunConfig) -> int:
-    """Spacing search, bounds, Newton saddle, bracket + identity checks."""
+    """Spacing search and Newton on the unit ball (``--tol`` and
+    ``grad_norm`` refer to it); the dilation x -> c + R x maps t -> c_1 + R t
+    and Lambda -> R^{(N-2)/2} Lambda and shifts values by -k (N-2)/2 log R.
+    Bracket and identity checks run on the configured ball."""
     domain = config.domain()
-    kern = AxisKernels.for_ball(domain)
-    t0, r0 = find_t0_r0(domain)
-    bounds = bounds_report(domain, None, t0, r0)
+    N, R, c1 = domain.N, domain.radius, float(domain.center[0])
+    unit = BallDomain.unit(N)
+    t0, r0 = find_t0_r0(unit)
     init = mu_embed(1.0, 1.0, 1.0, base_spacing_points(t0, r0))
-    report = solve_saddle(domain, None, init, tol=config.tol,
+    report = solve_saddle(unit, None, init, tol=config.tol,
                           max_iter=config.max_iter)
     expected = (2 * init.k - 1, 1, 0)
     if tuple(report.inertia) != expected:
         raise SolverDivergenceError(
             f"critical point is not of max-min type: Hessian inertia "
             f"{tuple(report.inertia)}, expected {expected}")
+    scale, shift = R ** ((N - 2) / 2.0), init.k * (N - 2) / 2.0 * math.log(R)
+    L, t = np.array(report.config.Lambda), np.array(report.config.t)
+    report.config = report.config.with_params(Lambda=scale * L, t=c1 + R * t)
+    report.value -= shift
+    report.trace = [(i, v - shift, g, s) for i, v, g, s in report.trace]
+    t0, r0 = c1 + R * t0, R * r0
+    bounds = bounds_report(domain, None, t0, r0)
     verify_bounds(report, bounds)
-    ids = stationarity_identities(report.config, kern)
+    ids = stationarity_identities(report.config, AxisKernels.for_ball(domain))
     payload = {
         "t0": t0,
         "r0": r0,
@@ -328,7 +339,7 @@ def cmd_saddle(config: RunConfig) -> int:
 
 
 def _verify_configuration(config: RunConfig) -> Configuration:
-    """The configuration under test: saddle.json output, else inline."""
+    """The configuration under test: inline, else saddle.json of this ball."""
     saddle_path = Path(config.out) / "saddle.json"
     if config.configuration is not None:
         return Configuration.from_json_dict(config.configuration)
@@ -336,11 +347,18 @@ def _verify_configuration(config: RunConfig) -> Configuration:
         with open(saddle_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         try:
-            return Configuration.from_json_dict(
+            ball = {k: data["meta"]["effective_config"][k]
+                    for k in ("dim", "radius", "center")}
+            cfg = Configuration.from_json_dict(
                 data["report"]["saddle"]["config"])
         except (KeyError, TypeError) as e:
             raise ConfigurationError(
                 f"{saddle_path} does not hold a saddle report") from e
+        run = dict(dim=config.dim, radius=config.radius, center=[*config.center])
+        if ball != run:
+            raise ConfigurationError(
+                f"{saddle_path} was written for {ball}, not for {run}")
+        return cfg
     raise ConfigurationError(
         "verify needs a configuration: run the saddle command first "
         "(saddle.json in the output directory) or supply 'configuration' "
@@ -348,15 +366,12 @@ def _verify_configuration(config: RunConfig) -> Configuration:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    """Projection rate, residual comparisons, expansion gap -> verify.json."""
+    """Projection rate, residuals, expansion gap in any N -> verify.json."""
     domain = config.domain()
-    if domain.N != 3:
-        raise ConfigurationError(
-            "verify requires dim=3 (the grid instrument is axisymmetric)")
     grid = AxisymGrid.for_ball(domain, nz=config.grid_nz, nr=config.grid_nr)
     # Every guard before any solve: the grid resolves the lam = 1 core at
     # each eps, and the expansion gap has at least two eps.
-    params = [BubbleParams(N=3, eps=eps, lam=1.0, xi=np.array(domain.center))
+    params = [BubbleParams(N=domain.N, eps=eps, lam=1.0, xi=domain.center)
               for eps in config.eps]
     for p in params:
         require_core_resolution(grid, p.core_width)
@@ -374,7 +389,7 @@ def cmd_verify(config: RunConfig) -> int:
     residual_rows = []
     for eps, p in zip(config.eps, params):
         PU = project_bubble(domain, p, grid)
-        U = bubble_profile(3, p.core_width,
+        U = bubble_profile(domain.N, p.core_width,
                            (grid.z_nodes - domain.center[0]) ** 2
                            + grid.r_nodes ** 2)
         active = grid.interior | grid.boundary

@@ -6,14 +6,14 @@ the ansatz nearly solve the slightly subcritical equation?  Two independent
 instruments are provided.
 
 Grid instrument
-    An axisymmetric finite-volume discretization of the ball on its
+    An axisymmetric finite-volume discretization of the ball in R^N on its
     ``(z, r)`` half-section (``z`` along the symmetry axis through the bubble
     centers, ``r`` the transverse radius).  It solves the Dirichlet Laplace
     problem behind the projection ``P U = U - (harmonic extension of U's
     boundary trace)``, assembles ``V = sum_i a_i P U_i``, and evaluates
-    discrete residuals and energies.  The discrete operator uses exact
-    finite-volume face areas (including the ``r = 0`` axis cells), giving a
-    symmetric, diagonally dominant M-matrix.  It is solved exactly, in numpy
+    discrete residuals and energies.  N enters only the face weights
+    ``|S^{N-2}| r^{N-2}`` of the revolved cells, giving a symmetric,
+    diagonally dominant M-matrix.  It is solved exactly, in numpy
     alone, by the capacitance-matrix method (Buzbee, Dorr, George & Golub,
     SIAM J. Numer. Anal. 8, 1971): the operator is separable on the
     enclosing rectangle, where a sine transform in ``z`` and one tridiagonal
@@ -558,8 +558,10 @@ class _GridFactor:
 
 
 class AxisymGrid:
-    """Finite-volume grid on the (z, r) half-section of a three-dimensional ball.
+    """Finite-volume grid on the (z, r) half-section of a ball in R^N.
 
+    N, R and the center come from ``domain`` alone; ``z`` runs along the
+    axis through the center parallel to e_1, ``r`` is the distance from it.
     Nodes sit at ``z_i = z_c - R + i hz`` (0 <= i < nz) and ``r_j = j hr``
     (0 <= j < nr) with ``hz = 2R/(nz-1)``, ``hr = R/(nr-1)``.  A node is
     *interior* when strictly inside the ball and off the frame (the first
@@ -570,20 +572,18 @@ class AxisymGrid:
 
     The discrete Laplacian is the finite-volume balance over the cell
     ``[z - hz/2, z + hz/2] x [r - hr/2, r + hr/2]`` revolved about the
-    axis: axial faces have area ``2 pi r_j hr`` (``pi hr^2/4`` for the axis
-    cells), radial faces ``2 pi r_{j+1/2} hz``, volumes ``2 pi r_j hr hz``
-    (``pi hr^2 hz / 4`` on the axis).  The axis itself needs no condition:
-    the inner radial face has zero area.  The resulting system is symmetric
-    positive definite.  It is solved directly by the capacitance-matrix
-    method on the enclosing rectangle (see :meth:`_factor`), set up once per
-    grid on the first solve and reused.
+    axis, with ``sigma = |S^{N-2}|`` (``2 pi`` for N = 3): radial faces
+    ``sigma r_{j+1/2}^{N-2} hz``, axial faces ``sigma r_j^{N-2} hr`` (the
+    exact disc ``sigma (hr/2)^{N-1}/(N-1)`` on the axis), volumes those
+    times ``hz``.  These are the exact revolved areas and volumes for N = 3
+    and on the axis, the midpoint rule in ``r`` elsewhere.  The axis needs
+    no condition: the inner radial face has zero area.  The system is
+    symmetric positive definite, solved directly in every N by the
+    capacitance-matrix method on the enclosing rectangle (see
+    :meth:`_factor`), set up once per grid on the first solve and reused.
     """
 
     def __init__(self, domain: BallDomain, nz: int = 513, nr: int = 257):
-        if domain.N != 3:
-            raise ParameterError(
-                "the half-section reduction is specific to N=3; "
-                f"got domain with N={domain.N}")
         if nz < 5 or nr < 5:
             raise ParameterError(f"grid too small: nz={nz}, nr={nr}")
         self.domain = domain
@@ -616,15 +616,17 @@ class AxisymGrid:
 
         self.n_interior = int(np.count_nonzero(self.interior))
 
-        j = np.arange(self.nr)
-        self.volumes = 2.0 * math.pi * self.rs * self.hr * self.hz
-        self.volumes[0] = math.pi * self.hr ** 2 * self.hz / 4.0
+        # The axial faces sigma r^{N-2} hr, the exact disc on the axis.
+        N, sigma, j = domain.N, sigma_N(domain.N - 1), np.arange(self.nr)
+        face = sigma * self.rs ** (N - 2) * self.hr
+        face[0] = sigma * self.hr ** (N - 1) / (2 ** (N - 1) * (N - 1))
+        self.volumes = face * self.hz
         # The same volumes over the whole (nz, nr) node array.
         self.cell_volumes = np.broadcast_to(self.volumes, (self.nz, self.nr))
-        self.coeff_axial = 2.0 * math.pi * self.rs * self.hr / self.hz
-        self.coeff_axial[0] = math.pi * self.hr ** 2 / (4.0 * self.hz)
+        self.coeff_axial = face / self.hz
         # radial face between columns j and j+1
-        self.coeff_radial = 2.0 * math.pi * (j[:-1] + 0.5) * self.hz
+        self.coeff_radial = (sigma * (j[:-1] + 0.5) ** (N - 2)
+                             * self.hr ** (N - 3) * self.hz)
 
         self._lu = None         # the _GridFactor, set by _factor
 
@@ -825,14 +827,15 @@ def solve_poisson(grid: AxisymGrid, source: Field,
 
 
 def _require_axis_center(p: BubbleParams, grid: AxisymGrid) -> float:
-    xi = np.asarray(p.xi, dtype=float)
-    if xi.size != 3:
-        raise ParameterError("grid projection requires N=3 bubble parameters")
-    if np.max(np.abs(xi[1:])) > 1e-12 * max(grid.domain.radius, 1.0):
+    if p.N != grid.domain.N:
+        raise ParameterError(
+            f"bubble of dimension {p.N} on a grid of dimension {grid.domain.N}")
+    offset = p.xi[1:] - grid.domain.center[1:]
+    if np.max(np.abs(offset)) > 1e-12 * max(grid.domain.radius, 1.0):
         raise ParameterError(
             "bubble center must lie on the symmetry axis for the "
-            f"half-section grid; got transverse offset {xi[1:]}")
-    return float(xi[0])
+            f"half-section grid; got transverse offset {offset}")
+    return float(p.xi[0])
 
 
 def _check_boundary_margin(grid: AxisymGrid, t_abs: float) -> None:
@@ -869,7 +872,7 @@ def _project(grid: AxisymGrid, signs, ms, t_abs) -> Field:
     trace = np.zeros((grid.nz, grid.nr))
     for s, m, t in zip(signs, ms, t_abs):
         trace += s * bubble_profile(
-            3, m, (grid.z_nodes - t) ** 2 + grid.r_nodes ** 2)
+            grid.domain.N, m, (grid.z_nodes - t) ** 2 + grid.r_nodes ** 2)
     w = solve_dirichlet_laplace(grid, Field(grid, trace))
     return Field(grid, np.where(grid.interior, trace - w.values, 0.0))
 
@@ -878,11 +881,12 @@ def project_bubble(domain: BallDomain, p: BubbleParams,
                    grid: AxisymGrid) -> Field:
     """Grid projection ``P U = U - (harmonic extension of U's trace)``.
 
-    Exactly zero on boundary nodes by construction.  The bubble center must
-    lie on the symmetry axis, at least 4 cells from the boundary.
+    Exactly zero on boundary nodes by construction.  ``domain`` must be the
+    grid's ball (N, R and center); the bubble, of the same N, must lie on
+    the symmetry axis, at least 4 cells from the boundary.
     """
-    if domain is not grid.domain and (domain.N != grid.domain.N
-                                      or domain.radius != grid.domain.radius):
+    g = grid.domain
+    if (domain.N, domain.radius, *domain.center) != (g.N, g.radius, *g.center):
         raise ParameterError("domain does not match the grid's domain")
     t_abs = _require_axis_center(p, grid)
     _check_boundary_margin(grid, t_abs)
@@ -919,7 +923,7 @@ def residual_norm(V: Field, eps: float, *, relative: bool = False) -> float:
     grid = V.grid
     u = V.values
     lap = grid.minus_laplacian(u)
-    nl = np.abs(u) ** (4.0 - eps) * u
+    nl = np.abs(u) ** (two_star(grid.domain.N) - 2.0 - eps) * u
     vol = grid.cell_volumes
     mask = grid.interior
     num = math.sqrt(float(np.sum(vol[mask] * (lap[mask] - nl[mask]) ** 2)))
@@ -948,6 +952,6 @@ def energy_I(u: Field, eps: float) -> float:
     grad += float(np.sum(grid.coeff_radial[None, :] * d_rad ** 2))
     vol = grid.cell_volumes
     mask = grid.interior
-    p = two_star(3) - eps
+    p = two_star(grid.domain.N) - eps
     nonlin = float(np.sum(vol[mask] * np.abs(v[mask]) ** p))
     return 0.5 * grad - nonlin / p

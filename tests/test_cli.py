@@ -16,6 +16,7 @@ from nodalbubbles.cli import (
     main,
 )
 from nodalbubbles.errors import ConfigurationError
+from nodalbubbles.reduced_energy import AxisKernels, Configuration, psi_tilde
 from conftest import SADDLE_VALUE
 
 
@@ -204,16 +205,48 @@ class TestSaddleCommand:
         assert len(rows) >= 3
         assert float(rows[-1][2]) <= 1e-8
 
-    @pytest.mark.parametrize("flags", [["--dim", "5"], ["--radius", "10"]],
-                             ids=["dim5", "radius10"])
+    @pytest.mark.parametrize("flags", [["--dim", "5"]], ids=["dim5"])
     def test_local_minimum_is_not_reported(self, tmp_path, capsys, flags):
-        # Both runs converge to a local minimum, inertia (8, 0, 0): a
-        # solver failure with no report, not a max-min saddle.
+        # The unit-ball Newton converges to a local minimum, inertia
+        # (8, 0, 0): a solver failure with no report, not a max-min saddle.
         rc = main(["saddle", "--out", str(tmp_path), "--trace", *flags])
         assert rc == EXIT_SOLVER
         err = capsys.readouterr().err
         assert "(8, 0, 0)" in err and "(7, 1, 0)" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("radius, center", [
+        (0.1, None), (0.5, None), (2.0, None), (10.0, None),
+        (1.0, [0.3, 0.0, 0.0])],
+        ids=["radius0.1", "radius0.5", "radius2", "radius10", "center0.3"])
+    def test_radius_and_center_covariance(self, outdir, tmp_path, radius,
+                                          center):
+        # The covariant image of the unit-ball saddle: t -> c1 + R t,
+        # Lambda -> R^{1/2} Lambda, value -> value - 2 log R (N = 3, k = 4).
+        cfg_file = tmp_path / "run.json"
+        run = {"radius": radius} if center is None else {"center": center}
+        cfg_file.write_text(json.dumps(run))
+        out = tmp_path / "out"
+        rc = main(["saddle", "--config", str(cfg_file), "--out", str(out)])
+        assert rc == EXIT_OK
+        rep = read_json(out / "saddle.json")["report"]
+        unit = read_json(outdir / "saddle.json")["report"]["saddle"]
+        s, c1 = rep["saddle"], (center or [0.0])[0]
+        assert s["inertia"] == [7, 1, 0] and s["bounds_ok"] is True
+        assert s["value"] == pytest.approx(
+            unit["value"] - 2.0 * math.log(radius), abs=1e-12)
+        L = [math.sqrt(radius) * v for v in unit["config"]["Lambda"]]
+        t = [c1 + radius * v for v in unit["config"]["t"]]
+        assert s["config"]["Lambda"] == pytest.approx(L, rel=1e-12)
+        assert s["config"]["t"] == pytest.approx(t, rel=1e-12)
+        assert rep["t0"] == pytest.approx(c1, abs=1e-12)
+        assert rep["r0"] == pytest.approx(0.06 * radius, rel=1e-12)
+        assert rep["identities_max_deviation"] <= 1e-6
+        # Psi on the configured ball itself at the reported configuration.
+        d = RunConfig(radius=radius, center=center).domain()
+        psi = psi_tilde(Configuration.from_json_dict(s["config"]),
+                        AxisKernels.for_ball(d))
+        assert psi == pytest.approx(s["value"], abs=1e-12)
 
 
 class TestVerifyCommand:
@@ -287,6 +320,54 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "eps" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, run", [
+        (["--dim", "4"], {}), (["--radius", "2"], {}),
+        ([], {"center": [0.2, 0.0, 0.0]})], ids=["dim4", "radius2", "center"])
+    def test_saddle_of_another_ball_rejected(self, outdir, tmp_path,
+                                             monkeypatch, capsys, flags, run):
+        # A saddle.json written for the unit ball in R^3 is not evaluated
+        # in another ball: exit 1 before any grid solve.  (The fine grid
+        # keeps the lam = 1 resolution guard quiet at R = 2.)
+        import nodalbubbles.cli as cli
+        calls = []
+        monkeypatch.setattr(cli, "project_bubble",
+                            lambda *args: calls.append(args))
+        (tmp_path / "saddle.json").write_text(
+            (outdir / "saddle.json").read_text())
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(run))
+        rc = main(["verify", "--config", str(cfg_file), "--out",
+                   str(tmp_path), "--grid-nz", "1025", "--grid-nr", "513",
+                   *flags])
+        assert rc == EXIT_CONFIG
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "saddle.json" in err
+        assert not (tmp_path / "verify.json").exists()
+
+    def test_dim4_saddle_then_verify(self, tmp_path):
+        assert main(["saddle", "--dim", "4", "--out", str(tmp_path)]) == EXIT_OK
+        rc = main(["verify", "--dim", "4", "--out", str(tmp_path),
+                   "--grid-nz", "129", "--grid-nr", "65"])
+        assert rc == EXIT_OK
+        rep = read_json(tmp_path / "verify.json")["report"]
+        assert rep["configuration"]["k"] == 4
+        assert rep["expansion_gap"]["monotone_decreasing"] is True
+
+    def test_dim5_inline_configuration(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({
+            "dim": 5, "eps": [0.1, 0.05],
+            "configuration": {"k": 1, "signs": [1], "Lambda": [1.0],
+                              "t": [0.0]},
+        }))
+        rc = main(["verify", "--config", str(cfg_file), "--out",
+                   str(tmp_path), "--grid-nz", "129", "--grid-nr", "65"])
+        assert rc == EXIT_OK
+        rep = read_json(tmp_path / "verify.json")["report"]
+        assert rep["projection_rate"]["constant_stable_within_factor_2"]
+        assert rep["expansion_gap"]["monotone_decreasing"] is True
 
     def test_missing_configuration(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -27,8 +27,41 @@ from nodalbubbles import (
     robin_H,
     validate_A3,
 )
+from nodalbubbles.green_domain import _boundary_samples, grad_x_H
 
 FOUR_PI = 4.0 * math.pi
+
+
+def boundary_expansion_by_point(d):
+    """The worst values of :func:`check_boundary_expansion`, one scalar
+    kernel call per sample point and halving (the reference for the batched
+    check)."""
+    R, c, N = d.radius, d.center, d.N
+    ratios1, ratios2, lead_dev = [], [], []
+    for x, y in zip(*_boundary_samples(d)):
+        xdir = (x - c) / np.linalg.norm(x - c)
+        p = c + R * xdir
+        fits1, fits2 = [], []
+        for k in range(3):
+            dk = (R - float(np.linalg.norm(x - c))) / 2 ** k
+            xk = c + (R - dk) * xdir
+            xbar = 2.0 * p - xk
+            nu = (xk - p) / np.linalg.norm(xk - p)
+            rbar = float(np.linalg.norm(xbar - y))
+            H = robin_H(d, xk, y)
+            lead1 = d.kappa * rbar ** (2.0 - N)
+            fits1.append(abs(H - lead1) * rbar ** (N - 2.0) / dk)
+            lead2 = float((xbar - y) @ nu) / (d.sigma * rbar ** N)
+            fits2.append(abs(float(grad_x_H(d, xk, y) @ nu) - lead2)
+                         * rbar ** (N - 2.0))
+        ratios1 += [b / a for a, b in zip(fits1, fits1[1:])]
+        ratios2 += [b / a for a, b in zip(fits2, fits2[1:])]
+        lead_dev.append(abs(H / lead1 - 1.0))
+
+    def extreme(rs):
+        return max(rs, key=lambda r: abs(math.log(r)))
+
+    return extreme(ratios1), extreme(ratios2), max(lead_dev)
 
 
 class TestGreenFunction:
@@ -236,6 +269,16 @@ class TestHypothesisChecks:
         reports = check_boundary_expansion(BallDomain.unit(N))
         failed = [(r.check, r.worst_value) for r in reports if not r.passed]
         assert failed == []
+
+    @pytest.mark.parametrize("N", [3, 4, 7, 16])
+    @pytest.mark.parametrize("c1, radius", [(0.0, 1.0), (0.3, 2.5)])
+    def test_boundary_expansion_matches_scalar_loop(self, N, c1, radius):
+        # The 54 points in one batch give the worst values of the scalar
+        # loop up to summation order (1e-12 relative, set beforehand).
+        d = BallDomain(N=N, center=np.r_[c1, np.zeros(N - 1)], radius=radius)
+        worst = [r.worst_value for r in check_boundary_expansion(d)]
+        assert worst == pytest.approx(boundary_expansion_by_point(d),
+                                      rel=1e-12)
 
     def test_directional_monotonicity_passes(self, domain):
         report = check_directional_monotonicity(domain, n_samples=1000, seed=0)

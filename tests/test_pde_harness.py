@@ -527,11 +527,6 @@ class TestAxisymGrid:
         with pytest.raises(SolverDivergenceError):
             solve_dirichlet_laplace(g, Field(g, np.ones((g.nz, g.nr))))
 
-    def test_n3_only(self):
-        from nodalbubbles import BallDomain
-        with pytest.raises(ParameterError):
-            AxisymGrid.for_ball(BallDomain.unit(4))
-
 
 class TestGridProjection:
     def test_boundary_exactly_zero(self, domain, grid257):
@@ -603,6 +598,64 @@ class TestGridProjection:
                          xi=np.array([0.999, 0.0, 0.0]))
         with pytest.raises(ResolutionError):
             project_bubble(domain, p, grid257)
+
+
+class TestGridInEveryDimension:
+    """The grid instrument takes N, R and the center from its ball."""
+
+    SIZES = ((129, 65), (257, 129), (513, 257))
+    EPS = 0.2   # lam = 1: core width 0.2^{1/(N-2)}, resolved on every grid
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_projection_converges(self, N):
+        # The sup error against the closed-form projection falls under
+        # h-refinement (first order: the staircase boundary).
+        d = BallDomain.unit(N)
+        p = BubbleParams(N=N, eps=self.EPS, lam=1.0, xi=np.zeros(N))
+        exact = ProjectedBubbleExact(N, 1.0, p.core_width, 0.0)
+        errs = []
+        for nz, nr in self.SIZES:
+            g = AxisymGrid.for_ball(d, nz=nz, nr=nr)
+            PU = project_bubble(d, p, g)
+            diff = PU.values - exact.pu(g.z_nodes, g.r_nodes)
+            errs.append(float(np.max(np.abs(diff[g.interior]))))
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[0] / errs[2] >= 2.5
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_energy_approaches_quadrature(self, N):
+        # The same bubble (Lambda = 1/sqrt(c_N) gives lam = 1): its grid
+        # energy approaches the exact-projection quadrature.
+        d, table = BallDomain.unit(N), compute_constants(N)
+        cfg = centered1(1.0 / math.sqrt(table.cN))
+        quad, _ = energy_quadrature(d, cfg, table, self.EPS)
+        gaps = [abs(energy_I(assemble_V(cfg, self.EPS, table,
+                                        AxisymGrid.for_ball(d, nz, nr)),
+                             self.EPS) / quad - 1.0)
+                for nz, nr in self.SIZES]
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[0] / gaps[2] >= 2.5
+
+    def test_rejects_another_dimension(self):
+        g = AxisymGrid.for_ball(BallDomain.unit(4), nz=65, nr=33)
+        for N in (3, 5):
+            p = BubbleParams(N=N, eps=0.1, lam=1.0, xi=np.zeros(N))
+            with pytest.raises(ParameterError, match="dimension"):
+                project_bubble(g.domain, p, g)
+
+    def test_rejects_another_center(self, grid257):
+        p = BubbleParams(N=3, eps=0.1, lam=1.0, xi=np.zeros(3))
+        with pytest.raises(ParameterError, match="domain"):
+            project_bubble(ball_at(0.5), p, grid257)
+
+    def test_transverse_center_matches_centered(self, domain, grid257):
+        # The symmetry axis runs through the ball's center, wherever it is.
+        d = BallDomain(N=3, center=np.array([0.2, 0.3, -0.1]), radius=1.0)
+        pus = [project_bubble(b, BubbleParams(N=3, eps=0.1, lam=1.0,
+                                              xi=b.center), g).values
+               for b, g in ((domain, grid257),
+                            (d, AxisymGrid.for_ball(d, nz=257, nr=129)))]
+        assert np.max(np.abs(pus[1] - pus[0])) <= 1e-12
 
 
 class TestAssembleV:
