@@ -369,10 +369,11 @@ def cmd_verify(config: RunConfig) -> int:
     """Projection rate, residuals, expansion gap in any N -> verify.json."""
     domain = config.domain()
     grid = AxisymGrid.for_ball(domain, nz=config.grid_nz, nr=config.grid_nr)
-    # Every guard before any solve: the grid resolves the lam = 1 core at
-    # each eps, and the expansion gap has at least two eps.
-    params = [BubbleParams(N=domain.N, eps=eps, lam=1.0, xi=domain.center)
-              for eps in config.eps]
+    # Every guard before any solve: the grid resolves the probe's core at
+    # each eps, and the expansion gap has at least two eps.  The probe is
+    # lam = R, the dilation image of the unit ball's lam = 1 bubble.
+    params = [BubbleParams(N=domain.N, eps=eps, lam=domain.radius,
+                           xi=domain.center) for eps in config.eps]
     for p in params:
         require_core_resolution(grid, p.core_width)
     if len(params) < 2:
@@ -383,7 +384,7 @@ def cmd_verify(config: RunConfig) -> int:
     cfg = _verify_configuration(config)
 
     # Per eps: the projection rate ||PU - U||_inf / sqrt(eps), the grid
-    # residual of the same lam=1 projection, and the quadrature relative
+    # residual of the same projection, and the quadrature relative
     # residual of the configuration under test.
     rate_rows = []
     residual_rows = []

@@ -1,12 +1,13 @@
-"""Locate and certify critical points of the alternating four-bubble energy.
+"""Locate and certify critical points of the reduced k-bubble energies.
 
-The reduced energy Ψ̃ has, on a ball, a critical point of saddle type
-bracketed between an explicit lower bound driven by the Robin minimum and
-the attractive-interaction sum at an equally spaced admissible start.  This
-module finds it by a damped Newton iteration on the analytic gradient:
+The alternating four-bubble energy Ψ̃ has, on a ball, a critical point of
+saddle type bracketed between an explicit lower bound driven by the Robin
+minimum and the attractive-interaction sum at an equally spaced admissible
+start.  This module finds critical points of Ψ_k, for any k and any signs,
+by a damped Newton iteration on the analytic gradient:
 
-* the Newton direction d = −H⁻¹ ∇Ψ̃ (H the exact analytic Hessian) is
-  always a descent direction for ½‖∇Ψ̃‖², whatever the inertia of H, so an
+* the Newton direction d = −H⁻¹ ∇Ψ_k (H the exact analytic Hessian) is
+  always a descent direction for ½‖∇Ψ_k‖², whatever the inertia of H, so an
   Armijo backtracking line search on that merit function is globally
   well-defined;
 * iterates are kept in the admissible set (positive scalings, strictly
@@ -21,7 +22,8 @@ A multi-start fallback perturbs the scaling-family parameters and reports
 all distinct critical points found.  The coercivity probe samples the
 minimum of Ψ̃ on the level sets {Φ = M/2} of the penalty for increasing M;
 the minima must increase, which is the observable trace of the coercivity
-of the construction.
+of the construction.  Its samples go through one batched evaluator with
+closed-form level crossings.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ import numpy as np
 
 from .errors import ParameterError, SolverDivergenceError
 from .green_domain import AxisSection, BallDomain
-from .reduced_energy import (AxisKernels, BoundsReport, Configuration,
-                             _psi_terms, _quadratic_form,
+from .reduced_energy import (ALTERNATING_SIGNS_4, AxisKernels, BoundsReport,
+                             Configuration, _psi_terms, _quadratic_form,
                              _require_alternating4, base_spacing_points,
-                             find_t0_r0, grad_psi_k, grad_psi_tilde, mu_embed,
-                             phi_penalty, psi_tilde, scaling_products)
+                             find_t0_r0, grad_psi_k, mu_embed, phi_penalty,
+                             psi_k, scaling_products)
 
 __all__ = [
     "SaddleReport",
@@ -56,11 +58,11 @@ __all__ = [
 
 @dataclass
 class SaddleReport:
-    """Converged critical point of Ψ̃ with its certification data.
+    """Converged critical point of Ψ_k with its certification data.
 
     ``inertia`` counts (positive, negative, zero) Hessian eigenvalues;
     ``bounds_ok`` is None until :func:`verify_bounds` fills it; ``trace``
-    rows are (iteration, Ψ̃, ‖∇Ψ̃‖, step).
+    rows are (iteration, Ψ_k, ‖∇Ψ_k‖, step).
     """
 
     config: Configuration
@@ -93,11 +95,6 @@ T_MARGIN = 1e-6
 
 def _pack(cfg: Configuration) -> np.ndarray:
     return np.asarray(cfg.Lambda + cfg.t, dtype=float)
-
-
-def _unpack_x(x: np.ndarray, k: int, signs) -> Configuration:
-    return Configuration(k=k, signs=signs, Lambda=tuple(x[:k]),
-                         t=tuple(x[k:]))
 
 
 def _positions_admissible(t: np.ndarray, sec: AxisSection) -> bool:
@@ -148,31 +145,32 @@ def inertia_of(H: np.ndarray) -> tuple:
 def solve_saddle(domain: BallDomain, section: AxisSection | None,
                  init: Configuration, tol: float = 1e-8, max_iter: int = 50
                  ) -> SaddleReport:
-    """Damped Newton iteration on ∇Ψ̃ from an admissible start.
+    """Damped Newton iteration on ∇Ψ_k from an admissible start.
 
-    Each step solves H d = −∇Ψ̃ with the analytic Hessian and
-    backtracks on the merit ½‖∇Ψ̃‖² (Armijo), halving also whenever the
-    trial iterate would leave the admissible set.  Near-singular Hessians
-    are Tikhonov-regularized and noted.  Raises a divergence error carrying
-    the iteration trace if the step collapses or the iteration cap is hit;
-    on success returns the report with inertia counts (a zero count adds a
-    degenerate-critical-point warning).
+    The bubble count k and the signs are those of ``init``; the 2k unknowns
+    are (Λ_1..k, t_1..k).  Each step solves H d = −∇Ψ_k with the analytic
+    Hessian and backtracks on the merit ½‖∇Ψ_k‖² (Armijo), halving also
+    whenever the trial iterate would leave the admissible set.
+    Near-singular Hessians are Tikhonov-regularized and noted.  Raises a
+    divergence error carrying the iteration trace if the step collapses or
+    the iteration cap is hit; on success returns the report with inertia
+    counts (a zero count adds a degenerate-critical-point warning).
     """
     if not (tol > 0):
         raise ParameterError(f"tol must be positive, got {tol}")
     sec = section or AxisSection.of_ball(domain)
     kern = AxisKernels(domain, sec)
-    _require_alternating4(init, "solve_saddle")
+    k = init.k
 
     x = _pack(init)
-    if not _admissible(x, 4, sec):
+    if not _admissible(x, k, sec):
         raise ParameterError("initial configuration violates the guards")
 
     warnings: list[str] = []
-    cfg = _unpack_x(x, 4, init.signs)
-    F = grad_psi_tilde(cfg, kern)
+    cfg = init
+    F = grad_psi_k(cfg, kern)
     gnorm = float(np.linalg.norm(F))
-    trace = [(0, psi_tilde(cfg, kern), gnorm, 0.0)]
+    trace = [(0, psi_k(cfg, kern), gnorm, 0.0)]
 
     it = 0
     while gnorm > tol:
@@ -182,14 +180,14 @@ def solve_saddle(domain: BallDomain, section: AxisSection | None,
                 f"iterations (last |grad| = {gnorm:.3e})", trace=trace)
         it += 1
 
-        H = hessian_psi_tilde(cfg, kern)
+        H = hessian_psi_k(cfg, kern)
         try:
             d = np.linalg.solve(H, -F)
         except np.linalg.LinAlgError:
             d = None
         if d is None or not np.all(np.isfinite(d)):
             reg = 1e-8 * max(float(np.max(np.abs(H))), 1.0)
-            d = np.linalg.solve(H + reg * np.eye(8), -F)
+            d = np.linalg.solve(H + reg * np.eye(2 * k), -F)
             warnings.append(
                 f"iteration {it}: Hessian numerically singular, "
                 f"regularized by {reg:.3e}")
@@ -199,9 +197,9 @@ def solve_saddle(domain: BallDomain, section: AxisSection | None,
         accepted = False
         while step >= 1e-12:
             x_try = x + step * d
-            if _admissible(x_try, 4, sec):
-                cfg_try = _unpack_x(x_try, 4, init.signs)
-                F_try = grad_psi_tilde(cfg_try, kern)
+            if _admissible(x_try, k, sec):
+                cfg_try = init.with_params(Lambda=x_try[:k], t=x_try[k:])
+                F_try = grad_psi_k(cfg_try, kern)
                 phi_try = 0.5 * float(F_try @ F_try)
                 # d is exact Newton for F, so d·∇(½|F|²) = −|F|²; Armijo:
                 if phi_try <= phi0 - 1e-4 * step * (2.0 * phi0):
@@ -215,16 +213,16 @@ def solve_saddle(domain: BallDomain, section: AxisSection | None,
 
         x, cfg, F = x_try, cfg_try, F_try
         gnorm = float(np.linalg.norm(F))
-        trace.append((it, psi_tilde(cfg, kern), gnorm, step))
+        trace.append((it, psi_k(cfg, kern), gnorm, step))
 
-    H = hessian_psi_tilde(cfg, kern)
+    H = hessian_psi_k(cfg, kern)
     inertia = inertia_of(H)
     if inertia[2] > 0:
         warnings.append(
             f"degenerate critical point: {inertia[2]} Hessian eigenvalue(s) "
             "below the zero threshold")
     return SaddleReport(
-        config=cfg, value=float(psi_tilde(cfg, kern)), grad_norm=gnorm,
+        config=cfg, value=psi_k(cfg, kern), grad_norm=gnorm,
         inertia=inertia, bounds_ok=None, iterations=it, trace=trace,
         warnings=warnings)
 
@@ -310,63 +308,70 @@ def write_trace_csv(report: SaddleReport, path) -> None:
 # coercivity probe
 # ---------------------------------------------------------------------------
 
-def _scale_config(cfg: Configuration, c: float) -> Configuration:
-    return cfg.with_params(Lambda=tuple(math.sqrt(c) * v for v in cfg.Lambda))
-
-
-def _level_roots(cfg: Configuration, kern: AxisKernels, level: float,
-                 anchor: Configuration):
-    """Both scalings c with Φ(√c Λ, t) = level, bracketing the ray minimum.
-
-    Along the ray Φ(c) = cA − 2 log c + B with B = −Σ log Λ_i and
-    A = Φ(1) − B; its convexity guarantees the segment between the roots
-    stays in the sublevel set.  Returns (c_lo, c_hi), or None if the ray
-    never dips below the level or its midpoint between the roots has no
-    certified path to the anchor.
-    """
-    B = -float(np.sum(np.log(cfg.Lambda)))
-    A = phi_penalty(cfg, kern) - B
-    c_star = 2.0 / A
-    phi_min = 2.0 - 2.0 * math.log(c_star) + B
-    if phi_min >= level:
-        return None
-
-    def f(c):
-        return c * A - 2.0 * math.log(c) + B - level
-
-    from scipy import optimize  # on first use: keeps the package scipy-free
-    lo = c_star
-    while f(lo) < 0.0:
-        lo *= 0.5
-    c_lo = optimize.brentq(f, lo, c_star, xtol=1e-14, rtol=1e-14)
-    hi = c_star
-    while f(hi) < 0.0:
-        hi *= 2.0
-    c_hi = optimize.brentq(f, c_star, hi, xtol=1e-14, rtol=1e-14)
-    mid = _scale_config(cfg, 0.5 * (c_lo + c_hi))
-    return (c_lo, c_hi) if _certified_path(kern, anchor, mid, level) else None
+_PATH = np.linspace(0.0, 1.0, 17)[:, None]   # anchor-to-midpoint path nodes
+_NEWTON_CAP = 64
+_ALT_C = -np.outer(ALTERNATING_SIGNS_4, ALTERNATING_SIGNS_4).astype(float)
 
 
 def _anchor_config(kern: AxisKernels, t_base) -> Configuration:
     """Penalty-minimal point of the unit scaling ray at the base positions."""
     base = mu_embed(1.0, 1.0, 1.0, t_base)   # Λ = 1, so Φ(c = 1) = A
-    return _scale_config(base, 2.0 / phi_penalty(base, kern))
+    return base.with_params(
+        Lambda=(math.sqrt(2.0 / phi_penalty(base, kern)),) * 4)
 
 
-def _certified_path(kern: AxisKernels, anchor: Configuration,
-                    cfg: Configuration, level: float) -> bool:
-    """Is the straight segment from anchor to cfg inside {Φ < level}?
+def _level_crossings(kern: AxisKernels, anchor: Configuration, L, t,
+                     level: float) -> tuple:
+    """Level crossings of scaling rays, Ψ̃ at them, and their certification.
 
-    Linear interpolation in (log Λ, t), checked at 17 points; a True result
-    certifies that cfg lies in the same connected component of the sublevel
-    set as the anchor.  Both position vectors are strictly increasing, so
-    every point of the segment is ordered too.
+    ``L`` and ``t`` hold alternating four-bubble rows, shape (..., 4).
+    Along the ray Λ ↦ √c Λ the penalty is Φ(c) = cA − 2 log c + B with
+    B = −Σ log Λ_i and A = Φ(1) − B.  Writing c = (2/A) y turns Φ(c) = level
+    into y − log y = K, K = (level − B)/2 + log(2/A), so the crossings are
+    y = −W_b(−e^{−K}) on the Lambert W branches b = 0 and b = −1 (Corless et
+    al., Adv. Comput. Math. 5, 1996).  They exist iff K > 1 and are found by
+    Newton on e^u − u − K in u = log y, which is convex, so the iterates from
+    u = −K and u = log 2K approach the roots monotonically.  Φ is convex
+    along the ray, so the segment between the crossings stays in the
+    sublevel set; a row is certified when additionally the straight path in
+    (log Λ, t) from the anchor to the ray point at the crossings' mean
+    scaling stays inside {Φ < level}, checked at 17 points (both position
+    vectors are increasing, so every point of the path is ordered too).
+
+    Returns (c, psi, ok): the crossings c_lo < 2/A < c_hi, shape (..., 2);
+    Ψ̃ at both, +inf where the row is not certified; and the mask of rows
+    that reach the level with a certified path.
     """
-    s = np.linspace(0.0, 1.0, 17)[:, None]
-    lam = np.exp((1.0 - s) * np.log(anchor.Lambda) + s * np.log(cfg.Lambda))
-    t = (1.0 - s) * np.asarray(anchor.t) + s * np.asarray(cfg.t)
-    phi = _quadratic_form(kern, np.ones((cfg.k, cfg.k)), lam, t)[0]
-    return bool(np.all(phi < level))
+    L, t = np.asarray(L, dtype=float), np.asarray(t, dtype=float)
+    B = -np.sum(np.log(L), axis=-1)
+    A = _quadratic_form(kern, np.ones((4, 4)), L, t)[0] - B
+    K = 0.5 * (level - B) + np.log(2.0 / A)
+    reach = K > 1.0
+    K = np.where(reach, K, 2.0)[..., None]     # rays below the level: unused
+
+    u = np.stack([-K[..., 0], np.log(2.0 * K[..., 0])], axis=-1)
+    for _ in range(_NEWTON_CAP):
+        e = np.exp(u)
+        g = e - u - K
+        u = u - g / (e - 1.0)
+        if np.all(np.abs(g) <= 1e-15 * (1.0 + np.abs(u)) * (e + K)):
+            break      # the residual was at rounding level before this step
+    else:
+        raise SolverDivergenceError(
+            f"level crossings did not converge in {_NEWTON_CAP} Newton steps")
+    c = (2.0 / A)[..., None] * np.exp(u)
+
+    lam_mid = np.sqrt(0.5 * (c[..., 0] + c[..., 1]))[..., None] * L
+    path_L = np.exp((1.0 - _PATH) * np.log(anchor.Lambda)
+                    + _PATH * np.log(lam_mid)[..., None, :])
+    path_t = (1.0 - _PATH) * np.asarray(anchor.t) + _PATH * t[..., None, :]
+    path_phi = _quadratic_form(kern, np.ones((4, 4)), path_L, path_t)[0]
+    ok = reach & np.all(path_phi < level, axis=-1)
+
+    L_cross = np.sqrt(c)[..., None] * L[..., None, :]
+    psi = _quadratic_form(kern, _ALT_C, L_cross,
+                          np.broadcast_to(t[..., None, :], L_cross.shape))[0]
+    return c, np.where(ok[..., None], psi, np.inf), ok
 
 
 def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
@@ -375,17 +380,18 @@ def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
     """Sampled minima of Ψ̃ on the penalty level sets {Φ = M/2}.
 
     The window and spacing come from :func:`find_t0_r0`.  For each M the
-    scan draws scaling-family configurations (log-uniform μ's in [1/4, 4],
-    ordered positions in the window [t0 − 4r0, t0 + 4r0] with a minimum gap
-    of r0/8), keeps those connected to the base family's penalty-minimal
-    anchor inside {Φ < M/2} along a straight certified path, pushes each
-    along its scaling ray to both crossings of the level (the convex ray
-    segment stays in the sublevel set, so the crossings remain in the
-    anchored component), and records the smallest Ψ̃ seen; a Nelder-Mead
-    polish of the level-set parametrization around the best sample then
-    tightens the minimum.  Levels the anchor cannot reach are skipped with a
-    note.  Minima must increase with M — the observable trace of penalty
-    coercivity.
+    scan draws all its scaling-family configurations first (log-uniform
+    μ's in [1/4, 4], ordered positions in the window [t0 − 4r0, t0 + 4r0]
+    with a minimum gap of r0/8), then evaluates them in one batch: each is
+    pushed along its scaling ray to both closed-form crossings of the level
+    (the convex ray segment stays in the sublevel set, so the crossings
+    remain in the anchored component), kept if its straight path to the
+    base family's penalty-minimal anchor stays inside {Φ < M/2}, and the
+    smallest Ψ̃ at a kept crossing is recorded; a Nelder-Mead polish of the
+    level-set parametrization around the best sample then tightens the
+    minimum.  Levels the anchor cannot reach are skipped with a note and
+    draw nothing.  Minima must increase with M — the observable trace of
+    penalty coercivity.
     """
     sec = section or AxisSection.of_ball(domain)
     kern = AxisKernels(domain, sec)
@@ -418,29 +424,22 @@ def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
                          f"{anchor_phi:.6g} >= M/2 = {level:.6g}")})
             continue
 
-        best_val = math.inf
-        best_point = None
-        n_cert = 0
-        for _ in range(n_samples):
-            cfg = mu_embed(*_draw_mus(rng), draw_positions())
-            roots = _level_roots(cfg, kern, level, anchor)
-            if roots is None:
-                continue
-            n_cert += 1
-            for c in roots:
-                val = psi_tilde(_scale_config(cfg, c), kern)
-                if val < best_val:
-                    best_val = val
-                    best_point = (cfg, c)
-
-        if best_point is None:
+        cfgs = [mu_embed(*_draw_mus(rng), draw_positions())
+                for _ in range(n_samples)]
+        x = np.reshape([_pack(c) for c in cfgs], (-1, 8))
+        _, psi, ok = _level_crossings(kern, anchor, x[:, :4], x[:, 4:], level)
+        n_cert = int(np.count_nonzero(ok))
+        if n_cert == 0:
             results.append({
                 "M": float(M), "min_psi_tilde": None, "n_certified": 0,
                 "note": "no certified sample reached the level"})
             continue
 
+        # The first minimum in draw order, lower crossing first.
+        best = int(np.argmin(psi))
         best_val, note = _refine_level_min(
-            kern, anchor, best_point[0], level, best_val, window, min_gap)
+            kern, anchor, cfgs[best // 2], level, float(psi.flat[best]),
+            window, min_gap)
 
         results.append({
             "M": float(M), "min_psi_tilde": float(best_val),
@@ -470,10 +469,8 @@ def _refine_level_min(kern: AxisKernels, anchor: Configuration,
                            tuple(tt))
         except ParameterError:
             return 1e6
-        roots = _level_roots(cfg, kern, level, anchor)
-        if roots is None:
-            return 1e6
-        return min(psi_tilde(_scale_config(cfg, c), kern) for c in roots)
+        _, psi, ok = _level_crossings(kern, anchor, cfg.Lambda, cfg.t, level)
+        return float(np.min(psi)) if ok else 1e6
 
     from scipy import optimize  # on first use: keeps the package scipy-free
     res = optimize.minimize(objective, z0, method="Nelder-Mead",

@@ -1,13 +1,17 @@
-"""The names the benchmark's traced pass wraps exist in the package.
+"""The package surface the benchmark uses exists and accepts its calls.
 
 ``perfbench/layers.py`` lists its targets as ``module.attr`` or
 ``module.Class.method`` strings; a renamed or deleted library function would
 otherwise surface only when a ``--trace 1`` benchmark run tries to wrap it.
 Its ``GridWatch`` also reads a grid's private factor state, checked here on
-a real grid.
+a real grid.  ``perfbench/workloads.py`` calls the package as ``nb.<name>``,
+directly or through ``p.op(label, nb.<name>, ...)``; every such call's shape
+(positional count and keyword names) must bind to the current signature.
 """
 
+import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -54,3 +58,55 @@ def test_grid_watch_reads_the_factor(monkeypatch):
     assert watch.tag((grid,)) == 0
     gamma = np.count_nonzero(grid.boundary[1:-1, :-1])
     assert watch.lu_nnz() == gamma ** 2 + (grid.nz - 2) * (grid.nr - 1)
+
+
+def package_calls(path):
+    """(dotted name, positional count, keyword names, line) of every call of
+    an ``nb.<name>`` in a perfbench module, unwrapping ``p.op``."""
+    def nb_name(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == "nb" and parts:
+            return ".".join(reversed(parts))
+        return None
+
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args, keywords = node.func, node.args, node.keywords
+        if (isinstance(func, ast.Attribute) and func.attr == "op"
+                and len(args) >= 2):
+            # p.op(label, fn, *args, known=(), **kwargs) calls fn(*args, **kwargs)
+            func, args = args[1], args[2:]
+            keywords = [kw for kw in keywords if kw.arg != "known"]
+        name = nb_name(func)
+        if name is None:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in args), node.lineno
+        assert all(kw.arg for kw in keywords), node.lineno
+        calls.append((name, len(args), [kw.arg for kw in keywords],
+                      node.lineno))
+    return calls
+
+
+def test_workload_calls_bind_to_the_package():
+    import nodalbubbles
+
+    calls = package_calls(PERFBENCH / "workloads.py")
+    names = {c[0] for c in calls}
+    assert {"solve_saddle", "coercivity_scan", "expansion_gap",
+            "AxisymGrid.for_ball"} <= names
+    broken = []
+    for name, n_args, keywords, line in calls:
+        obj = nodalbubbles
+        try:
+            for part in name.split("."):
+                obj = getattr(obj, part)
+            inspect.signature(obj).bind(*[None] * n_args,
+                                        **dict.fromkeys(keywords))
+        except (AttributeError, TypeError) as exc:
+            broken.append(f"workloads.py:{line} nb.{name}: {exc}")
+    assert broken == []

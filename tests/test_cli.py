@@ -327,8 +327,7 @@ class TestVerifyCommand:
     def test_saddle_of_another_ball_rejected(self, outdir, tmp_path,
                                              monkeypatch, capsys, flags, run):
         # A saddle.json written for the unit ball in R^3 is not evaluated
-        # in another ball: exit 1 before any grid solve.  (The fine grid
-        # keeps the lam = 1 resolution guard quiet at R = 2.)
+        # in another ball: exit 1 before any grid solve.
         import nodalbubbles.cli as cli
         calls = []
         monkeypatch.setattr(cli, "project_bubble",
@@ -345,6 +344,30 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "saddle.json" in err
         assert not (tmp_path / "verify.json").exists()
+
+    def test_scaled_ball_probe_is_the_dilation_image(self, outdir, tmp_path):
+        # The projection-rate probe on B_R is lam = R, the dilation image of
+        # the unit ball's lam = 1 bubble: both radii pass on the default
+        # 513x257 grid, and each sup_diff is R^{-1/2} times the unit ball's
+        # (N = 3).  grid_relative is not covariant for eps > 0.
+        rows = {}
+        for radius in (1.0, 2.0, 0.5):
+            out = tmp_path / f"R{radius}"
+            if radius == 1.0:
+                out.mkdir()
+                (out / "saddle.json").write_text(
+                    (outdir / "saddle.json").read_text())
+            else:
+                assert main(["saddle", "--radius", str(radius),
+                             "--out", str(out)]) == EXIT_OK
+            assert main(["verify", "--radius", str(radius),
+                         "--out", str(out)]) == EXIT_OK
+            rows[radius] = read_json(
+                out / "verify.json")["report"]["projection_rate"]["rows"]
+        for radius in (2.0, 0.5):
+            assert [r["sup_diff"] for r in rows[radius]] == pytest.approx(
+                [r["sup_diff"] / math.sqrt(radius) for r in rows[1.0]],
+                rel=1e-10)
 
     def test_dim4_saddle_then_verify(self, tmp_path):
         assert main(["saddle", "--dim", "4", "--out", str(tmp_path)]) == EXIT_OK

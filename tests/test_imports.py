@@ -1,12 +1,14 @@
 """Import discipline and the export surface.
 
-``import nodalbubbles`` needs numpy alone, and so does every subcommand; only
-the coercivity scan's root finder and Nelder-Mead polish import scipy, when
-they first run.  Each scipy check runs in a fresh interpreter, so modules imported
-by other tests do not count.  Every name in an ``__all__`` resolves, and the
-package re-exports each library module's ``__all__``.
+``import nodalbubbles`` needs numpy alone, and so does every subcommand; the
+only scipy use in the package is the coercivity scan's Nelder-Mead polish,
+which imports it when it first runs (the level crossings are closed-form).
+Each scipy check runs in a fresh interpreter, so modules imported by other
+tests do not count.  Every name in an ``__all__`` resolves, and the package
+re-exports each library module's ``__all__``.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -59,6 +61,30 @@ def test_verify_after_saddle_loads_no_scipy(tmp_path):
     result = run_probe([["saddle"] + out, ["verify"] + out])
     assert result["codes"] == [0, 0]
     assert result["scipy"] == []
+
+
+def test_scipy_is_imported_only_by_the_polish():
+    sites = []
+    for path in sorted((SRC / "nodalbubbles").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert "brentq" not in source, path.name
+        tree = ast.parse(source)
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                owner = node
+                while owner in parent and not isinstance(owner,
+                                                         ast.FunctionDef):
+                    owner = parent[owner]
+                sites.append((path.stem, getattr(owner, "name", None)))
+    assert sites == [("saddle_solver", "_refine_level_min")]
 
 
 LIBRARY_MODULES = ["bubble_core", "errors", "green_domain", "pde_harness",

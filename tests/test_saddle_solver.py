@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nodalbubbles.saddle_solver as saddle_solver
 from nodalbubbles import (
@@ -22,6 +24,8 @@ from nodalbubbles import (
     hessian_psi_tilde,
     inertia_of,
     mu_embed,
+    phi_penalty,
+    psi_k,
     psi_tilde,
     solve_saddle,
     solve_saddle_multistart,
@@ -187,16 +191,13 @@ class TestHessians:
         # The Hessian is analytic: the only gradient evaluations of a solve
         # are the start and one per admissible line-search trial.
         calls = []
+        grad = saddle_solver.grad_psi_k
 
-        def counted(f):
-            def wrapper(cfg, kern):
-                calls.append(cfg)
-                return f(cfg, kern)
-            return wrapper
+        def counted(cfg, kern):
+            calls.append(cfg)
+            return grad(cfg, kern)
 
-        for name in ("grad_psi_k", "grad_psi_tilde"):
-            monkeypatch.setattr(saddle_solver, name,
-                                counted(getattr(saddle_solver, name)))
+        monkeypatch.setattr(saddle_solver, "grad_psi_k", counted)
         init = mu_embed(1.0, 1.0, 1.0, base_spacing_points(0.0, 0.06))
         report = solve_saddle(domain, None, init)
         halvings = sum(round(-math.log2(row[3])) for row in report.trace[1:])
@@ -209,6 +210,76 @@ class TestHessians:
         H = np.diag([2.0, 1.0, -3.0, 1e-12])
         assert inertia_of(H) == (2, 1, 1)
         assert inertia_of(np.eye(3)) == (3, 0, 0)
+
+
+class TestAnyK:
+    # From mirror-symmetric starts on the N = 3 unit ball, Newton lands on
+    # the mirror-symmetric local minimum for k = 2 and k = 3.
+    @pytest.mark.parametrize("signs, Lambda, t, value", [
+        ((1, -1), (1.0, 1.0), (-0.3, 0.3), -1.1070087189467628),
+        ((1, -1, 1), (1.0, 1.0, 1.0), (-0.3, 0.0, 0.3), -1.143775065078691)],
+        ids=["k2", "k3"])
+    def test_converges_to_mirror_symmetric_point(self, domain, kern, signs,
+                                                 Lambda, t, value):
+        k = len(signs)
+        init = Configuration(k=k, signs=signs, Lambda=Lambda, t=t)
+        report = solve_saddle(domain, None, init)
+        assert report.grad_norm <= 1e-8
+        assert np.linalg.norm(grad_psi_k(report.config, kern)) <= 1e-8
+        assert report.value == pytest.approx(value, abs=1e-10)
+        assert report.inertia == (2 * k, 0, 0)
+        L, tt = np.array(report.config.Lambda), np.array(report.config.t)
+        assert np.allclose(L, L[::-1], rtol=1e-8, atol=0.0)
+        assert np.allclose(tt, -tt[::-1], rtol=0.0, atol=1e-8)
+        if k == 2:
+            assert tt[1] == pytest.approx(0.4749646535, abs=1e-9)
+
+
+@st.composite
+def covariance_cases(draw):
+    """N, a random-sign configuration with t in (−0.8, 0.8) and gaps
+    >= 0.05, a radius R and a center offset c₁."""
+    N = draw(st.integers(3, 8))
+    k = draw(st.integers(1, 4))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=k, max_size=k))
+    Lambda = draw(st.lists(st.floats(0.3, 3.0), min_size=k, max_size=k))
+    lo, hi = -0.8, 0.8 - 0.05 * (k - 1)
+    s = draw(st.lists(st.floats(lo, hi, exclude_min=True, exclude_max=True),
+                      min_size=k, max_size=k))
+    t = np.sort(s) + 0.05 * np.arange(k)
+    R = draw(st.floats(0.1, 10.0))
+    c1 = draw(st.floats(-2.0, 2.0))
+    cfg = Configuration(k=k, signs=tuple(signs), Lambda=tuple(Lambda),
+                        t=tuple(t))
+    return N, cfg, R, c1
+
+
+class TestDilationCovariance:
+    @settings(max_examples=150, deadline=None, database=None,
+              derandomize=True)
+    @given(covariance_cases())
+    def test_psi_k_is_covariant(self, case):
+        # On B_R(c₁e₁) at (R^{(N−2)/2} Λ, c₁ + R t): the unit-ball value
+        # − k(N−2)/2 log R, gradient D⁻¹∇ and Hessian D⁻¹HD⁻¹ with
+        # D = diag(R^{(N−2)/2} I_k, R I_k).
+        N, cfg, R, c1 = case
+        k, p = cfg.k, 0.5 * (N - 2)
+        unit = AxisKernels.for_ball(BallDomain.unit(N))
+        center = np.zeros(N)
+        center[0] = c1
+        ball = AxisKernels.for_ball(BallDomain(N=N, center=center, radius=R))
+        image = cfg.with_params(Lambda=[R ** p * v for v in cfg.Lambda],
+                                t=[c1 + R * v for v in cfg.t])
+        d_inv = 1.0 / np.concatenate([np.full(k, R ** p), np.full(k, R)])
+
+        value = psi_k(cfg, unit) - k * p * math.log(R)
+        grad = d_inv * grad_psi_k(cfg, unit)
+        hess = d_inv[:, None] * hessian_psi_k(cfg, unit) * d_inv[None, :]
+        for got, want in ((psi_k(image, ball), value),
+                          (grad_psi_k(image, ball), grad),
+                          (hessian_psi_k(image, ball), hess)):
+            err = np.linalg.norm(np.asarray(got) - want)
+            assert err <= 1e-10 * max(np.linalg.norm(want), 1.0)
 
 
 class TestSolverBehavior:
@@ -285,3 +356,96 @@ class TestCoercivity:
         # The max-min protection: min over the level set (the K_0 boundary
         # piece) sits strictly above the interior saddle level.
         assert min(row["min_psi_tilde"] for row in scan) > SADDLE_VALUE
+
+
+def record_level_crossings(monkeypatch):
+    """Record every batch the scan evaluates, with the polish switched off."""
+    calls = []
+    crossings = saddle_solver._level_crossings
+
+    def recorded(kern, anchor, L, t, level):
+        out = crossings(kern, anchor, L, t, level)
+        calls.append((np.asarray(L), np.asarray(t), level) + out)
+        return out
+
+    monkeypatch.setattr(saddle_solver, "_level_crossings", recorded)
+    monkeypatch.setattr(saddle_solver, "_refine_level_min",
+                        lambda kern, anchor, cfg, level, val, *a: (val, ""))
+    return calls
+
+
+class TestLevelCrossings:
+    def test_crossings_hit_the_level(self, domain, kern, monkeypatch):
+        # Every certified sample of the default scan: Φ(√c Λ, t) equals the
+        # level at both crossings, and both match a brentq oracle on Φ.
+        from scipy import optimize
+        calls = record_level_crossings(monkeypatch)
+        coercivity_scan(domain, M_list=(10.0, 20.0, 40.0), n_samples=64,
+                        seed=0)
+        assert [int(np.sum(ok)) for *_, ok in calls] == [43, 64, 64]
+        for L, t, level, c, psi, ok in calls:
+            assert c.shape == (64, 2) and psi.shape == (64, 2)
+            assert np.all(np.isinf(psi[~ok])) and np.all(np.isfinite(psi[ok]))
+            for Li, ti, ci in zip(L[ok], t[ok], c[ok]):
+                cfg = Configuration(k=4, signs=(1, -1, 1, -1), Lambda=Li,
+                                    t=ti)
+
+                def excess(s):
+                    return phi_penalty(cfg.with_params(
+                        Lambda=math.sqrt(s) * Li), kern) - level
+
+                c_star = 2.0 / (phi_penalty(cfg, kern) + np.sum(np.log(Li)))
+                lo, hi = c_star, c_star
+                while excess(lo) < 0.0:
+                    lo *= 0.5
+                while excess(hi) < 0.0:
+                    hi *= 2.0
+                oracle = (optimize.brentq(excess, lo, c_star, xtol=1e-300),
+                          optimize.brentq(excess, c_star, hi, xtol=1e-300))
+                assert ci[0] < c_star < ci[1]
+                for cj, oj in zip(ci, oracle):
+                    assert excess(cj) == pytest.approx(0.0, abs=1e-12 * level)
+                    assert cj == pytest.approx(oj, rel=1e-12)
+
+    def test_sampling_cost_is_independent_of_sample_count(self, domain,
+                                                          monkeypatch):
+        # One level's sampling stage is one batch: a fixed number of
+        # _quadratic_form calls, whatever n_samples is.
+        record_level_crossings(monkeypatch)
+        counts = []
+        for n in (64, 128):
+            calls = []
+            form = saddle_solver._quadratic_form
+
+            def counted(*args, **kwargs):
+                calls.append(args[2])
+                return form(*args, **kwargs)
+
+            monkeypatch.setattr(saddle_solver, "_quadratic_form", counted)
+            coercivity_scan(domain, M_list=(10.0,), n_samples=n, seed=0)
+            monkeypatch.setattr(saddle_solver, "_quadratic_form", form)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 3
+
+    def test_single_row(self, domain, kern):
+        # The polish's call shape: one row in, one pair of crossings out.
+        anchor = saddle_solver._anchor_config(
+            kern, base_spacing_points(0.0, 0.06))
+        cfg = mu_embed(1.0, 1.0, 1.0, base_spacing_points(-0.05, 0.04))
+        c, psi, ok = saddle_solver._level_crossings(
+            kern, anchor, cfg.Lambda, cfg.t, 10.0)
+        assert c.shape == psi.shape == (2,) and ok.shape == ()
+        assert bool(ok)
+        for cj, pj in zip(c, psi):
+            scaled = cfg.with_params(Lambda=[math.sqrt(cj) * v
+                                             for v in cfg.Lambda])
+            assert phi_penalty(scaled, kern) == pytest.approx(10.0, rel=1e-12)
+            assert pj == pytest.approx(psi_tilde(scaled, kern), rel=1e-12)
+
+    def test_ray_below_the_level_is_masked(self, domain, kern):
+        anchor = saddle_solver._anchor_config(
+            kern, base_spacing_points(0.0, 0.06))
+        cfg = mu_embed(1.0, 1.0, 1.0, base_spacing_points(0.0, 0.06))
+        _, psi, ok = saddle_solver._level_crossings(
+            kern, anchor, [cfg.Lambda], [cfg.t], 1.0)
+        assert not ok[0] and np.all(np.isinf(psi))
