@@ -427,7 +427,7 @@ class TestLevelCrossings:
             counts.append(len(calls))
         assert counts[0] == counts[1] == 3
 
-    def test_single_row(self, domain, kern):
+    def test_single_row(self, kern):
         # The polish's call shape: one row in, one pair of crossings out.
         anchor = saddle_solver._anchor_config(
             kern, base_spacing_points(0.0, 0.06))
@@ -442,7 +442,7 @@ class TestLevelCrossings:
             assert phi_penalty(scaled, kern) == pytest.approx(10.0, rel=1e-12)
             assert pj == pytest.approx(psi_tilde(scaled, kern), rel=1e-12)
 
-    def test_ray_below_the_level_is_masked(self, domain, kern):
+    def test_ray_below_the_level_is_masked(self, kern):
         anchor = saddle_solver._anchor_config(
             kern, base_spacing_points(0.0, 0.06))
         cfg = mu_embed(1.0, 1.0, 1.0, base_spacing_points(0.0, 0.06))
