@@ -126,7 +126,9 @@ def bubble_profile(N: int, m: float, d2):
     """The bubble alpha_N (m / (m^2 + d2))^{(N-2)/2} of core width ``m``.
 
     ``d2`` is the squared distance to the center (a float or an array).
-    Every bubble evaluation in the package goes through this one formula.
+    Every bubble evaluation in the package uses this formula; the panel
+    evaluator :meth:`nodalbubbles.pde_harness.ProjectedBubbleExact.fields`
+    spells it in place, with the same operations and so the same bits.
     """
     return alpha_N(N) * (m / (m * m + d2)) ** ((N - 2) / 2.0)
 

@@ -47,7 +47,8 @@ def test_every_layer_target_resolves(monkeypatch):
 
 def test_grid_watch_reads_the_factor(monkeypatch):
     # GridWatch tags a solve that sets up a fresh grid and reports the size
-    # of what that set-up stored (C^{-1} and the pivots).
+    # of what that set-up stored (the inverses of the two mirror blocks of
+    # C, each |Γ|/2 square, and the pivots).
     layers = load_layers(monkeypatch)
     from nodalbubbles import AxisymGrid, BallDomain, Field, solve_poisson
 
@@ -57,7 +58,9 @@ def test_grid_watch_reads_the_factor(monkeypatch):
     solve_poisson(grid, Field(grid, np.ones((grid.nz, grid.nr))))
     assert watch.tag((grid,)) == 0
     gamma = np.count_nonzero(grid.boundary[1:-1, :-1])
-    assert watch.lu_nnz() == gamma ** 2 + (grid.nz - 2) * (grid.nr - 1)
+    assert gamma % 2 == 0
+    assert watch.lu_nnz() == (2 * (gamma // 2) ** 2
+                              + (grid.nz - 2) * (grid.nr - 1))
 
 
 def package_calls(path):

@@ -301,11 +301,24 @@ class TestConfigFamily:
             for rows, single in zip(tangents, b.pu_tangents(z, r, u, w)):
                 assert np.array_equal(rows[i], single)
 
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_fields_match_the_evaluators(self, N):
+        fam = projected_bubbles_of_config(BallDomain.unit(N), _SADDLE4,
+                                          compute_constants(N), 0.025)
+        rng = np.random.default_rng(N)
+        z = rng.uniform(-0.95, 0.95, 300)
+        r = rng.uniform(0.0, 0.3, 300)
+        u, w, src = fam.fields(z, r)
+        assert np.array_equal(u, fam.u(z, r))
+        assert np.array_equal(w, fam.w(z, r))
+        power = u ** (2.0 * N / (N - 2.0) - 1.0)
+        assert np.max(np.abs(src - power) / power) <= 1e-14
+
     def test_one_field_call_per_panel(self, domain, table3, saddle_config,
                                       monkeypatch):
-        # No loop over the bubbles: u, w and the tangents are evaluated once
-        # per angular panel for all four bubbles together.
-        calls = {"panel": 0, "u": 0, "w": 0, "pu_tangents": 0}
+        # No loop over the bubbles: the fields and the tangents are evaluated
+        # once per angular panel for all four bubbles together.
+        calls = {"panel": 0, "fields": 0, "pu_tangents": 0}
         nodes = pde_harness._section_nodes
 
         def counted_nodes(*args):
@@ -314,7 +327,7 @@ class TestConfigFamily:
                 yield panel
 
         monkeypatch.setattr(pde_harness, "_section_nodes", counted_nodes)
-        for name in ("u", "w", "pu_tangents"):
+        for name in ("fields", "pu_tangents"):
             def counted(self, *args, _name=name,
                         _real=getattr(ProjectedBubbleExact, name)):
                 calls[_name] += 1
@@ -322,7 +335,7 @@ class TestConfigFamily:
             monkeypatch.setattr(ProjectedBubbleExact, name, counted)
         energy_gradient_quadrature(domain, saddle_config, table3, 0.025)
         assert calls["panel"] > 0
-        assert calls["u"] == calls["w"] == calls["pu_tangents"] == calls["panel"]
+        assert calls["fields"] == calls["pu_tangents"] == calls["panel"]
 
 
 class TestEnergyGradient:
@@ -501,10 +514,11 @@ class TestAxisymGrid:
 
     def test_factor_fill_and_residual(self, grid513):
         # The capacitance solver against SuperLU on an independently
-        # assembled sparse operator, on square, flat, tall and long grids
-        # and on shifted balls.
+        # assembled sparse operator, on square, flat, tall and long grids,
+        # on an even nz (no center row), on a tiny grid and on shifted balls.
         others = [(ball_at(0.0), 513, 33), (ball_at(0.0), 33, 513),
-                  (ball_at(0.0), 1025, 65), (ball_at(-1.8), 513, 257),
+                  (ball_at(0.0), 1025, 65), (ball_at(0.0), 64, 33),
+                  (ball_at(0.0), 9, 5), (ball_at(-1.8), 513, 257),
                   (ball_at(-1.7), 513, 257), (ball_at(3.22, 0.3), 513, 257)]
         for g in [grid513] + [AxisymGrid.for_ball(d, nz=nz, nr=nr)
                               for d, nz, nr in others]:
@@ -515,8 +529,30 @@ class TestAxisymGrid:
                        options={"SymmetricMode": True}).solve(b)
             assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
             assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
-        # C^{-1} and the pivots: 0.54M entries where SuperLU stored 5.88M.
-        assert grid513._lu.L.nnz + grid513._lu.U.nnz <= 600_000
+        # The two mirror blocks' inverses and the pivots: 0.33M entries where
+        # SuperLU stored 5.88M.
+        assert grid513._lu.L.nnz + grid513._lu.U.nnz <= 350_000
+
+    def test_factor_memory(self, domain):
+        # The set-up of the default grid allocates two 318-square mirror
+        # blocks, not one 636-square capacitance matrix.
+        g = AxisymGrid.for_ball(domain, nz=513, nr=257)
+        tracemalloc.start()
+        try:
+            g._factor()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15_000_000, peak
+
+    @pytest.mark.parametrize("row", [2, 32], ids=["unpaired", "center-row"])
+    def test_boundary_without_mirror_raises(self, domain, row):
+        # The mirror split needs every node of Γ paired with another; a node
+        # without a mirror image, or one on the center row, stops the set-up.
+        g = AxisymGrid.for_ball(domain, nz=65, nr=33)
+        g.boundary[row, 0] = True
+        with pytest.raises(SolverDivergenceError, match="mirror"):
+            solve_dirichlet_laplace(g, Field(g, np.ones((g.nz, g.nr))))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale", [math.nan, -1.0])
