@@ -13,7 +13,9 @@ Grid instrument
     boundary trace)``, assembles ``V = sum_i a_i P U_i``, and evaluates
     discrete residuals and energies.  N enters only the face weights
     ``|S^{N-2}| r^{N-2}`` of the revolved cells, giving a symmetric,
-    diagonally dominant M-matrix.  It is solved exactly, in numpy
+    diagonally dominant M-matrix ``A``.  One method applies it, the flux
+    balance :meth:`AxisymGrid._flux`; the Laplacian, the boundary lift, the
+    residuals and the energy all read it.  ``A`` is solved exactly, in numpy
     alone, by the capacitance-matrix method (Buzbee, Dorr, George & Golub,
     SIAM J. Numer. Anal. 8, 1971): the operator is separable on the
     enclosing rectangle, where a sine transform in ``z`` and one tridiagonal
@@ -61,22 +63,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bubble_core import (
-    BubbleParams,
-    ConstantsTable,
-    alpha_N,
-    bubble_profile,
-    lambda_of_Lambda_quadratic,
-    sigma_N,
-    single_bubble_energy_limit,
-    two_star,
-)
-from .errors import (
-    DomainError,
-    ParameterError,
-    ResolutionError,
-    SolverDivergenceError,
-)
+from .bubble_core import (BubbleParams, ConstantsTable, alpha_N,
+                          bubble_profile, lambda_of_Lambda_quadratic, sigma_N,
+                          single_bubble_energy_limit, two_star)
+from .errors import (DomainError, ParameterError, ResolutionError,
+                     SolverDivergenceError)
 from .green_domain import BallDomain
 from .reduced_energy import AxisKernels, Configuration, psi_k
 
@@ -640,7 +631,8 @@ class AxisymGrid:
     exact disc ``sigma (hr/2)^{N-1}/(N-1)`` on the axis), volumes those
     times ``hz``.  These are the exact revolved areas and volumes for N = 3
     and on the axis, the midpoint rule in ``r`` elsewhere.  The axis needs
-    no condition: the inner radial face has zero area.  The system is
+    no condition: the inner radial face has zero area.  The one operator
+    is the flux balance ``A v`` of :meth:`_flux`; its interior block is
     symmetric positive definite, solved directly in every N by the
     capacitance-matrix method on the enclosing rectangle (see
     :meth:`_factor`), set up once per grid on the first solve and reused.
@@ -659,14 +651,14 @@ class AxisymGrid:
         self.zs = zc - R + self.hz * np.arange(self.nz)
         self.rs = self.hr * np.arange(self.nr)
 
-        Z, Rr = np.meshgrid(self.zs, self.rs, indexing="ij")
-        self.z_nodes = Z
-        self.r_nodes = Rr
-        # Offsets from the center written symmetrically, not as Z - zc, whose
+        # Read-only (nz, nr) views of the node coordinates.
+        self.z_nodes = np.broadcast_to(self.zs[:, None], (self.nz, self.nr))
+        self.r_nodes = np.broadcast_to(self.rs, (self.nz, self.nr))
+        # Offsets from the center written symmetrically, not as z - zc, whose
         # rounding can admit a node of the frame; the frame rows and the
         # last column stay outside in any case.
         dz = self.hz * (np.arange(self.nz) - 0.5 * (self.nz - 1))
-        self.interior = dz[:, None] ** 2 + Rr ** 2 < R * R
+        self.interior = dz[:, None] ** 2 + self.r_nodes ** 2 < R * R
         self.interior[[0, -1], :] = False
         self.interior[:, -1] = False
 
@@ -683,9 +675,8 @@ class AxisymGrid:
         N, sigma, j = domain.N, sigma_N(domain.N - 1), np.arange(self.nr)
         face = sigma * self.rs ** (N - 2) * self.hr
         face[0] = sigma * self.hr ** (N - 1) / (2 ** (N - 1) * (N - 1))
-        self.volumes = face * self.hz
-        # The same volumes over the whole (nz, nr) node array.
-        self.cell_volumes = np.broadcast_to(self.volumes, (self.nz, self.nr))
+        # The cell volumes over the whole (nz, nr) node array (read-only).
+        self.cell_volumes = np.broadcast_to(face * self.hz, (self.nz, self.nr))
         self.coeff_axial = face / self.hz
         # radial face between columns j and j+1
         self.coeff_radial = (sigma * (j[:-1] + 0.5) ** (N - 2)
@@ -823,12 +814,29 @@ class AxisymGrid:
         f.flat[fac.mirror] = -0.5 * (s - d)
         x[1:-1, :-1] = self._rect_solve(f).T
         x[~self.interior] = 0.0
-        vol = self.cell_volumes[self.interior]
-        res = np.linalg.norm(self.minus_laplacian(x)[self.interior] * vol - rhs)
+        res = np.linalg.norm(self._flux(x)[self.interior] - rhs)
         if not np.isfinite(res) or res > 1e-10 * (np.linalg.norm(rhs) + 1.0):
             raise SolverDivergenceError(
                 f"grid solve residual {res:.3e} exceeds tolerance")
         return x[self.interior]
+
+    def _flux(self, values: np.ndarray) -> np.ndarray:
+        """The flux balance ``A v`` at every node of the full (nz, nr) array.
+
+        Each face adds ``coeff * (v_here - v_there)`` to both its nodes, so
+        by summation by parts ``v·Av`` is the face sum ``coeff * (Δv across
+        face)^2`` of every field, boundary data included.
+        """
+        flux = np.zeros((self.nz, self.nr))
+        d = np.diff(values, axis=0)
+        d *= self.coeff_axial
+        flux[:-1] -= d                  # face (i, i+1) seen from i
+        flux[1:] += d                   # and from i+1
+        d = np.diff(values, axis=1)
+        d *= self.coeff_radial
+        flux[:, :-1] -= d
+        flux[:, 1:] += d
+        return flux
 
     def minus_laplacian(self, values: np.ndarray) -> np.ndarray:
         """Discrete ``-Δ`` (flux balance / volume) at interior nodes.
@@ -837,19 +845,8 @@ class AxisymGrid:
         interior ∪ boundary are treated as written (callers keep them 0).
         Returns a full array, zero outside the interior.
         """
-        flux = np.zeros((self.nz, self.nr))
-        ca = self.coeff_axial[None, :]
-        d = values[1:, :] - values[:-1, :]
-        flux[:-1, :] -= ca * d          # face (i, i+1) seen from i
-        flux[1:, :] += ca * d           # and from i+1
-        cr = self.coeff_radial[None, :]
-        d = values[:, 1:] - values[:, :-1]
-        flux[:, :-1] -= cr * d
-        flux[:, 1:] += cr * d
-        out = np.zeros_like(flux)
-        out[self.interior] = flux[self.interior] / \
-            self.cell_volumes[self.interior]
-        return out
+        return np.where(self.interior, self._flux(values) / self.cell_volumes,
+                        0.0)
 
 
 @dataclass
@@ -882,7 +879,7 @@ def _solve_field(grid: AxisymGrid, rhs: np.ndarray | None,
     if boundary_data is not None:
         out[grid.boundary] = boundary_data.values[grid.boundary]
         # The stencil applied to the boundary data alone, moved to the right.
-        lift = -(grid.minus_laplacian(out) * grid.cell_volumes)[grid.interior]
+        lift = -grid._flux(out)[grid.interior]
         rhs = lift if rhs is None else rhs + lift
     out[grid.interior] = grid._solve(rhs)
     return Field(grid, out)
@@ -907,6 +904,7 @@ def solve_poisson(grid: AxisymGrid, source: Field,
 
 
 def _require_axis_center(p: BubbleParams, grid: AxisymGrid) -> float:
+    """The bubble's axis offset from the center; it must lie on the axis."""
     if p.N != grid.domain.N:
         raise ParameterError(
             f"bubble of dimension {p.N} on a grid of dimension {grid.domain.N}")
@@ -915,11 +913,11 @@ def _require_axis_center(p: BubbleParams, grid: AxisymGrid) -> float:
         raise ParameterError(
             "bubble center must lie on the symmetry axis for the "
             f"half-section grid; got transverse offset {offset}")
-    return float(p.xi[0])
+    return float(p.xi[0] - grid.domain.center[0])
 
 
-def _check_boundary_margin(grid: AxisymGrid, t_abs: float) -> None:
-    dist = grid.domain.radius - abs(t_abs - float(grid.domain.center[0]))
+def _check_boundary_margin(grid: AxisymGrid, t: float) -> None:
+    dist = grid.domain.radius - abs(t)
     need = 4.0 * grid.h_max
     if dist < need:
         R = grid.domain.radius
@@ -946,13 +944,14 @@ def require_core_resolution(grid: AxisymGrid, m: float) -> None:
             required_nz=need_nz, required_nr=need_nr)
 
 
-def _project(grid: AxisymGrid, signs, ms, t_abs) -> Field:
-    """``sum_i a_i U_i`` (core widths ``ms``, axis centers ``t_abs``) minus
-    the harmonic extension of its trace, zero outside the interior."""
-    trace = np.zeros((grid.nz, grid.nr))
-    for s, m, t in zip(signs, ms, t_abs):
-        trace += s * bubble_profile(
-            grid.domain.N, m, (grid.z_nodes - t) ** 2 + grid.r_nodes ** 2)
+def _project(grid: AxisymGrid, signs, fam: ProjectedBubbleExact) -> Field:
+    """``sum_i a_i U_i`` over the family ``fam`` (one row per bubble, as
+    :func:`projected_bubbles_of_config` builds it) minus the harmonic
+    extension of its trace, zero outside the interior."""
+    trace = np.asarray(signs, dtype=float) @ fam.u(
+        (grid.z_nodes - float(grid.domain.center[0])).ravel(),
+        grid.r_nodes.ravel())
+    trace = trace.reshape(grid.nz, grid.nr)
     w = solve_dirichlet_laplace(grid, Field(grid, trace))
     return Field(grid, np.where(grid.interior, trace - w.values, 0.0))
 
@@ -968,9 +967,11 @@ def project_bubble(domain: BallDomain, p: BubbleParams,
     g = grid.domain
     if (domain.N, domain.radius, *domain.center) != (g.N, g.radius, *g.center):
         raise ParameterError("domain does not match the grid's domain")
-    t_abs = _require_axis_center(p, grid)
-    _check_boundary_margin(grid, t_abs)
-    return _project(grid, [1.0], [p.core_width], [t_abs])
+    t = _require_axis_center(p, grid)
+    _check_boundary_margin(grid, t)
+    fam = ProjectedBubbleExact(N=g.N, R=g.radius, m=np.array([[p.core_width]]),
+                               t=np.array([[t]]))
+    return _project(grid, [1.0], fam)
 
 
 def assemble_V(cfg: Configuration, eps: float, table: ConstantsTable,
@@ -984,11 +985,11 @@ def assemble_V(cfg: Configuration, eps: float, table: ConstantsTable,
     in a single combined solve.  Raises :class:`ResolutionError` naming the
     required resolution when any core width spans fewer than 6 cells.
     """
-    ms = projected_bubbles_of_config(grid.domain, cfg, table, eps).m[:, 0]
-    require_core_resolution(grid, min(ms))
-    for t in cfg.t:
+    fam = projected_bubbles_of_config(grid.domain, cfg, table, eps)
+    require_core_resolution(grid, float(np.min(fam.m)))
+    for t in fam.t[:, 0]:
         _check_boundary_margin(grid, t)
-    return _project(grid, cfg.signs, ms, cfg.t)
+    return _project(grid, cfg.signs, fam)
 
 
 def residual_norm(V: Field, eps: float, *, relative: bool = False) -> float:
@@ -1001,37 +1002,33 @@ def residual_norm(V: Field, eps: float, *, relative: bool = False) -> float:
     if not (eps > 0):
         raise ParameterError(f"eps must be positive, got {eps}")
     grid = V.grid
-    u = V.values
-    lap = grid.minus_laplacian(u)
-    nl = np.abs(u) ** (two_star(grid.domain.N) - 2.0 - eps) * u
-    vol = grid.cell_volumes
     mask = grid.interior
-    num = math.sqrt(float(np.sum(vol[mask] * (lap[mask] - nl[mask]) ** 2)))
+    vol = grid.cell_volumes[mask]
+    lap = grid._flux(V.values)[mask] / vol
+    u = V.values[mask]
+    nl = np.abs(u) ** (two_star(grid.domain.N) - 2.0 - eps) * u
+    num = math.sqrt(float(np.sum(vol * (lap - nl) ** 2)))
     if not relative:
         return num
-    den = math.sqrt(float(np.sum(vol[mask] * nl[mask] ** 2)))
+    den = math.sqrt(float(np.sum(vol * nl ** 2)))
     return num / max(den, 1e-300)
 
 
 def energy_I(u: Field, eps: float) -> float:
-    """Discrete energy ``(1/2)Σ faces - (1/(2*-eps))Σ volumes`` of a field.
+    """Discrete energy ``(1/2) u·Au - (1/(2*-eps))Σ volumes`` of a field.
 
-    The gradient part sums ``coeff * (Δu across face)^2`` over all grid
-    faces (fields vanish outside interior ∪ boundary, so faces beyond the
-    ball contribute nothing); the nonlinear part uses the axisymmetric cell
-    volumes over interior nodes.  Callers supply fields that vanish on
-    boundary nodes.
+    The gradient part pairs the field with its flux balance
+    :meth:`AxisymGrid._flux`, by summation by parts the sum of ``coeff *
+    (Δu across face)^2`` over all grid faces; the nonlinear part uses the
+    axisymmetric cell volumes over interior nodes.  Callers supply fields
+    that vanish on boundary nodes.
     """
     if not (eps > 0):
         raise ParameterError(f"eps must be positive, got {eps}")
     grid = u.grid
     v = u.values
-    d_ax = v[1:, :] - v[:-1, :]
-    grad = float(np.sum(grid.coeff_axial[None, :] * d_ax ** 2))
-    d_rad = v[:, 1:] - v[:, :-1]
-    grad += float(np.sum(grid.coeff_radial[None, :] * d_rad ** 2))
-    vol = grid.cell_volumes
-    mask = grid.interior
+    grad = float(np.vdot(v, grid._flux(v)))
     p = two_star(grid.domain.N) - eps
-    nonlin = float(np.sum(vol[mask] * np.abs(v[mask]) ** p))
+    mask = grid.interior
+    nonlin = float(np.sum(grid.cell_volumes[mask] * np.abs(v[mask]) ** p))
     return 0.5 * grad - nonlin / p

@@ -403,20 +403,24 @@ def base_spacing_points(t0: float, r0: float) -> tuple:
 # admissible spacing search and bounds
 # ---------------------------------------------------------------------------
 
-def spacing_margin(kern: AxisKernels, t0: float, r0: float,
-                   n_check: int = 33) -> float:
+def spacing_margin(kern: AxisKernels, t0, r0, n_check: int = 33):
     """Worst-case slack of ½h(t) + ½h(s) ≤ g(t,s) on [t0−4r0, t0+4r0].
 
     Samples an ``n_check`` × ``n_check`` lattice of the window (off-diagonal
     pairs) and returns min g − ½h − ½h; positive means the near-diagonal
-    dominance holds with that margin.
+    dominance holds with that margin.  ``t0`` and ``r0`` may be arrays that
+    broadcast; then all candidates go through one kernel batch and one
+    margin is returned per candidate (a float for scalar inputs).
     """
-    ts = np.linspace(t0 - 4.0 * r0, t0 + 4.0 * r0, n_check)
-    T, S = np.meshgrid(ts, ts, indexing="ij")
-    mask = np.abs(T - S) > 1e-12 * max(abs(r0), 1.0)
+    t0, r0 = np.asarray(t0, dtype=float), np.asarray(r0, dtype=float)
+    ts = np.linspace(t0 - 4.0 * r0, t0 + 4.0 * r0, n_check, axis=-1)
+    T, S = np.broadcast_arrays(ts[..., :, None], ts[..., None, :])
+    mask = np.abs(T - S) > 1e-12 * np.maximum(np.abs(r0), 1.0)[..., None, None]
     Tm, Sm = T[mask], S[mask]
-    vals = (kern.g(Tm, Sm) - 0.5 * kern.h(Tm) - 0.5 * kern.h(Sm))
-    return float(np.min(vals))
+    vals = np.full(T.shape, np.inf)
+    vals[mask] = kern.g(Tm, Sm) - 0.5 * kern.h(Tm) - 0.5 * kern.h(Sm)
+    margin = np.min(vals, axis=(-2, -1))
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def find_t0_r0(domain: BallDomain, section: AxisSection | None = None
@@ -428,9 +432,10 @@ def find_t0_r0(domain: BallDomain, section: AxisSection | None = None
     ½h(t) + ½h(s) ≤ g(t,s) holds on it with strictly positive margin.
     Candidates are the spacings r0 = j·(b − a)/200, scanned descending
     (largest admissible spacing wins), and nine base points t0 ordered
-    center-out in steps of 2.5% of the chord.  Each is checked on a 33 × 33
-    pair lattice, and the winning pair is re-validated on a 330 × 330
-    lattice before being returned.
+    center-out in steps of 2.5% of the chord.  The base points of one
+    spacing whose window fits are checked together on a 33 × 33 pair
+    lattice, and the winning pair is re-validated on a 330 × 330 lattice
+    before being returned.
 
     Returns (t0, r0); raises a search error with the scanned grid sizes if
     no candidate passes.
@@ -445,22 +450,18 @@ def find_t0_r0(domain: BallDomain, section: AxisSection | None = None
     r_max = (width / 2.0 - guard) / 4.0
     r_cands = np.arange(math.floor(r_max / step), 0, -1) * step
 
-    offsets = [0.0]
-    for i in range(1, 5):
-        delta = 0.025 * i * width
-        offsets.extend([delta, -delta])
-    t_cands = [mid + o for o in offsets]
+    deltas = [0.025 * i * width for i in range(1, 5)]
+    t_cands = [mid] + [mid + s * d for d in deltas for s in (1.0, -1.0)]
 
     for r0 in r_cands:
-        for t0 in t_cands:
-            if not (t0 - 4.0 * r0 > sec.a + guard
-                    and t0 + 4.0 * r0 < sec.b - guard):
-                continue
-            if spacing_margin(kern, t0, r0) <= 0.0:
-                continue
-            if spacing_margin(kern, t0, r0, 330) <= 0.0:
-                continue
-            return (float(t0), float(r0))
+        inside = [t0 for t0 in t_cands if t0 - 4.0 * r0 > sec.a + guard
+                  and t0 + 4.0 * r0 < sec.b - guard]
+        if not inside:
+            continue
+        # One kernel batch for the spacing's base points, in scan order.
+        for t0, margin in zip(inside, spacing_margin(kern, inside, r0)):
+            if margin > 0.0 and spacing_margin(kern, t0, r0, 330) > 0.0:
+                return (float(t0), float(r0))
     raise SearchError(
         "no admissible (t0, r0) found: near-diagonal dominance failed on "
         f"every candidate ({len(r_cands)} spacings x {len(t_cands)} base "

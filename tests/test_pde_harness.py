@@ -771,7 +771,7 @@ class TestResidualNorm:
         V = solve_poisson(g, Field(g, f))
         u = V.values
         nl = np.abs(u) ** (4.0 - eps) * u
-        vol = g.volumes[None, :].repeat(g.nz, axis=0)
+        vol = g.cell_volumes
         mask = g.interior
         expected = math.sqrt(float(np.sum(vol[mask] * (f[mask] - nl[mask]) ** 2)))
         assert residual_norm(V, eps) == pytest.approx(expected, rel=1e-6)
@@ -813,6 +813,49 @@ class TestEnergyI:
         assert abs(diffs[0]) < 0.01
         assert abs(diffs[1]) < abs(diffs[0])
         assert 2.0 <= diffs[0] / diffs[1] <= 8.0
+
+    @pytest.mark.parametrize("N", (3, 4))
+    def test_gradient_part_is_the_face_sum(self, N):
+        # Summation by parts: v·Av is the face sum of every field, boundary
+        # data included.  The oracle is the face loop written out.
+        g = AxisymGrid.for_ball(BallDomain.unit(N))
+        rng = np.random.default_rng(N)
+        v = np.where(g.interior | g.boundary,
+                     1.0 + rng.normal(size=(g.nz, g.nr)), 0.0)
+        assert np.any(v[g.boundary] != 0.0)
+        eps = 0.1
+        faces = 0.0
+        for i in range(g.nz - 1):
+            faces += np.sum(g.coeff_axial * (v[i + 1] - v[i]) ** 2)
+        for j in range(g.nr - 1):
+            faces += g.coeff_radial[j] * np.sum((v[:, j + 1] - v[:, j]) ** 2)
+        p = 2.0 * N / (N - 2.0) - eps
+        vol = g.cell_volumes[g.interior]
+        nonlin = np.sum(vol * np.abs(v[g.interior]) ** p)
+        assert energy_I(Field(g, v), eps) == pytest.approx(
+            0.5 * faces - nonlin / p, rel=1e-12)
+
+
+class TestOneStencil:
+    def test_flux_calls(self, domain, monkeypatch):
+        # The lift and the residual check per projection, one per norm and
+        # per energy: no other path applies the stencil.
+        g = AxisymGrid.for_ball(domain, nz=65, nr=33)
+        calls = []
+        flux = AxisymGrid._flux
+
+        def counted(self, values):
+            calls.append(values.shape)
+            return flux(self, values)
+
+        monkeypatch.setattr(AxisymGrid, "_flux", counted)
+        p = BubbleParams(N=3, eps=0.1, lam=1.0, xi=np.zeros(3))
+        PU = project_bubble(domain, p, g)
+        assert len(calls) == 2
+        residual_norm(PU, 0.1)
+        assert len(calls) == 3
+        energy_I(PU, 0.1)
+        assert len(calls) == 4
 
 
 class TestFieldIO:

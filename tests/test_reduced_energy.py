@@ -212,6 +212,43 @@ class TestSearchAndBounds:
     def test_spacing_margin_positive(self, kern):
         assert spacing_margin(kern, 0.0, 0.06) > 0.0
 
+    def test_batched_margins_are_the_scalar_margins(self, kern):
+        t0 = np.array([0.0, 0.05, -0.1, 0.2])
+        for r0 in (0.01, 0.06, 0.1):
+            batch = spacing_margin(kern, t0, r0)
+            assert batch.shape == t0.shape
+            assert batch.tolist() == [spacing_margin(kern, t, r0) for t in t0]
+        assert isinstance(spacing_margin(kern, 0.0, 0.06), float)
+
+    @pytest.mark.parametrize("domain", (
+        *(BallDomain.unit(N) for N in range(3, 17)),
+        BallDomain(N=3, center=np.array([0.3, 0.0, 0.0]), radius=2.0)),
+        ids=lambda d: f"N{d.N}-R{d.radius}")
+    def test_find_t0_r0_matches_the_scalar_search(self, domain):
+        # The search one candidate at a time, one scalar margin per pair.
+        sec = AxisSection.of_ball(domain)
+        kern = AxisKernels(domain, sec)
+        width = sec.b - sec.a
+        guard = 0.01 * width
+        step = width / 200.0
+        r_cands = np.arange(math.floor((width / 2.0 - guard) / 4.0 / step),
+                            0, -1) * step
+        offsets = [0.0]
+        for i in range(1, 5):
+            offsets.extend([0.025 * i * width, -0.025 * i * width])
+        t_cands = [0.5 * (sec.a + sec.b) + o for o in offsets]
+
+        def scalar_search():
+            for r0 in r_cands:
+                for t0 in t_cands:
+                    if (t0 - 4.0 * r0 > sec.a + guard
+                            and t0 + 4.0 * r0 < sec.b - guard
+                            and spacing_margin(kern, t0, r0) > 0.0
+                            and spacing_margin(kern, t0, r0, 330) > 0.0):
+                        return (float(t0), float(r0))
+
+        assert find_t0_r0(domain) == scalar_search()
+
     def test_robin_min(self, kern):
         assert robin_min(kern) == pytest.approx(1.0 / FOUR_PI, rel=1e-9)
 
