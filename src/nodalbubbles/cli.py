@@ -344,8 +344,12 @@ def _verify_configuration(config: RunConfig) -> Configuration:
     if config.configuration is not None:
         return Configuration.from_json_dict(config.configuration)
     if saddle_path.exists():
-        with open(saddle_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(saddle_path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as e:   # JSONDecodeError, bad UTF-8
+            raise ConfigurationError(
+                f"cannot read saddle report {saddle_path}: {e}") from e
         try:
             ball = {k: data["meta"]["effective_config"][k]
                     for k in ("dim", "radius", "center")}
@@ -423,33 +427,38 @@ def cmd_verify(config: RunConfig) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {
+    "constants": (cmd_constants, "dimension-dependent energy constants"),
+    "assumptions": (cmd_assumptions, "kernel hypothesis checks on the ball"),
+    "saddle": (cmd_saddle, "reduced-energy saddle pipeline"),
+    "verify": (cmd_verify, "grid/quadrature verification at a configuration"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nodalbubbles",
         description=("Finite-dimensional reduction toolkit for slightly "
                      "subcritical multi-bubble problems on balls"))
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("constants", "dimension-dependent energy constants"),
-            ("assumptions", "kernel hypothesis checks on the ball"),
-            ("saddle", "reduced-energy saddle pipeline"),
-            ("verify", "grid/quadrature verification at a configuration")):
+    d = RunConfig
+    for name, (_, helptext) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--dim", type=int, default=None,
-                       help="ambient dimension N (default 3)")
+                       help=f"ambient dimension N (default {d.dim})")
         p.add_argument("--radius", type=float, default=None,
-                       help="ball radius (default 1)")
+                       help=f"ball radius (default {d.radius:g})")
         p.add_argument("--eps", type=float, action="append", default=None,
                        help="subcriticality value; repeatable "
-                            "(default 0.1 0.05 0.025)")
+                            f"(default {' '.join(map(str, d.eps))})")
         p.add_argument("--tol", type=float, default=None,
-                       help="solver gradient tolerance (default 1e-8)")
+                       help=f"solver gradient tolerance (default {d.tol:g})")
         p.add_argument("--grid-nz", dest="grid_nz", type=int, default=None,
-                       help="axial grid nodes (default 513)")
+                       help=f"axial grid nodes (default {d.grid_nz})")
         p.add_argument("--grid-nr", dest="grid_nr", type=int, default=None,
-                       help="radial grid nodes (default 257)")
+                       help=f"radial grid nodes (default {d.grid_nr})")
         p.add_argument("--seed", type=int, default=None,
-                       help="random seed for sampled checks (default 0)")
+                       help=f"random seed for sampled checks (default {d.seed})")
         p.add_argument("--out", type=str, default=None,
                        help="output directory (default current directory)")
         p.add_argument("--format", choices=("json", "csv"), default=None,
@@ -462,20 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "constants": cmd_constants,
-    "assumptions": cmd_assumptions,
-    "saddle": cmd_saddle,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
     try:
         config = load_run_config(args.config, overrides)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command][0](config)
     except (ConfigurationError, ParameterError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

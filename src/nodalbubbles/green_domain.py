@@ -374,6 +374,8 @@ def validate_A3(d: BallDomain, sec: AxisSection, n_grid: int = 256,
     """
     if n_grid < 16:
         raise ConfigurationError(f"n_grid must be >= 16, got {n_grid}")
+    if n_pairs < 1:
+        raise ConfigurationError(f"n_pairs must be >= 1, got {n_pairs}")
     width = sec.b - sec.a
     m = 0.02 * width
 
@@ -496,6 +498,8 @@ def check_directional_monotonicity(d: BallDomain, n_samples: int = 1000,
     1e-6 R are re-drawn; the report's worst value is the sample maximum
     (passes iff negative).
     """
+    if n_samples < 1:
+        raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     R, c = d.radius, d.center
 

@@ -371,8 +371,12 @@ def _slab_fields(fam: ProjectedBubbleExact, signs: np.ndarray, refine: int):
     ``U_j``, ``w_j``, ``PU_j = U_j - w_j`` and ``U_j^{2*-1}`` on them as the
     rows of four (k, n) arrays, from one :meth:`ProjectedBubbleExact.fields`
     call; and ``V = sum_i a_i PU_i``.  ``-ΔV = signs @ src``.  The arrays
-    are fresh per panel, so a consumer may overwrite them.
+    are fresh per panel, so a consumer may overwrite them.  ``refine`` must
+    be a positive integer (ParameterError before any node is built).
     """
+    if not isinstance(refine, (int, np.integer)) or refine < 1:
+        raise ParameterError(
+            f"refine must be a positive integer, got {refine!r}")
     ts = fam.t[:, 0].tolist()
     cuts = [None] + [0.5 * (a + b) for a, b in zip(ts, ts[1:])] + [None]
     for t, m, zlo, zhi in zip(ts, fam.m[:, 0].tolist(), cuts, cuts[1:]):

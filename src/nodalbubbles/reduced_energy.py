@@ -131,19 +131,25 @@ class Configuration:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Configuration":
-        """Inverse of :meth:`to_json_dict`; a missing key or an entry of the
-        wrong type raises ParameterError."""
+        """Inverse of :meth:`to_json_dict`.  ``k`` and the ``signs`` entries
+        must be JSON integers and the ``Lambda`` and ``t`` entries JSON
+        numbers (true/false and strings are neither); a missing key or an
+        entry of the wrong type raises ParameterError."""
         try:
-            return cls(k=data["k"], signs=tuple(data["signs"]),
-                       Lambda=tuple(data["Lambda"]), t=tuple(data["t"]))
+            entries = {key: data[key] for key in ("k", "signs", "Lambda", "t")}
         except KeyError as exc:
             raise ParameterError(
                 f"configuration dict is missing key {exc}") from exc
-        except ParameterError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(
-                f"malformed configuration dict: {exc}") from exc
+        for key, kind in (("k", int), ("signs", int), ("Lambda", (int, float)),
+                          ("t", (int, float))):
+            vals = [entries[key]] if key == "k" else entries[key]
+            if not isinstance(vals, (list, tuple)) or not all(
+                    isinstance(v, kind) and not isinstance(v, bool)
+                    for v in vals):
+                raise ParameterError(
+                    f"configuration {key} holds a value of the wrong JSON "
+                    f"type: {entries[key]!r}")
+        return cls(**entries)
 
     def with_params(self, Lambda=None, t=None) -> "Configuration":
         """Copy with replaced scalings and/or positions (signs fixed)."""
@@ -412,6 +418,8 @@ def spacing_margin(kern: AxisKernels, t0, r0, n_check: int = 33):
     broadcast; then all candidates go through one kernel batch and one
     margin is returned per candidate (a float for scalar inputs).
     """
+    if n_check < 2:
+        raise ParameterError(f"n_check must be >= 2, got {n_check}")
     t0, r0 = np.asarray(t0, dtype=float), np.asarray(r0, dtype=float)
     ts = np.linspace(t0 - 4.0 * r0, t0 + 4.0 * r0, n_check, axis=-1)
     T, S = np.broadcast_arrays(ts[..., :, None], ts[..., None, :])

@@ -96,6 +96,16 @@ class TestConfigFileValues:
         ("constants", {"configuration": {"k": 4, "signs": 1}}),
         ("assumptions", {"configuration": {"k": 4, "signs": 1}}),
         ("saddle", {"trace": True, "configuration": {"k": 4, "signs": 1}}),
+        # Inline entries must carry their JSON type: no bool or string is
+        # coerced to a number.
+        ("verify", {"configuration": {"k": True, "signs": [1],
+                                      "Lambda": [1.0], "t": [0.0]}}),
+        ("verify", {"configuration": dict(_SADDLE_CONFIG,
+                                          t=[False, 0.06, 0.12, 0.18])}),
+        ("verify", {"configuration": dict(_SADDLE_CONFIG,
+                                          signs=["1", "-1", "1", "-1"])}),
+        ("verify", {"configuration": dict(_SADDLE_CONFIG,
+                                          Lambda=["1.0"] * 4)}),
     ])
     def test_rejected(self, tmp_path, capsys, command, data):
         cfg_file = tmp_path / "run.json"
@@ -341,6 +351,15 @@ class TestVerifyCommand:
                    *flags])
         assert rc == EXIT_CONFIG
         assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "saddle.json" in err
+        assert not (tmp_path / "verify.json").exists()
+
+    def test_corrupt_saddle_report_rejected(self, tmp_path, capsys):
+        # A truncated saddle.json exits 1 with a message naming the file.
+        (tmp_path / "saddle.json").write_text('{"meta": ')
+        rc = main(["verify", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and "saddle.json" in err
         assert not (tmp_path / "verify.json").exists()

@@ -9,6 +9,7 @@ from nodalbubbles import (
     AxisKernels,
     AxisSection,
     BallDomain,
+    ConfigurationError,
     DomainError,
     ParameterError,
     SingularityError,
@@ -285,6 +286,21 @@ class TestHypothesisChecks:
         assert report.passed
         assert report.worst_value < 0.0
         assert report.sample_count == 1000
+
+    @pytest.mark.parametrize("check, kwargs", [
+        ("validate_A3", {"n_grid": 15}),
+        ("validate_A3", {"n_pairs": 0}),
+        ("validate_A3", {"n_pairs": -1}),
+        ("directional", {"n_samples": 0}),
+    ])
+    def test_sample_counts_without_evidence_rejected(self, domain, check,
+                                                     kwargs):
+        # A check that samples nothing must not report a pass.
+        with pytest.raises(ConfigurationError):
+            if check == "validate_A3":
+                validate_A3(domain, AxisSection.of_ball(domain), **kwargs)
+            else:
+                check_directional_monotonicity(domain, **kwargs)
 
     def test_report_serialization(self, domain):
         report = check_directional_monotonicity(domain, n_samples=50, seed=1)

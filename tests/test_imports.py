@@ -4,8 +4,9 @@
 only scipy use in the package is the coercivity scan's Nelder-Mead polish,
 which imports it when it first runs (the level crossings are closed-form).
 Each scipy check runs in a fresh interpreter, so modules imported by other
-tests do not count.  Every name in an ``__all__`` resolves, and the package
-re-exports each library module's ``__all__``.
+tests do not count.  Every name in an ``__all__`` resolves, the package
+re-exports each library module's ``__all__`` (every ``*.py`` of the package
+but ``__init__`` and ``cli``), and no public name is exported twice.
 """
 
 import ast
@@ -87,8 +88,8 @@ def test_scipy_is_imported_only_by_the_polish():
     assert sites == [("saddle_solver", "_refine_level_min")]
 
 
-LIBRARY_MODULES = ["bubble_core", "errors", "green_domain", "pde_harness",
-                   "reduced_energy", "saddle_solver"]
+LIBRARY_MODULES = sorted(p.stem for p in (SRC / "nodalbubbles").glob("*.py")
+                         if p.stem not in ("__init__", "cli"))
 
 
 @pytest.mark.parametrize("module", ["__init__", "cli"] + LIBRARY_MODULES)
@@ -104,3 +105,14 @@ def test_package_reexports_module_surface(module):
     missing = [n for n in mod.__all__ if n not in nodalbubbles.__all__
                or getattr(nodalbubbles, n) is not getattr(mod, n)]
     assert missing == []
+
+
+def test_no_public_name_is_exported_twice():
+    # The package star-imports every library module, so a name in two
+    # modules' __all__ would silently resolve to whichever comes last.
+    owners = {}
+    for module in LIBRARY_MODULES:
+        for name in importlib.import_module(f"nodalbubbles.{module}").__all__:
+            owners.setdefault(name, []).append(module)
+    assert {n: m for n, m in owners.items() if len(m) > 1} == {}
+    assert len(nodalbubbles.__all__) == len(set(nodalbubbles.__all__))

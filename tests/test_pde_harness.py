@@ -235,6 +235,14 @@ class TestEnergyQuadrature:
                 tracemalloc.stop()
             assert peak <= 4_000_000, (quadrature.__name__, peak)
 
+    @pytest.mark.parametrize("quadrature", [
+        energy_quadrature, energy_gradient_quadrature, residual_quadrature])
+    @pytest.mark.parametrize("refine", [0, 1.5])
+    def test_refine_must_be_a_positive_integer(self, domain, table3,
+                                               quadrature, refine):
+        with pytest.raises(ParameterError, match="refine"):
+            quadrature(domain, centered1(), table3, 0.05, refine=refine)
+
     def test_residual_quadrature_trend(self, domain, table3, saddle_config):
         vals = [residual_quadrature(domain, saddle_config, table3, eps)
                 for eps in (0.1, 0.05, 0.025)]

@@ -212,6 +212,13 @@ class TestSearchAndBounds:
     def test_spacing_margin_positive(self, kern):
         assert spacing_margin(kern, 0.0, 0.06) > 0.0
 
+    @pytest.mark.parametrize("n_check", [0, 1])
+    def test_margin_of_no_pairs_rejected(self, kern, n_check):
+        # Fewer than two lattice points leave no off-diagonal pair, so no
+        # window may count as admissible.
+        with pytest.raises(ParameterError, match="n_check"):
+            spacing_margin(kern, 0.0, 0.1, n_check=n_check)
+
     def test_batched_margins_are_the_scalar_margins(self, kern):
         t0 = np.array([0.0, 0.05, -0.1, 0.2])
         for r0 in (0.01, 0.06, 0.1):
