@@ -72,7 +72,10 @@ def sigma_N(N: int) -> float:
     """Surface area 2 pi^{N/2} / Gamma(N/2) of the unit sphere in R^N."""
     if N < 1:
         raise ParameterError(f"dimension N must be >= 1, got {N}")
-    return float(2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0))
+    try:
+        return float(2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0))
+    except OverflowError as exc:
+        raise ParameterError(f"sigma_N overflows a double for N={N}") from exc
 
 
 def two_star(N: int) -> float:
@@ -260,9 +263,14 @@ def compute_constants(N: int) -> ConstantsTable:
 
     Each constant is a short sum of terms whose relative rounding error is
     at most four times :func:`_rounding_rel`; ``quad_error`` is that times
-    the largest sum of term magnitudes.
+    the largest sum of term magnitudes.  Raises ParameterError naming N
+    when an integral overflows a double.
     """
-    ints = bubble_integrals(N)
+    try:
+        ints = bubble_integrals(N)
+    except OverflowError as exc:
+        raise ParameterError(
+            f"the bubble integrals overflow a double for N={N}") from exc
     ts = two_star(N)
     omega = ints.int_U_2star / ts
     C = ints.int_grad_sq - ints.int_U_2star / ts

@@ -71,6 +71,7 @@ from .pde_harness import (
 from .reduced_energy import (
     AxisKernels,
     Configuration,
+    _is_number,
     base_spacing_points,
     bounds_report,
     find_t0_r0,
@@ -91,11 +92,6 @@ EXIT_CONFIG = 1
 EXIT_ASSUMPTION = 3
 EXIT_SOLVER = 4
 EXIT_RESOLUTION = 5
-
-
-def _is_number(v, kind=(int, float)) -> bool:
-    """``v`` is an instance of ``kind`` and not a bool (JSON true/false)."""
-    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -119,31 +115,39 @@ class RunConfig:
     def __post_init__(self):
         if not _is_number(self.dim, int) or self.dim < 3:
             raise ConfigurationError(
-                f"N >= 3 required, got dim={self.dim!r}")
-        if not (_is_number(self.radius) and self.radius > 0
-                and math.isfinite(self.radius)):
-            raise ConfigurationError(f"radius must be positive, got {self.radius!r}")
-        if self.center is not None and not all(map(_is_number, self.center)):
+                f"N >= 3 required (an integer that fits a double), "
+                f"got dim={self.dim!r}")
+        try:    # one dimension range for every subcommand
+            compute_constants(self.dim)
+        except ParameterError as e:
+            raise ConfigurationError(f"dim={self.dim} is too large: {e}") from e
+        if not (_is_number(self.radius) and self.radius > 0):
             raise ConfigurationError(
-                f"center entries must be numbers, got {self.center!r}")
+                f"radius must be a positive double, got {self.radius!r}")
+        if self.center is not None and not (
+                isinstance(self.center, (list, tuple))
+                and all(map(_is_number, self.center))):
+            raise ConfigurationError(
+                f"center must be a list of doubles, got {self.center!r}")
         center = ((0.0,) * self.dim if self.center is None
                   else tuple(float(c) for c in self.center))
         if len(center) != self.dim:
             raise ConfigurationError(
                 f"center must have dim={self.dim} entries, got {len(center)}")
         object.__setattr__(self, "center", center)
-        if not all(map(_is_number, self.eps)):
+        if not (isinstance(self.eps, (list, tuple))
+                and all(map(_is_number, self.eps))):
             raise ConfigurationError(
-                f"eps values must be numbers, got {self.eps!r}")
+                f"eps must be a list of doubles, got {self.eps!r}")
         eps = tuple(float(e) for e in self.eps)
         if not eps or any(not (0.0 < e < 1.0) for e in eps):
             raise ConfigurationError(
                 f"eps values must lie in (0, 1), got {self.eps!r}")
         eps = tuple(sorted(set(eps), reverse=True))
         object.__setattr__(self, "eps", eps)
-        if not (_is_number(self.tol) and self.tol > 0
-                and math.isfinite(self.tol)):
-            raise ConfigurationError(f"tol must be positive, got {self.tol!r}")
+        if not (_is_number(self.tol) and self.tol > 0):
+            raise ConfigurationError(
+                f"tol must be a positive double, got {self.tol!r}")
         if not _is_number(self.max_iter, int) or self.max_iter < 1:
             raise ConfigurationError(
                 f"max_iter must be a positive integer, got {self.max_iter!r}")
@@ -182,34 +186,30 @@ class RunConfig:
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
+def _read_json(path, what: str) -> dict:
+    """The JSON object held by the file ``path``; a ConfigurationError naming
+    the file when it cannot be opened, decoded or parsed, or holds no object."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as e:   # JSONDecodeError, bad UTF-8
+        raise ConfigurationError(f"cannot read {what} {path}: {e}") from e
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{what} {path} must hold a JSON object")
+    return data
+
+
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
     """Defaults, then JSON file values, then explicit flag overrides."""
-    data: dict = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as e:
-            raise ConfigurationError(f"cannot read config file {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigurationError(f"config file {path} is not valid JSON: {e}") from e
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"config file {path} must hold a JSON object")
-        unknown = set(data) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigurationError(
-                f"unknown config keys {sorted(unknown)}; "
-                f"known keys: {sorted(_CONFIG_KEYS)}")
+    data = {} if path is None else _read_json(path, "config file")
+    unknown = set(data) - _CONFIG_KEYS
+    if unknown:
+        raise ConfigurationError(
+            f"unknown config keys {sorted(unknown)}; "
+            f"known keys: {sorted(_CONFIG_KEYS)}")
     data.update({k: v for k, v in overrides.items() if v is not None})
-    if "eps" in data and not isinstance(data["eps"], (list, tuple)):
-        raise ConfigurationError(f"eps must be a list, got {data['eps']!r}")
-    if "center" in data and not isinstance(data["center"], (list, tuple)):
-        raise ConfigurationError(f"center must be a list, got {data['center']!r}")
-    try:
-        return RunConfig(**{k: (tuple(v) if isinstance(v, list) else v)
-                            for k, v in data.items()})
-    except TypeError as e:
-        raise ConfigurationError(str(e)) from e
+    return RunConfig(**{k: (tuple(v) if isinstance(v, list) else v)
+                        for k, v in data.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +227,16 @@ def _flatten(prefix: str, obj, rows: list) -> None:
         rows.append((prefix, obj))
 
 
-def write_report(name: str, report: dict, config: RunConfig,
-                 command: str) -> Path:
-    """Write ``{"meta", "report"}`` JSON (and a CSV twin when asked)."""
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def write_report(name: str, report: dict, config: RunConfig) -> Path:
+    """Write ``{"meta", "report"}`` JSON (and a CSV twin when asked).
+
+    numpy scalars and arrays are written as Python values.  Both texts are
+    complete before any file is opened, so a report that JSON cannot hold
+    (NaN, infinity) raises ValueError and leaves no file behind.
+    """
     payload = {
         "meta": {
-            "command": command,
+            "command": name,
             "package": "nodalbubbles",
             "version": __version__,
             "seed": config.seed,
@@ -243,33 +245,24 @@ def write_report(name: str, report: dict, config: RunConfig,
         },
         "report": report,
     }
+    plain = lambda x: x.tolist()    # numpy scalars and arrays
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                      default=plain) + "\n"
+    rows: list = []
+    if config.format == "csv":    # insertion order: no sort_keys here
+        _flatten("", json.loads(json.dumps(report, default=plain)), rows)
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    path.write_text(text, encoding="utf-8")
     if config.format == "csv":
-        rows: list = []
-        _flatten("", report, rows)
         with open(out_dir / f"{name}.csv", "w", newline="",
                   encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["key", "value"])
-            for key, value in rows:
-                writer.writerow([key, "" if value is None else repr(value)])
+            writer.writerows([key, "" if value is None else repr(value)]
+                             for key, value in rows)
     return path
-
-
-def _json_safe(x):
-    """Recursively convert numpy scalars/arrays for json.dump."""
-    if isinstance(x, dict):
-        return {k: _json_safe(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_json_safe(v) for v in x.tolist()]
-    if isinstance(x, (np.floating, np.integer, np.bool_)):
-        return x.item()
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +272,7 @@ def _json_safe(x):
 def cmd_constants(config: RunConfig) -> int:
     """Energy constants for the configured dimension -> constants.json."""
     table = compute_constants(config.dim)
-    write_report("constants", table.to_json_dict(), config, "constants")
+    write_report("constants", table.to_json_dict(), config)
     return EXIT_OK
 
 
@@ -293,7 +286,7 @@ def cmd_assumptions(config: RunConfig) -> int:
         "checks": [c.to_json_dict() for c in checks],
         "all_passed": all(c.passed for c in checks),
     }
-    write_report("assumptions", _json_safe(report), config, "assumptions")
+    write_report("assumptions", report, config)
     return EXIT_OK if report["all_passed"] else EXIT_ASSUMPTION
 
 
@@ -331,7 +324,7 @@ def cmd_saddle(config: RunConfig) -> int:
         "stationarity_identities": list(ids),
         "identities_max_deviation": float(np.max(np.abs(ids - 1.0))),
     }
-    write_report("saddle", _json_safe(payload), config, "saddle")
+    write_report("saddle", payload, config)
     if config.trace:
         out_dir = Path(config.out)
         write_trace_csv(report, out_dir / "trace.csv")
@@ -344,12 +337,7 @@ def _verify_configuration(config: RunConfig) -> Configuration:
     if config.configuration is not None:
         return Configuration.from_json_dict(config.configuration)
     if saddle_path.exists():
-        try:
-            with open(saddle_path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as e:   # JSONDecodeError, bad UTF-8
-            raise ConfigurationError(
-                f"cannot read saddle report {saddle_path}: {e}") from e
+        data = _read_json(saddle_path, "saddle report")
         try:
             ball = {k: data["meta"]["effective_config"][k]
                     for k in ("dim", "radius", "center")}
@@ -419,7 +407,7 @@ def cmd_verify(config: RunConfig) -> int:
         "residuals": residual_rows,
         "expansion_gap": gap,
     }
-    write_report("verify", _json_safe(report), config, "verify")
+    write_report("verify", report, config)
     return EXIT_OK
 
 
@@ -477,9 +465,6 @@ def main(argv=None) -> int:
     try:
         config = load_run_config(args.config, overrides)
         return _COMMANDS[args.command][0](config)
-    except (ConfigurationError, ParameterError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except ResolutionError as e:
         detail = ""
         if e.required_nz is not None:

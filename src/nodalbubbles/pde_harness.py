@@ -1008,7 +1008,7 @@ def residual_norm(V: Field, eps: float, *, relative: bool = False) -> float:
     grid = V.grid
     mask = grid.interior
     vol = grid.cell_volumes[mask]
-    lap = grid._flux(V.values)[mask] / vol
+    lap = grid.minus_laplacian(V.values)[mask]
     u = V.values[mask]
     nl = np.abs(u) ** (two_star(grid.domain.N) - 2.0 - eps) * u
     num = math.sqrt(float(np.sum(vol * (lap - nl) ** 2)))

@@ -41,6 +41,7 @@ Besides the evaluators, the module provides:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,6 +72,13 @@ __all__ = [
 ]
 
 ALTERNATING_SIGNS_4 = (1, -1, 1, -1)
+
+
+def _is_number(v, kind=(int, float)) -> bool:
+    """``v`` is a JSON number of ``kind``, not true/false, and a finite
+    double (``json`` reads ``Infinity`` and long integers exactly)."""
+    return (isinstance(v, kind) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -106,11 +114,16 @@ class Configuration:
         if len(signs) != self.k or any(a not in (-1, 1) for a in signs):
             raise ParameterError(
                 f"signs must be {self.k} entries of ±1, got {self.signs}")
-        lam = tuple(float(v) for v in self.Lambda)
+        try:
+            lam = tuple(float(v) for v in self.Lambda)
+            tt = tuple(float(v) for v in self.t)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParameterError(
+                f"Lambda and t must hold reals, got {self.Lambda}, {self.t}"
+            ) from exc
         if len(lam) != self.k or any(not (v > 0 and math.isfinite(v)) for v in lam):
             raise ParameterError(
                 f"Lambda must be {self.k} positive finite reals, got {self.Lambda}")
-        tt = tuple(float(v) for v in self.t)
         if len(tt) != self.k or any(not math.isfinite(v) for v in tt):
             raise ParameterError(
                 f"t must be {self.k} finite reals, got {self.t}")
@@ -133,8 +146,8 @@ class Configuration:
     def from_json_dict(cls, data: dict) -> "Configuration":
         """Inverse of :meth:`to_json_dict`.  ``k`` and the ``signs`` entries
         must be JSON integers and the ``Lambda`` and ``t`` entries JSON
-        numbers (true/false and strings are neither); a missing key or an
-        entry of the wrong type raises ParameterError."""
+        numbers that fit a double (true/false and strings are neither); a
+        missing key or an entry of the wrong type raises ParameterError."""
         try:
             entries = {key: data[key] for key in ("k", "signs", "Lambda", "t")}
         except KeyError as exc:
@@ -144,11 +157,10 @@ class Configuration:
                           ("t", (int, float))):
             vals = [entries[key]] if key == "k" else entries[key]
             if not isinstance(vals, (list, tuple)) or not all(
-                    isinstance(v, kind) and not isinstance(v, bool)
-                    for v in vals):
+                    _is_number(v, kind) for v in vals):
                 raise ParameterError(
                     f"configuration {key} holds a value of the wrong JSON "
-                    f"type: {entries[key]!r}")
+                    f"type or beyond a double: {entries[key]!r}")
         return cls(**entries)
 
     def with_params(self, Lambda=None, t=None) -> "Configuration":

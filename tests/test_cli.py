@@ -14,6 +14,7 @@ from nodalbubbles.cli import (
     RunConfig,
     load_run_config,
     main,
+    write_report,
 )
 from nodalbubbles.errors import ConfigurationError
 from nodalbubbles.reduced_energy import AxisKernels, Configuration, psi_tilde
@@ -72,6 +73,8 @@ class TestRunConfig:
 
 _SADDLE_CONFIG = {"k": 4, "signs": [1, -1, 1, -1],
                   "Lambda": [1.0, 1.0, 1.0, 1.0], "t": [0.0, 0.06, 0.12, 0.18]}
+# A JSON integer that Python parses exactly but no double can hold.
+_HUGE = 10 ** 400
 
 
 class TestConfigFileValues:
@@ -106,6 +109,15 @@ class TestConfigFileValues:
                                           signs=["1", "-1", "1", "-1"])}),
         ("verify", {"configuration": dict(_SADDLE_CONFIG,
                                           Lambda=["1.0"] * 4)}),
+        # Every number must be finite and fit a double.
+        ("saddle", {"trace": True, "radius": _HUGE}),
+        ("saddle", {"trace": True, "tol": _HUGE}),
+        ("saddle", {"trace": True, "eps": [0.1, _HUGE]}),
+        ("saddle", {"trace": True, "center": [_HUGE, 0, 0]}),
+        ("verify", {"configuration": dict(_SADDLE_CONFIG,
+                                          Lambda=[_HUGE, 1.0, 1.0, 1.0])}),
+        ("saddle", {"trace": True, "dim": _HUGE}),
+        ("constants", {"center": [math.inf, 0, 0]}),
     ])
     def test_rejected(self, tmp_path, capsys, command, data):
         cfg_file = tmp_path / "run.json"
@@ -115,6 +127,16 @@ class TestConfigFileValues:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "trace.csv").exists()
         assert not (tmp_path / f"{command}.json").exists()
+
+    def test_undecodable_file_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_bytes(b"\xff")
+        rc = main(["constants", "--config", str(cfg_file),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "run.json" in err
+        assert not (tmp_path / "constants.json").exists()
 
     def test_out_must_be_a_string(self, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -155,6 +177,21 @@ class TestConstantsCommand:
         rc = main(["constants", "--dim", "2", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
         assert "N >= 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [144, 344, _HUGE],
+                             ids=["144", "344", "401digits"])
+    @pytest.mark.parametrize("command",
+                             ["constants", "assumptions", "saddle", "verify"])
+    def test_dim_beyond_the_constants_rejected(self, tmp_path, capsys,
+                                               command, dim):
+        # Every subcommand accepts exactly the dimensions whose constants
+        # fit a double; the constants overflow from N = 144 on.
+        out = tmp_path / "out"
+        rc = main([command, "--dim", str(dim), "--out", str(out), "--trace"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestAssumptionsCommand:
@@ -210,7 +247,8 @@ class TestSaddleCommand:
         assert rep["r0"] == pytest.approx(0.06, abs=1e-12)
 
     def test_trace_emitted(self, outdir):
-        rows = list(csv.reader(open(outdir / "trace.csv")))
+        with open(outdir / "trace.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["iter", "psi_tilde", "grad_norm", "step"]
         assert len(rows) >= 3
         assert float(rows[-1][2]) <= 1e-8
@@ -445,10 +483,17 @@ class TestDeterminismAndFormats:
         rc = main(["constants", "--out", str(tmp_path), "--format", "csv"])
         assert rc == EXIT_OK
         rep = read_json(tmp_path / "constants.json")["report"]
-        rows = {k: v for k, v in
-                list(csv.reader(open(tmp_path / "constants.csv")))[1:]}
+        with open(tmp_path / "constants.csv", newline="") as fh:
+            rows = {k: v for k, v in list(csv.reader(fh))[1:]}
         assert float(rows["omegaN"]) == rep["omegaN"]
         assert float(rows["cN"]) == rep["cN"]
+
+    def test_report_without_json_form_writes_nothing(self, tmp_path):
+        # JSON has no NaN: the report is refused before any file is opened.
+        config = RunConfig(out=str(tmp_path / "out"), format="csv")
+        with pytest.raises(ValueError):
+            write_report("constants", {"value": math.nan}, config)
+        assert not (tmp_path / "out").exists()
 
     def test_json_has_sorted_keys_and_meta(self, tmp_path):
         assert main(["constants", "--out", str(tmp_path)]) == EXIT_OK

@@ -310,6 +310,9 @@ class TestConfigurationType:
         with pytest.raises(ParameterError):
             Configuration(k=2, signs=(1, -1), Lambda=(1.0, -1.0),
                           t=(-0.1, 0.1))  # bad scaling
+        with pytest.raises(ParameterError):
+            Configuration(k=1, signs=(1,), Lambda=(10 ** 400,),
+                          t=(0.0,))       # float() overflows
 
     def test_with_params(self, saddle_config):
         cfg = saddle_config.with_params(Lambda=(1.0, 2.0, 3.0, 4.0))

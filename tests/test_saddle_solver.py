@@ -131,7 +131,8 @@ class TestCanonicalSaddle:
         assert first[0] == 0 and last[2] <= 1e-8
         path = tmp_path / "trace.csv"
         write_trace_csv(saddle_report, path)
-        rows = list(csv.reader(open(path)))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["iter", "psi_tilde", "grad_norm", "step"]
         assert len(rows) == len(saddle_report.trace) + 1
 
