@@ -129,9 +129,9 @@ def bubble_profile(N: int, m: float, d2):
     """The bubble alpha_N (m / (m^2 + d2))^{(N-2)/2} of core width ``m``.
 
     ``d2`` is the squared distance to the center (a float or an array).
-    Every bubble evaluation in the package uses this formula; the panel
-    evaluator :meth:`nodalbubbles.pde_harness.ProjectedBubbleExact.fields`
-    spells it in place, with the same operations and so the same bits.
+    Every pointwise bubble evaluation in the package uses this formula; the
+    quadratures' panel kernel (``pde_harness._SlabFrame``) spells it over
+    ``alpha_N`` in the frame of each slab, equal to it up to rounding.
     """
     return alpha_N(N) * (m / (m * m + d2)) ** ((N - 2) / 2.0)
 

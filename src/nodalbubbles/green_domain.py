@@ -31,6 +31,7 @@ evidence, not a certificate: reports carry worst observed values and counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -360,6 +361,21 @@ def axis_h_d2(d: BallDomain, sec: AxisSection, t) -> float | np.ndarray:
 # validators
 # ---------------------------------------------------------------------------
 
+def _finite_samples(check):
+    """Run a validator with numpy overflow raised: infinite samples could
+    pass a check, so an overflow is a :class:`ParameterError` naming N."""
+    @functools.wraps(check)
+    def run(d: BallDomain, *args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return check(d, *args, **kwargs)
+        except FloatingPointError as exc:
+            raise ParameterError(f"{check.__name__} overflows a double for "
+                                 f"N={d.N}: {exc}") from None
+    return run
+
+
+@_finite_samples
 def validate_A3(d: BallDomain, sec: AxisSection, n_grid: int = 256,
                 n_pairs: int = 10_000) -> list[ValidationReport]:
     """Sample the two axis hypotheses: h'' > 0 and (t-s) ∂g/∂t < 0.
@@ -428,6 +444,7 @@ def _boundary_samples(d: BallDomain) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(x, 3, axis=0), ys.reshape(-1, d.N)
 
 
+@_finite_samples
 def check_boundary_expansion(d: BallDomain) -> list[ValidationReport]:
     """Probe the near-boundary reflection expansions of the regular part.
 
@@ -487,6 +504,7 @@ def check_boundary_expansion(d: BallDomain) -> list[ValidationReport]:
     ]
 
 
+@_finite_samples
 def check_directional_monotonicity(d: BallDomain, n_samples: int = 1000,
                                    seed: int = 0) -> ValidationReport:
     """Sample (x-y)·∇_x G(x,y) < 0 on random interior pairs.

@@ -7,42 +7,26 @@ instruments are provided.
 
 Grid instrument
     An axisymmetric finite-volume discretization of the ball in R^N on its
-    ``(z, r)`` half-section (``z`` along the symmetry axis through the bubble
-    centers, ``r`` the transverse radius).  It solves the Dirichlet Laplace
-    problem behind the projection ``P U = U - (harmonic extension of U's
-    boundary trace)``, assembles ``V = sum_i a_i P U_i``, and evaluates
-    discrete residuals and energies.  N enters only the face weights
-    ``|S^{N-2}| r^{N-2}`` of the revolved cells, giving a symmetric,
-    diagonally dominant M-matrix ``A``.  One method applies it, the flux
-    balance :meth:`AxisymGrid._flux`; the Laplacian, the boundary lift, the
-    residuals and the energy all read it.  ``A`` is solved exactly, in numpy
-    alone, by the capacitance-matrix method (Buzbee, Dorr, George & Golub,
-    SIAM J. Numer. Anal. 8, 1971): the operator is separable on the
-    enclosing rectangle, where a sine transform in ``z`` and one tridiagonal
-    sweep per mode solve it, and the staircase boundary enters through a
-    dense capacitance matrix over its nodes.  The boundary is symmetric
-    under the reflection ``z -> -z`` about the center, and the sine modes
-    are even or odd under it, so that matrix splits exactly into two blocks
-    over half the nodes each (318 of the 636 on the default 513 x 257 grid),
-    one for the odd modes and one for the even.  The set-up is cached per
-    grid.
+    ``(z, r)`` half-section (:class:`AxisymGrid`), solved exactly in numpy
+    alone by the capacitance-matrix method (Buzbee, Dorr, George & Golub,
+    SIAM J. Numer. Anal. 8, 1971; see :meth:`AxisymGrid._factor`).  It
+    solves the Dirichlet problem behind the projection ``P U = U -
+    (harmonic extension of U's boundary trace)``, assembles ``V = sum_i a_i
+    P U_i``, and evaluates discrete residuals and energies, all through the
+    one flux balance :meth:`AxisymGrid._flux`.
 
 Quadrature instrument
     On a ball the harmonic correction of an axis-centered bubble is known in
-    closed form (a Kelvin image of the bubble, see
-    :class:`ProjectedBubbleExact`), so ``V`` is evaluable pointwise to
-    machine precision at any core width -- far below what any grid can
-    resolve.  Energies then reduce to integrals of explicit functions over
-    one node family: the ball is cut into slabs midway between consecutive
-    centers, so each slab holds one core, and each slab is integrated with
-    spherical panels about its center -- Gauss-Legendre nodes on
-    geometrically graded radial panels (resolving the core scale) times
-    angular panels split at the slab/ball switch directions.  The energy, its
-    gradient and the residual all consume the same fields on these nodes,
-    streamed one angular panel at a time, so memory stays at one panel
-    whatever the refinement.  The gradient term uses the exact identity
-    ``∫∇PU_i·∇PU_j = ∫U_i^{2*-1} PU_j`` (the harmonic parts drop out), whose
-    numerical asymmetry in (i, j) doubles as an accuracy diagnostic.
+    closed form (a Kelvin image, see :class:`ProjectedBubbleExact`), so
+    ``V`` is evaluable to machine precision at any core width -- far below
+    what any grid can resolve.  The ball is cut into slabs midway between
+    consecutive centers, each holding one core and integrated by spherical
+    panels about its center (:func:`_section_nodes`); one kernel
+    (:class:`_SlabFrame`) evaluates every bubble there for the energy, its
+    gradient and the residual, one angular panel at a time.  The gradient
+    term uses the exact identity ``∫∇PU_i·∇PU_j = ∫U_i^{2*-1} PU_j`` (the
+    harmonic parts drop out), whose numerical asymmetry in (i, j) doubles as
+    an accuracy diagnostic.
 
 :func:`expansion_gap` compares the computed energy against
 
@@ -119,8 +103,8 @@ class ProjectedBubbleExact:
 
     ``m`` and ``t`` may also be arrays that broadcast against the points:
     with (k, 1) columns one object is the whole family of a configuration
-    (see :func:`projected_bubbles_of_config`), and :meth:`u`, :meth:`w`,
-    :meth:`fields` and :meth:`pu_tangents` return one row per bubble.
+    (see :func:`projected_bubbles_of_config`), and :meth:`u`, :meth:`w`
+    and :meth:`pu_tangents` return one row per bubble.
     """
 
     N: int
@@ -166,23 +150,14 @@ class ProjectedBubbleExact:
         return (dc_m, 2.0 * m - R * R * dc_m), (dc_t, 2.0 * t - R * R * dc_t)
 
     def pu_tangents(self, z, r, u, w):
-        """``∂PU/∂m`` and ``∂PU/∂t`` at (z, r), given ``u`` and ``w`` there.
-
-        With ``h = (N-2)/2``, ``∂u = h u ∂log(m/D)`` for
-        ``D = m^2 + |x - xi|^2`` and ``∂w = h w ∂log(m/q)``.
-        """
-        m, t = self.m, self.t
-        h = (self.N - 2) / 2.0
-        c, q0 = self._coeffs
-        (dc_m, dq0_m), (dc_t, dq0_t) = self._coeff_tangents
-        rho2 = z * z + r * r
-        inv_d = 1.0 / (m * m + (z - t) ** 2 + r * r)
-        inv_q = 1.0 / (c * rho2 - 2.0 * t * z + q0)
-        d_m = h * (u * (1.0 / m - 2.0 * m * inv_d)
-                   - w * (1.0 / m - (dc_m * rho2 + dq0_m) * inv_q))
-        d_t = h * (u * 2.0 * (z - t) * inv_d
-                   + w * (dc_t * rho2 - 2.0 * z + dq0_t) * inv_q)
-        return d_m, d_t
+        """``∂PU/∂m`` and ``∂PU/∂t`` at (z, r), given ``u`` and ``w`` there,
+        by :meth:`_SlabFrame.tangents` about each bubble's own center."""
+        f = _SlabFrame(self, self.t, self._coeffs, self._coeff_tangents)
+        zeta = z - self.t
+        rho2 = zeta * zeta + r * r
+        su, mw = (v * self.m / _in_frame(*p, rho2, zeta)
+                  for v, p in ((u, f.D), (w, f.q)))
+        return tuple(f.h * d for d in f.tangents(rho2, zeta, u - w, su, mw))
 
     def u(self, z, r):
         """The bubble itself at half-section points (z, r)."""
@@ -195,41 +170,83 @@ class ProjectedBubbleExact:
         z = np.asarray(z, dtype=float)
         r = np.asarray(r, dtype=float)
         c, q0 = self._coeffs
-        # alpha_N (m/q)^h with q = c (z^2 + r^2) - 2 t z + q0, evaluated in
-        # place: the same bits as the expression, without its temporaries.
-        q = np.asarray(c * (z * z + r * r))
-        q -= 2.0 * self.t * z
-        q += q0
+        # alpha_N (m/q)^h: q in the frame of the ball's center, in place.
+        q = np.asarray(_in_frame(c, -2.0 * self.t, q0, z * z + r * r, z))
         np.divide(self.m, q, out=q)
         q **= (self.N - 2) / 2.0
         q *= alpha_N(self.N)
         return q
 
-    def fields(self, z, r):
-        """``(u, w, src)`` at arrays of half-section points (z, r).
-
-        ``u`` and ``w`` are bit-identical to :meth:`u` and :meth:`w`;
-        ``src = u^{2*-1} = -Δu`` is the bubble's source.  With ``s = m/D``,
-        ``D = m^2 + ((z - t)^2 + r^2)``, ``u = alpha_N s^h`` and, since
-        ``h (2* - 1) = h + 2``, ``src = alpha_N^{4/(N-2)} s^2 u`` in closed
-        form: two products instead of a power.
-        """
-        z = np.asarray(z, dtype=float)
-        r = np.asarray(r, dtype=float)
-        a = alpha_N(self.N)
-        s = (z - self.t) ** 2 + r * r
-        s += self.m * self.m
-        np.divide(self.m, s, out=s)
-        u = s ** ((self.N - 2) / 2.0)
-        u *= a
-        s *= s
-        s *= u
-        s *= a ** (4.0 / (self.N - 2))
-        return u, self.w(z, r), s
-
     def pu(self, z, r):
         """The projection ``u - w``; zero on the sphere, positive inside."""
         return self.u(z, r) - self.w(z, r)
+
+
+def _in_frame(c2, c1, c0, rho2, zeta):
+    """``c2 ρ² + c1 ζ + c0``: coefficient columns broadcast elementwise
+    against the nodes, so each row has the bits of its column alone."""
+    out = c1 * zeta
+    out += c2 * rho2
+    out += c0
+    return out
+
+
+class _SlabFrame:
+    """The panel kernel: a family's bubbles about a slab center ``(t, 0)``,
+    built once per slab from the family's :attr:`_coeffs` and tangents.
+
+    A node is ``ζ = z - t``, ``ρ² = ζ² + r²``; with ``dt = t - t_j``,
+    ``D_j = m² + |x - ξ_j|² = ρ² + 2 dt ζ + dt² + m²`` and ``q_j = c ρ² +
+    2(c t - t_j) ζ + c t² - 2 t_j t + q0``.  These columns, and those of
+    ``∂q/∂m``, ``∂q/∂t_j`` and ``-∂D/∂t_j = 2(ζ + dt)`` over ``m``, give
+    the slab's own core ``D = ρ² + m²`` without the rounding of ``z``.
+    """
+
+    def __init__(self, fam, t, coeffs, coeff_tangents):
+        (c, q0), ((dc_m, dq0_m), (dc_t, dq0_t)) = coeffs, coeff_tangents
+        m, tj, dt = fam.m, fam.t, t - fam.t
+        self.h, self.m, self.inv_m = (fam.N - 2) / 2.0, m, 1.0 / m
+        self.D = (1.0, 2.0 * dt, dt * dt + m * m)
+        self.q = (c, 2.0 * (c * t - tj), c * t * t - 2.0 * tj * t + q0)
+        self.dq_m = (dc_m / m, 2.0 * dc_m * t / m, (dc_m * t * t + dq0_m) / m)
+        self.dq_t = (dc_t / m, 2.0 * (dc_t * t - 1.0) / m,
+                     (dc_t * t * t - 2.0 * t + dq0_t) / m)
+        self.dd_t = (2.0 / m, 2.0 * dt / m)
+
+    def fields(self, rho2, zeta):
+        """``(src, pu, su, mw)`` at the nodes, one row per bubble: with one
+        division each ``s = m/D``, ``mq = m/q`` and one power each ``u =
+        s^h``, ``w = mq^h`` (over ``alpha_N``), in those four buffers ``src
+        = s^2 u = u^{2*-1}`` (over ``alpha_N^{(N+2)/(N-2)}``), ``pu = u - w``
+        and, for :meth:`tangents`, ``su = s u``, ``mw = mq w``."""
+        s = _in_frame(*self.D, rho2, zeta)
+        np.divide(self.m, s, out=s)
+        u = s ** self.h
+        mq = _in_frame(*self.q, rho2, zeta)
+        np.divide(self.m, mq, out=mq)
+        w = mq ** self.h
+        mq *= w
+        np.subtract(u, w, out=w)
+        u *= s
+        s *= u
+        return s, w, u, mq
+
+    def tangents(self, rho2, zeta, pu, su, mw):
+        """``(∂PU/∂m, ∂PU/∂t)/h`` from :meth:`fields`' arrays, in their
+        scale: ``∂u = h u ∂log(m/D)``, ``∂w = h w ∂log(m/q)``, ``1/D = s/m``
+        and ``1/q = mq/m`` give ``pu/m - 2 su + mw ∂q/∂m / m`` and ``su
+        ∂(-D)/∂t / m + mw ∂q/∂t / m``."""
+        d_m = _in_frame(*self.dq_m, rho2, zeta)
+        d_m *= mw
+        d_m -= 2.0 * su
+        d_m += self.inv_m * pu
+        d_t = self.dd_t[0] * zeta
+        d_t += self.dd_t[1]
+        d_t *= su
+        x = _in_frame(*self.dq_t, rho2, zeta)
+        x *= mw
+        d_t += x
+        return d_m, d_t
 
 
 def projected_bubbles_of_config(
@@ -315,34 +332,26 @@ def _section_nodes(N: int, R: float, t: float, core_scale: float,
     ``refine`` doubles the angular panel count and halves the geometric
     ratio, giving an independent accuracy column.
 
-    Yields ``(z, r, wd)`` one Gauss-Legendre angular panel at a time (its
-    ``_GL_X.size`` directions times every radial node), ``wd`` the weight
-    times the density, so that the integral of ``f`` is ``sigma_N(N-1)``
-    times the sum over panels of ``sum(wd * f(z, r))``.  No more than one
-    panel is held at once.
+    Yields ``(ρ², ζ, wd)`` about ``(t, 0)`` (:class:`_SlabFrame`) one
+    angular panel at a time (its ``_GL_X.size`` directions times every
+    radial node), ``wd`` the weight times the density: the integral of
+    ``f`` is ``sigma_N(N-1)`` times the sum over panels of ``sum(wd * f)``.
     """
     pw = (N - 3) / 2.0
-
-    u_edges = [-1.0, 1.0]
-    if zhi is not None and abs(zhi) < R:
-        u_edges.append((zhi - t) / math.sqrt((zhi - t) ** 2 + R * R - zhi * zhi))
-    if zlo is not None and abs(zlo) < R:
-        u_edges.append((zlo - t) / math.sqrt((zlo - t) ** 2 + R * R - zlo * zlo))
-    u_edges = sorted(set(u_edges))
+    planes = [zc for zc in (zlo, zhi) if zc is not None]
+    u_edges = sorted({-1.0, 1.0} | {
+        (zc - t) / math.sqrt((zc - t) ** 2 + R * R - zc * zc)
+        for zc in planes if abs(zc) < R})
 
     for a, b in zip(u_edges[:-1], u_edges[1:]):
         npan = max(1, math.ceil(_N_U * refine * (b - a) / 2.0))
         u, wu = _panel_nodes(np.linspace(a, b, npan + 1))
 
         rmax = -t * u + np.sqrt(t * t * u * u + R * R - t * t)
-        if zhi is not None:
-            pos = u > 0
-            rmax = np.where(pos, np.minimum(rmax, (zhi - t) / np.where(pos, u, 1.0)),
-                            rmax)
-        if zlo is not None:
-            neg = u < 0
-            rmax = np.where(neg, np.minimum(rmax, (zlo - t) / np.where(neg, u, 1.0)),
-                            rmax)
+        for zc in planes:       # zlo < t < zhi: exits along u of its sign
+            ahead = u * (zc - t) > 0
+            rmax = np.where(ahead, np.minimum(
+                rmax, (zc - t) / np.where(ahead, u, 1.0)), rmax)
         top = float(np.max(rmax))
         if top <= 0.0:
             continue
@@ -351,27 +360,23 @@ def _section_nodes(N: int, R: float, t: float, core_scale: float,
         s_nodes, s_w = _panel_nodes(sig)
         s_w = s_w * s_nodes ** (N - 1)
 
-        # rho = rmax(u) * s, so the coordinates and the weight times the
+        # rho = rmax(u) * s, so rho^2, zeta = rho u and the weight times the
         # density are outer products of an angular and a radial factor.
-        sin = np.sqrt(np.maximum(1.0 - u * u, 0.0))
-        angular = (rmax * u, rmax * sin, wu * rmax ** N * (1.0 - u * u) ** pw)
-        for zu, ru, wa in zip(*(f.reshape(npan, _GL_X.size) for f in angular)):
-            yield (t + np.outer(zu, s_nodes).ravel(),
-                   np.outer(ru, s_nodes).ravel(), np.outer(wa, s_w).ravel())
+        angular = (rmax * rmax, rmax * u, wu * rmax ** N * (1.0 - u * u) ** pw)
+        radial = (s_nodes * s_nodes, s_nodes, s_w)
+        for panel in zip(*(f.reshape(npan, _GL_X.size, 1) for f in angular)):
+            yield tuple((a * b).ravel() for a, b in zip(panel, radial))
 
 
-def _slab_fields(fam: ProjectedBubbleExact, signs: np.ndarray, refine: int):
-    """Per angular panel of :func:`_section_nodes` over each slab, the fields
-    that all three quadratures need.
+def _slab_sums(fam: ProjectedBubbleExact, refine: int, term) -> tuple:
+    """The tuple ``term(frame, rho2, zeta, wd, *frame.fields(rho2, zeta))``
+    summed over the angular panels of :func:`_section_nodes` on each slab.
 
     The slab about center ``i`` of the family ``fam`` is cut midway to its
     neighbours, so the slabs partition the ball and each holds exactly one
-    core (for a single bubble the slab is the whole ball).  Yields ``(z, r,
-    wd, us, ws, pus, src, v)``: the panel's nodes and weights; every
-    ``U_j``, ``w_j``, ``PU_j = U_j - w_j`` and ``U_j^{2*-1}`` on them as the
-    rows of four (k, n) arrays, from one :meth:`ProjectedBubbleExact.fields`
-    call; and ``V = sum_i a_i PU_i``.  ``-ΔV = signs @ src``.  The arrays
-    are fresh per panel, so a consumer may overwrite them.  ``refine`` must
+    core (for a single bubble the slab is the whole ball); ``frame`` is its
+    :class:`_SlabFrame`.  ``term`` may overwrite the fields, which are freed
+    when it returns, so the next panel reuses their memory.  ``refine`` must
     be a positive integer (ParameterError before any node is built).
     """
     if not isinstance(refine, (int, np.integer)) or refine < 1:
@@ -379,11 +384,15 @@ def _slab_fields(fam: ProjectedBubbleExact, signs: np.ndarray, refine: int):
             f"refine must be a positive integer, got {refine!r}")
     ts = fam.t[:, 0].tolist()
     cuts = [None] + [0.5 * (a + b) for a, b in zip(ts, ts[1:])] + [None]
+    coeffs, sums = (fam._coeffs, fam._coeff_tangents), None
     for t, m, zlo, zhi in zip(ts, fam.m[:, 0].tolist(), cuts, cuts[1:]):
-        for z, r, wd in _section_nodes(fam.N, fam.R, t, m, zlo, zhi, refine):
-            us, ws, src = fam.fields(z, r)
-            pus = us - ws
-            yield z, r, wd, us, ws, pus, src, signs @ pus
+        frame = _SlabFrame(fam, t, *coeffs)
+        for rho2, zeta, wd in _section_nodes(fam.N, fam.R, t, m, zlo, zhi,
+                                             refine):
+            part = term(frame, rho2, zeta, wd, *frame.fields(rho2, zeta))
+            sums = part if sums is None else tuple(
+                a + b for a, b in zip(sums, part))
+    return sums
 
 
 def energy_quadrature(domain: BallDomain, cfg: Configuration,
@@ -393,27 +402,25 @@ def energy_quadrature(domain: BallDomain, cfg: Configuration,
 
     The gradient term is assembled from the pairwise integrals
     ``K_ij = ∫ U_i^{2*-1} PU_j`` (exact identity; harmonic corrections drop
-    out of the cross terms).  Both terms are accumulated in one pass over
-    the panels of :func:`_slab_fields`, the node family of
-    :func:`residual_quadrature` and :func:`energy_gradient_quadrature`: the
-    slabs are cut at the midpoints between consecutive centers, so each
-    resolves exactly one core.  Returns ``(value, info)`` with ``info``
-    carrying the K-matrix asymmetry (an a-posteriori accuracy check: the
-    matrix is symmetric analytically) and the two raw terms.
+    out of the cross terms).  Both terms are summed in one pass over the
+    slab panels of :func:`_slab_sums`, shared with the residual and the
+    gradient, and scaled by their powers of ``alpha_N`` once.  Returns
+    ``(value, info)`` with ``info`` carrying the K-matrix asymmetry (an
+    a-posteriori accuracy check: the matrix is symmetric analytically) and
+    the two raw terms.
     """
     fam = projected_bubbles_of_config(domain, cfg, table, eps)
-    ang = sigma_N(domain.N - 1)
+    N = domain.N
     signs = np.asarray(cfg.signs, dtype=float)
-    p_nl = two_star(domain.N) - eps
+    p_nl = two_star(N) - eps
 
-    K = np.zeros((cfg.k, cfg.k))
-    nonlin = 0.0
-    for _, _, wd, _, _, pus, src, v in _slab_fields(fam, signs, refine):
+    def term(frame, rho2, zeta, wd, src, pus, su, mw):
         src *= wd
-        K += src @ pus.T
-        nonlin += float(wd @ np.abs(v) ** p_nl)
-    K *= ang
-    nonlin *= ang
+        return src @ pus.T, float(wd @ np.abs(signs @ pus) ** p_nl)
+
+    K, nonlin = _slab_sums(fam, refine, term)
+    K *= sigma_N(N - 1) * alpha_N(N) ** two_star(N)
+    nonlin *= sigma_N(N - 1) * alpha_N(N) ** p_nl
     sym_defect = float(np.max(np.abs(K - K.T)) / np.max(np.abs(K)))
     grad_sq = float(signs @ (0.5 * (K + K.T)) @ signs)
 
@@ -436,11 +443,11 @@ def energy_gradient_quadrature(domain: BallDomain, cfg: Configuration,
     ``∫∇V·∇∂V - ∫|V|^{2*-2-eps} V ∂V``; every ``PU_j`` vanishes on the
     sphere for every (m, t), so ``∂PU_j`` does too, and the first term
     integrates by parts to ``∫(-ΔV) ∂V`` with ``-ΔV = sum_i a_i U_i^{2*-1}``
-    holding exactly.  The tangents are closed forms, all k rows from one
-    :meth:`ProjectedBubbleExact.pu_tangents` call of the family per panel,
-    and ``∂m/∂Lambda = 2m/((N-2) Lambda)`` is read off the family's ``m``
-    column (:func:`lambda_of_Lambda_quadratic`); the pairing runs on the
-    panels of :func:`_slab_fields`, as the energy does.
+    holding exactly.  The tangents are closed forms from one
+    :meth:`_SlabFrame.tangents` call per panel of :func:`_slab_sums`, and
+    ``∂m/∂Lambda = 2m/((N-2) Lambda)`` (:func:`lambda_of_Lambda_quadratic`).
+    The source carries ``alpha_N^eps`` over the nonlinear term, put into
+    the signs; ``h alpha_N^{2*-eps}`` scales the sums once.
 
     Returns the 2k-vector (∂/∂Lambda_1..k, ∂/∂t_1..k).  It is the residual of
     ``V`` paired against the configuration tangents, so it measures how close
@@ -452,14 +459,17 @@ def energy_gradient_quadrature(domain: BallDomain, cfg: Configuration,
     N = domain.N
     signs = np.asarray(cfg.signs, dtype=float)
     p_nl = two_star(N) - 2.0 - eps
+    lap_signs = alpha_N(N) ** eps * signs
 
-    pair = np.zeros((2, cfg.k))
-    for z, r, wd, us, ws, _, src, v in _slab_fields(fam, signs, refine):
-        res = wd * (signs @ src - np.abs(v) ** p_nl * v)
-        d_m, d_t = fam.pu_tangents(z, r, us, ws)
-        pair += (d_m @ res, d_t @ res)
+    def term(frame, rho2, zeta, wd, src, pus, su, mw):
+        v = signs @ pus
+        res = wd * (lap_signs @ src - np.abs(v) ** p_nl * v)
+        return tuple(d @ res for d in frame.tangents(rho2, zeta, pus, su, mw))
+
+    pair = np.array(_slab_sums(fam, refine, term))
     pair[0] *= 2.0 * fam.m[:, 0] / ((N - 2.0) * np.asarray(cfg.Lambda))
-    return sigma_N(N - 1) * np.concatenate(signs * pair)
+    scale = sigma_N(N - 1) * alpha_N(N) ** (p_nl + 2.0) * (N - 2) / 2.0
+    return scale * np.concatenate(signs * pair)
 
 
 def residual_quadrature(domain: BallDomain, cfg: Configuration,
@@ -471,21 +481,24 @@ def residual_quadrature(domain: BallDomain, cfg: Configuration,
     have zero Laplacian), so the residual is an explicit function evaluable
     at any core width.  The norm is divided by ``||ΔV||_{L^2}``, which
     removes the core-width divergence of the absolute norm and makes values
-    comparable across eps.
+    comparable across eps.  Both terms carry ``alpha_N^{2*-1-eps}``.
     """
     fam = projected_bubbles_of_config(domain, cfg, table, eps)
-    ts = two_star(domain.N)
+    N = domain.N
     signs = np.asarray(cfg.signs, dtype=float)
+    p_nl = two_star(N) - 2.0 - eps
+    lap_signs = alpha_N(N) ** eps * signs
 
-    num = 0.0
-    den = 0.0
-    for _, _, wd, _, _, _, src, v in _slab_fields(fam, signs, refine):
-        lap = signs @ src
-        num += float(np.sum(wd * (lap - np.abs(v) ** (ts - 2.0 - eps) * v) ** 2))
-        den += float(np.sum(wd * lap * lap))
-    ang = sigma_N(domain.N - 1)
-    num = math.sqrt(max(ang * num, 0.0))
-    return num / math.sqrt(max(ang * den, 1e-300))
+    def term(frame, rho2, zeta, wd, src, pus, su, mw):
+        lap = lap_signs @ src
+        v = signs @ pus
+        return (float(np.sum(wd * (lap - np.abs(v) ** p_nl * v) ** 2)),
+                float(np.sum(wd * lap * lap)))
+
+    num, den = _slab_sums(fam, refine, term)
+    scale = sigma_N(N - 1) * alpha_N(N) ** (2.0 * (p_nl + 1.0))
+    num = math.sqrt(max(scale * num, 0.0))
+    return num / math.sqrt(max(scale * den, 1e-300))
 
 
 def expansion_gap(cfg: Configuration, eps_list, table: ConstantsTable,

@@ -224,6 +224,19 @@ class TestAssumptionsCommand:
         assert len(mono) == 1 and mono[0]["sample_count"] == 1000
         assert mono[0]["pass"] is True
 
+    @pytest.mark.parametrize("dim, rc", [(142, EXIT_OK), (143, EXIT_CONFIG)])
+    def test_stops_where_the_kernels_overflow(self, tmp_path, capsys, dim, rc):
+        # At N = 143 the axis kernel overflows a double: exit 1 and no
+        # report, where the overflowed samples used to pass every check.
+        out = tmp_path / "out"
+        assert main(["assumptions", "--dim", str(dim), "--out", str(out)]) == rc
+        if rc == EXIT_CONFIG:
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "N=143" in err
+            assert not out.exists()
+        else:
+            assert read_json(out / "assumptions.json")["report"]["all_passed"]
+
 
 @pytest.fixture(scope="module")
 def outdir(tmp_path_factory):

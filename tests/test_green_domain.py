@@ -302,6 +302,14 @@ class TestHypothesisChecks:
             else:
                 check_directional_monotonicity(domain, **kwargs)
 
+    @pytest.mark.parametrize("N", [143, 144, 343])
+    def test_overflowed_samples_rejected(self, N):
+        # From N = 143 on, (t-s) dg/dt overflows a double on the lattice, and
+        # the finite maximum of a sample holding -inf passed the check.
+        d = BallDomain.unit(N)
+        with pytest.raises(ParameterError, match=f"N={N}"):
+            validate_A3(d, AxisSection.of_ball(d))
+
     def test_report_serialization(self, domain):
         report = check_directional_monotonicity(domain, n_samples=50, seed=1)
         d = report.to_json_dict()

@@ -226,7 +226,8 @@ class TestEnergyQuadrature:
     def test_streams_one_panel_at_a_time(self, domain, table3, saddle_config):
         # The largest refine-2 slab holds 213k nodes, its largest angular
         # panel 8192; only one panel of fields may be alive at a time.
-        for quadrature in (energy_quadrature, energy_gradient_quadrature):
+        for quadrature in (energy_quadrature, energy_gradient_quadrature,
+                           residual_quadrature):
             tracemalloc.start()
             try:
                 quadrature(domain, saddle_config, table3, 0.025, refine=2)
@@ -309,24 +310,68 @@ class TestConfigFamily:
             for rows, single in zip(tangents, b.pu_tangents(z, r, u, w)):
                 assert np.array_equal(rows[i], single)
 
-    @pytest.mark.parametrize("N", [3, 4, 5, 6])
-    def test_fields_match_the_evaluators(self, N):
-        fam = projected_bubbles_of_config(BallDomain.unit(N), _SADDLE4,
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    @pytest.mark.parametrize("cfg", [_SADDLE4, _K2], ids=["k4-saddle", "k2"])
+    def test_kernel_rows_are_single_bubbles(self, N, cfg):
+        # The panel kernel broadcasts coefficient columns elementwise, so in
+        # every slab frame each row of the family's fields and tangents has
+        # the bits of that bubble's kernel alone.
+        fam = projected_bubbles_of_config(BallDomain.unit(N), cfg,
                                           compute_constants(N), 0.025)
-        rng = np.random.default_rng(N)
-        z = rng.uniform(-0.95, 0.95, 300)
-        r = rng.uniform(0.0, 0.3, 300)
-        u, w, src = fam.fields(z, r)
-        assert np.array_equal(u, fam.u(z, r))
-        assert np.array_equal(w, fam.w(z, r))
-        power = u ** (2.0 * N / (N - 2.0) - 1.0)
-        assert np.max(np.abs(src - power) / power) <= 1e-14
+        ts = fam.t[:, 0].tolist()
+        singles = [ProjectedBubbleExact(N=N, R=1.0, m=float(m), t=t)
+                   for m, t in zip(fam.m[:, 0], ts)]
+        for t, m in zip(ts, fam.m[:, 0]):
+            frame = pde_harness._SlabFrame(fam, t, fam._coeffs,
+                                           fam._coeff_tangents)
+            alone = [pde_harness._SlabFrame(b, t, b._coeffs, b._coeff_tangents)
+                     for b in singles]
+            panels = list(pde_harness._section_nodes(N, 1.0, t, m, None, None,
+                                                     1))
+            for rho2, zeta, _ in panels[::7]:
+                rows = frame.fields(rho2, zeta)
+                rows += frame.tangents(rho2, zeta, *rows[1:])
+                assert rows[0].shape == (cfg.k, rho2.size)
+                for i, f in enumerate(alone):
+                    single = f.fields(rho2, zeta)
+                    single += f.tangents(rho2, zeta, *single[1:])
+                    for a, b in zip(rows, single):
+                        assert np.array_equal(a[i], b)
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_kernel_matches_the_evaluators(self, N):
+        # On panel nodes snapped to dyadics z = t + ζ is exact, so the slab
+        # frame and the pointwise evaluators differ by rounding alone: at
+        # most 2.6e-15 relative for N = 3..6.  u and w enter through
+        # su = u^{N/(N-2)} and mw = w^{N/(N-2)} (all over alpha_N).
+        cfg = Configuration(k=2, signs=(1, -1), Lambda=(1.3, 0.8),
+                            t=(-0.25, 0.375))
+        fam = projected_bubbles_of_config(BallDomain.unit(N), cfg,
+                                          compute_constants(N), 0.025)
+        a = alpha_N(N)
+        ts = fam.t[:, 0].tolist()
+        cuts = [(None, 0.0625), (0.0625, None)]    # the midpoint of the ts
+        for t, m, cut in zip(ts, fam.m[:, 0], cuts):
+            frame = pde_harness._SlabFrame(fam, t, fam._coeffs,
+                                           fam._coeff_tangents)
+            for rho2, zeta, _ in pde_harness._section_nodes(N, 1.0, t, m,
+                                                            *cut, 1):
+                zeta = np.round(zeta * 2.0 ** 20) / 2.0 ** 20
+                r = np.sqrt(np.maximum(rho2 - zeta * zeta, 0.0))
+                r = np.round(r * 2.0 ** 20) / 2.0 ** 20
+                src, pu, su, mw = frame.fields(zeta * zeta + r * r, zeta)
+                u, w = fam.u(t + zeta, r) / a, fam.w(t + zeta, r) / a
+                for got, want in ((src, u ** ((N + 2) / (N - 2))),
+                                  (su, u ** (N / (N - 2))),
+                                  (mw, w ** (N / (N - 2)))):
+                    assert np.max(np.abs(got - want) / want) <= 1e-14
+                assert np.max(np.abs(pu - (u - w)) / u) <= 1e-14
 
     def test_one_field_call_per_panel(self, domain, table3, saddle_config,
                                       monkeypatch):
-        # No loop over the bubbles: the fields and the tangents are evaluated
-        # once per angular panel for all four bubbles together.
-        calls = {"panel": 0, "fields": 0, "pu_tangents": 0}
+        # No loop over the bubbles: the panel kernel and its tangents are
+        # evaluated once per angular panel for all four bubbles together.
+        calls = {"panel": 0, "fields": 0, "tangents": 0}
         nodes = pde_harness._section_nodes
 
         def counted_nodes(*args):
@@ -335,15 +380,15 @@ class TestConfigFamily:
                 yield panel
 
         monkeypatch.setattr(pde_harness, "_section_nodes", counted_nodes)
-        for name in ("fields", "pu_tangents"):
+        for name in ("fields", "tangents"):
             def counted(self, *args, _name=name,
-                        _real=getattr(ProjectedBubbleExact, name)):
+                        _real=getattr(pde_harness._SlabFrame, name)):
                 calls[_name] += 1
                 return _real(self, *args)
-            monkeypatch.setattr(ProjectedBubbleExact, name, counted)
+            monkeypatch.setattr(pde_harness._SlabFrame, name, counted)
         energy_gradient_quadrature(domain, saddle_config, table3, 0.025)
         assert calls["panel"] > 0
-        assert calls["fields"] == calls["pu_tangents"] == calls["panel"]
+        assert calls["fields"] == calls["tangents"] == calls["panel"]
 
 
 class TestEnergyGradient:
