@@ -569,12 +569,18 @@ def expansion_gap(cfg: Configuration, eps_list, table: ConstantsTable,
 # --------------------------------------------------------------------------
 
 def _dst1(x: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I along the last axis (its own inverse), by one FFT."""
-    n = x.shape[-1]
-    y = np.zeros(x.shape[:-1] + (2 * n + 2,))
-    y[..., 1:n + 1] = x
-    y[..., n + 2:] = -x[..., ::-1]
-    return np.fft.rfft(y)[..., 1:n + 1].imag * (-1.0 / math.sqrt(2.0 * n + 2.0))
+    """Orthonormal DST-I along the rows of the 2-D ``x`` (its own inverse),
+    in place: one FFT of the odd extension per block of 32 rows."""
+    n = x.shape[1]
+    ext = np.zeros((min(32, len(x)), 2 * n + 2))    # its zero frame is kept
+    for i in range(0, len(x), 32):
+        blk = x[i:i + 32]
+        e = ext[:len(blk)]
+        e[:, 1:n + 1] = blk
+        np.negative(blk[:, ::-1], out=e[:, n + 2:])
+        np.multiply(np.fft.rfft(e)[:, 1:n + 1].imag,
+                    -1.0 / math.sqrt(2.0 * n + 2.0), out=blk)
+    return x
 
 
 def _capacitance(gj: np.ndarray, S: np.ndarray, diag: np.ndarray,
@@ -746,7 +752,8 @@ class AxisymGrid:
         the sums ``x_a + x_Ma`` it acts as ``E = 2 sum_{k odd}`` and on the
         differences as ``O = 2 sum_{k even}`` of the half's rows, two
         ``|Γ|/2``-square blocks (318 on the default 513 x 257 grid, where
-        the set-up stores about 0.33M numbers).  Each is built by
+        the set-up stores 463,880 numbers with the reciprocal pivots and the
+        ratios).  Each is built by
         :func:`_capacitance`, checked finite and positive definite, and
         inverted once (see :meth:`_solve`).
         """
@@ -766,10 +773,14 @@ class AxisymGrid:
             g[j + 1] = b[j] * e / (e + b[j])
             f = a[-1 - j] + h[-1 - j]
             h[-2 - j] = b[-2 - j] * f / (f + b[-2 - j])
-        pivots = a + g + b
-        ratios = b / pivots
-        diag = 1.0 / (a + g + h)
-        del a, g, h
+        # In place: the pivots (a + g) + b and diag = 1/((a + g) + h).
+        a += g
+        del g
+        h += a
+        diag = np.divide(1.0, h, out=h)
+        a += b
+        ratios = b / a
+        inv_pivots = np.divide(1.0, a, out=a)
 
         gam = self.boundary[1:-1, :-1]
         if not np.array_equal(gam, gam[::-1]) or (nz2 % 2
@@ -794,18 +805,19 @@ class AxisymGrid:
                 raise SolverDivergenceError(
                     "capacitance matrix is not positive definite") from None
             inverses.append(np.linalg.inv(C))
-        self._lu = _GridFactor(1.0 / pivots, ratios, gj * nz2 + gi,
+            del S, C
+        self._lu = _GridFactor(inv_pivots, ratios, gj * nz2 + gi,
                                gj * nz2 + (nz2 - 1 - gi), *inverses)
 
     def _rect_solve(self, f: np.ndarray) -> np.ndarray:
-        """``A_rect^{-1} f`` for ``f`` of shape (nr-1, nz-2), r by z."""
+        """``A_rect^{-1} f`` for ``f`` of shape (nr-1, nz-2), r by z, in place."""
         inv_p, ratios = self._lu.inv_pivots, self._lu.ratios
         y = _dst1(f)
         for j in range(1, len(y)):
             y[j] += ratios[j - 1] * y[j - 1]
-        y[-1] *= inv_p[-1]
+        y *= inv_p
         for j in range(len(y) - 2, -1, -1):
-            y[j] = y[j] * inv_p[j] + ratios[j] * y[j + 1]
+            y[j] += ratios[j] * y[j + 1]
         return _dst1(y)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -823,15 +835,19 @@ class AxisymGrid:
         x = np.zeros((self.nz, self.nr))
         x[self.interior] = rhs
         f = np.ascontiguousarray(x[1:-1, :-1].T)
-        u = self._rect_solve(f).ravel()
+        u = self._rect_solve(f).ravel()         # a view of f
         u_a, u_ma = u[fac.half], u[fac.mirror]
         s = fac.even_inv @ (u_a + u_ma)
         d = fac.odd_inv @ (u_a - u_ma)
+        f[...] = x[1:-1, :-1].T
         f.flat[fac.half] = -0.5 * (s + d)
         f.flat[fac.mirror] = -0.5 * (s - d)
         x[1:-1, :-1] = self._rect_solve(f).T
+        del f, u
         x[~self.interior] = 0.0
-        res = np.linalg.norm(self._flux(x)[self.interior] - rhs)
+        res = self._flux(x)[self.interior]
+        res -= rhs
+        res = np.linalg.norm(res)
         if not np.isfinite(res) or res > 1e-10 * (np.linalg.norm(rhs) + 1.0):
             raise SolverDivergenceError(
                 f"grid solve residual {res:.3e} exceeds tolerance")
@@ -849,6 +865,7 @@ class AxisymGrid:
         d *= self.coeff_axial
         flux[:-1] -= d                  # face (i, i+1) seen from i
         flux[1:] += d                   # and from i+1
+        del d
         d = np.diff(values, axis=1)
         d *= self.coeff_radial
         flux[:, :-1] -= d
@@ -896,7 +913,8 @@ def _solve_field(grid: AxisymGrid, rhs: np.ndarray | None,
     if boundary_data is not None:
         out[grid.boundary] = boundary_data.values[grid.boundary]
         # The stencil applied to the boundary data alone, moved to the right.
-        lift = -grid._flux(out)[grid.interior]
+        lift = grid._flux(out)[grid.interior]
+        np.negative(lift, out=lift)
         rhs = lift if rhs is None else rhs + lift
     out[grid.interior] = grid._solve(rhs)
     return Field(grid, out)

@@ -596,7 +596,42 @@ class TestAxisymGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 15_000_000, peak
+        assert peak <= 9_000_000, peak
+
+    def test_solve_memory(self, grid513, domain):
+        # One solve holds two full-grid arrays and one 32-row transform
+        # scratch, not a full-grid odd extension and spectrum per transform.
+        grid513._factor()
+        rhs = np.random.default_rng(0).normal(size=grid513.n_interior)
+        p = BubbleParams(N=3, eps=0.1, lam=1.0, xi=np.zeros(3))
+        peaks = []
+        for call in (lambda: grid513._solve(rhs),
+                     lambda: project_bubble(domain, p, grid513)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 4_500_000, peaks
+        assert peaks[1] <= 7_500_000, peaks
+
+    @pytest.mark.parametrize("shape", [(256, 511), (33, 63), (64, 31), (1, 7)],
+                             ids=["256x511", "33x63", "64x31", "1x7"])
+    def test_dst1_in_place_blocks(self, shape):
+        # The blocked in-place transform against the one-FFT formula on the
+        # full odd extension, for row counts off the 32-row block and one row.
+        x = np.random.default_rng(1).normal(size=shape)
+        n = shape[1]
+        ext = np.zeros((shape[0], 2 * n + 2))
+        ext[:, 1:n + 1] = x
+        ext[:, n + 2:] = -x[:, ::-1]
+        oracle = np.fft.rfft(ext)[:, 1:n + 1].imag * (-1.0 / math.sqrt(2 * n + 2))
+        y = x.copy()
+        assert pde_harness._dst1(y) is y
+        assert np.array_equal(y, oracle)
+        pde_harness._dst1(y)
+        assert np.linalg.norm(y - x) <= 1e-15 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("row", [2, 32], ids=["unpaired", "center-row"])
     def test_boundary_without_mirror_raises(self, domain, row):
