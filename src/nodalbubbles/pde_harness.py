@@ -270,10 +270,6 @@ def projected_bubbles_of_config(
             f"dimension mismatch: domain N={N}, table N={table.N}")
     lam = [lambda_of_Lambda_quadratic(L, table) for L in cfg.Lambda]
     t = np.array(cfg.t) - float(domain.center[0])
-    outside = ~(np.abs(t) < domain.radius)
-    if np.any(outside):
-        raise DomainError(f"configuration point t={cfg.t[np.argmax(outside)]} "
-                          "lies outside the ball section")
     m = np.array(lam)[:, None] * eps ** (1.0 / (N - 2.0))
     return ProjectedBubbleExact(N=N, R=domain.radius, m=m, t=t[:, None])
 
@@ -951,16 +947,19 @@ def _require_axis_center(p: BubbleParams, grid: AxisymGrid) -> float:
     return float(p.xi[0] - grid.domain.center[0])
 
 
-def _check_boundary_margin(grid: AxisymGrid, t: float) -> None:
-    dist = grid.domain.radius - abs(t)
-    need = 4.0 * grid.h_max
-    if dist < need:
+def _require_cells(grid: AxisymGrid, length: float, cells: int,
+                   what: str) -> None:
+    """Raise :class:`ResolutionError` when ``length`` spans fewer than
+    ``cells`` cells; the error names the smallest grid (``required_nz`` x
+    ``required_nr``) on which it spans them."""
+    if length < cells * grid.h_max:
         R = grid.domain.radius
+        need_nz = int(math.ceil(2.0 * cells * R / length)) + 1
+        need_nr = int(math.ceil(cells * R / length)) + 1
         raise ResolutionError(
-            f"bubble center within {dist:.3e} of the boundary; needs 4 cells "
-            f"({need:.3e})",
-            required_nz=int(math.ceil(8.0 * R / max(dist, 1e-300))) + 1,
-            required_nr=int(math.ceil(4.0 * R / max(dist, 1e-300))) + 1)
+            f"{what} {length:.3e} spans fewer than {cells} cells "
+            f"(h={grid.h_max:.3e}); need at least a {need_nz}x{need_nr} grid",
+            required_nz=need_nz, required_nr=need_nr)
 
 
 def require_core_resolution(grid: AxisymGrid, m: float) -> None:
@@ -969,20 +968,16 @@ def require_core_resolution(grid: AxisymGrid, m: float) -> None:
     The error names the smallest grid (``required_nz`` x ``required_nr``)
     that resolves the core.
     """
-    if m < 6.0 * grid.h_max:
-        R = grid.domain.radius
-        need_nz = int(math.ceil(12.0 * R / m)) + 1
-        need_nr = int(math.ceil(6.0 * R / m)) + 1
-        raise ResolutionError(
-            f"core width {m:.3e} spans fewer than 6 cells "
-            f"(h={grid.h_max:.3e}); need at least a {need_nz}x{need_nr} grid",
-            required_nz=need_nz, required_nr=need_nr)
+    _require_cells(grid, m, 6, "core width")
 
 
 def _project(grid: AxisymGrid, signs, fam: ProjectedBubbleExact) -> Field:
     """``sum_i a_i U_i`` over the family ``fam`` (one row per bubble, as
     :func:`projected_bubbles_of_config` builds it) minus the harmonic
-    extension of its trace, zero outside the interior."""
+    extension of its trace, zero outside the interior.  Each center must
+    lie at least 4 cells from the boundary."""
+    for t in np.ravel(fam.t):
+        _require_cells(grid, fam.R - abs(t), 4, "boundary margin")
     trace = np.asarray(signs, dtype=float) @ fam.u(
         (grid.z_nodes - float(grid.domain.center[0])).ravel(),
         grid.r_nodes.ravel())
@@ -1003,7 +998,6 @@ def project_bubble(domain: BallDomain, p: BubbleParams,
     if (domain.N, domain.radius, *domain.center) != (g.N, g.radius, *g.center):
         raise ParameterError("domain does not match the grid's domain")
     t = _require_axis_center(p, grid)
-    _check_boundary_margin(grid, t)
     fam = ProjectedBubbleExact(N=g.N, R=g.radius, m=np.array([[p.core_width]]),
                                t=np.array([[t]]))
     return _project(grid, [1.0], fam)
@@ -1022,8 +1016,6 @@ def assemble_V(cfg: Configuration, eps: float, table: ConstantsTable,
     """
     fam = projected_bubbles_of_config(grid.domain, cfg, table, eps)
     require_core_resolution(grid, float(np.min(fam.m)))
-    for t in fam.t[:, 0]:
-        _check_boundary_margin(grid, t)
     return _project(grid, cfg.signs, fam)
 
 

@@ -424,22 +424,24 @@ def base_spacing_points(t0: float, r0: float) -> tuple:
 def spacing_margin(kern: AxisKernels, t0, r0, n_check: int = 33):
     """Worst-case slack of ½h(t) + ½h(s) ≤ g(t,s) on [t0−4r0, t0+4r0].
 
-    Samples an ``n_check`` × ``n_check`` lattice of the window (off-diagonal
-    pairs) and returns min g − ½h − ½h; positive means the near-diagonal
-    dominance holds with that margin.  ``t0`` and ``r0`` may be arrays that
+    Returns min g − ½h − ½h over the unordered pairs of ``n_check``
+    equally spaced window points, over both orders of the subtraction,
+    which round differently; positive means the near-diagonal dominance
+    holds with that margin.  ``t0`` and ``r0`` (> 0) may be arrays that
     broadcast; then all candidates go through one kernel batch and one
     margin is returned per candidate (a float for scalar inputs).
     """
     if n_check < 2:
         raise ParameterError(f"n_check must be >= 2, got {n_check}")
     t0, r0 = np.asarray(t0, dtype=float), np.asarray(r0, dtype=float)
+    if not np.all(r0 > 0):
+        raise ParameterError(f"r0 must be positive, got {r0}")
     ts = np.linspace(t0 - 4.0 * r0, t0 + 4.0 * r0, n_check, axis=-1)
-    T, S = np.broadcast_arrays(ts[..., :, None], ts[..., None, :])
-    mask = np.abs(T - S) > 1e-12 * np.maximum(np.abs(r0), 1.0)[..., None, None]
-    Tm, Sm = T[mask], S[mask]
-    vals = np.full(T.shape, np.inf)
-    vals[mask] = kern.g(Tm, Sm) - 0.5 * kern.h(Tm) - 0.5 * kern.h(Sm)
-    margin = np.min(vals, axis=(-2, -1))
+    i, j = np.triu_indices(n_check, 1)
+    g = kern.g(ts[..., i], ts[..., j])
+    half_h = 0.5 * kern.h(ts)
+    hi, hj = half_h[..., i], half_h[..., j]
+    margin = np.min(np.minimum(g - hi - hj, g - hj - hi), axis=-1)
     return float(margin) if margin.ndim == 0 else margin
 
 
@@ -453,9 +455,9 @@ def find_t0_r0(domain: BallDomain, section: AxisSection | None = None
     Candidates are the spacings r0 = j·(b − a)/200, scanned descending
     (largest admissible spacing wins), and nine base points t0 ordered
     center-out in steps of 2.5% of the chord.  The base points of one
-    spacing whose window fits are checked together on a 33 × 33 pair
-    lattice, and the winning pair is re-validated on a 330 × 330 lattice
-    before being returned.
+    spacing whose window fits are checked together on the unordered pairs
+    of 33 window points, and the winning pair is re-validated on those of
+    330 points before being returned.
 
     Returns (t0, r0); raises a search error with the scanned grid sizes if
     no candidate passes.
@@ -485,7 +487,7 @@ def find_t0_r0(domain: BallDomain, section: AxisSection | None = None
     raise SearchError(
         "no admissible (t0, r0) found: near-diagonal dominance failed on "
         f"every candidate ({len(r_cands)} spacings x {len(t_cands)} base "
-        "points, 33^2 pair lattice)")
+        "points, unordered pairs of 33 window points)")
 
 
 def robin_min(kern: AxisKernels) -> float:
@@ -513,7 +515,7 @@ def bounds_report(domain: BallDomain, section: AxisSection | None,
     H0 = robin_min(kern)
     lower = -8.0 * log_plus(2.0 / math.sqrt(H0))
     t1, t2, t3, t4 = base_spacing_points(t0, r0)
-    upper = (kern.g(t1, t2) + kern.g(t2, t3)
-             + kern.g(t3, t4) + kern.g(t1, t4))
+    g12, g23, g34, g14 = kern.g([t1, t2, t3, t1], [t2, t3, t4, t4])
+    upper = g12 + g23 + g34 + g14
     return BoundsReport(H0=float(H0), lower=float(lower), upper=float(upper),
                         t0=float(t0), r0=float(r0))

@@ -18,12 +18,13 @@ by a damped Newton iteration on the analytic gradient:
   Λ_i² h(t_i) − Σ_{j≠i} a_i a_j Λ_i Λ_j g(t_i,t_j) = 1 are available as an
   independent check.
 
-A multi-start fallback perturbs the scaling-family parameters and reports
-all distinct critical points found.  The coercivity probe samples the
-minimum of Ψ̃ on the level sets {Φ = M/2} of the penalty for increasing M;
-the minima must increase, which is the observable trace of the coercivity
-of the construction.  Its samples go through one batched evaluator with
-closed-form level crossings.
+``solve_saddle_multistart`` runs Newton from perturbed scaling-family
+starts and reports all distinct critical points found; nothing falls back
+to it (``saddle`` exits 4 when Newton's point is not of max–min type).
+The coercivity probe samples the minimum of Ψ̃ on the level sets
+{Φ = M/2} of the penalty for increasing M; the minima must increase,
+which is the observable trace of the coercivity of the construction.  Its
+samples go through one batched evaluator with closed-form level crossings.
 """
 
 from __future__ import annotations
@@ -295,7 +296,8 @@ def verify_bounds(report: SaddleReport, bounds: BoundsReport) -> bool:
 
 
 def write_trace_csv(report: SaddleReport, path) -> None:
-    """Dump the iteration trace as CSV rows (iter, psi_tilde, grad_norm, step)."""
+    """Dump the iteration trace as CSV rows (iter, psi_tilde, grad_norm, step);
+    the ``psi_tilde`` column, named by the schema, holds Ψ_k for any k."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["iter", "psi_tilde", "grad_norm", "step"])

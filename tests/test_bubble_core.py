@@ -141,6 +141,12 @@ class TestBasicScalars:
         assert sigma_N(3) == pytest.approx(4.0 * math.pi, rel=1e-15)
         assert sigma_N(4) == pytest.approx(2.0 * math.pi ** 2, rel=1e-15)
 
+    @pytest.mark.parametrize("fn, N", [(alpha_N, 2), (two_star, 2),
+                                       (sigma_N, 0)])
+    def test_dimension_guards(self, fn, N):
+        with pytest.raises(ParameterError, match="dimension"):
+            fn(N)
+
 
 class TestBubbleIntegralsN3:
     def test_closed_forms(self):

@@ -138,6 +138,24 @@ class TestConfigFileValues:
         assert err.startswith("error:") and "run.json" in err
         assert not (tmp_path / "constants.json").exists()
 
+    @pytest.mark.parametrize("command, flags, data", [
+        ("constants", ["--grid-nz", "4"], None),
+        ("constants", ["--grid-nr", "3"], None),
+        ("constants", [], {"configuration": [1, 2]}),
+        ("constants", [], [1, 2]),
+        ("saddle", ["--trace"], {"configuration": "saddle.json"}),
+    ])
+    def test_input_guards(self, tmp_path, capsys, command, flags, data):
+        # Each guard exits 1 with a message before any report is written.
+        if data is not None:
+            (tmp_path / "run.json").write_text(json.dumps(data))
+            flags = [*flags, "--config", str(tmp_path / "run.json")]
+        rc = main([command, "--out", str(tmp_path), *flags])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [] if data is None else ["run.json"])
+
     def test_out_must_be_a_string(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"out": 5}))
@@ -406,6 +424,18 @@ class TestVerifyCommand:
         assert err.startswith("error:") and "saddle.json" in err
         assert not (tmp_path / "verify.json").exists()
 
+    def test_saddle_report_without_configuration_rejected(self, outdir,
+                                                         tmp_path, capsys):
+        # The meta block matches this ball, but report.saddle.config is gone.
+        doc = read_json(outdir / "saddle.json")
+        del doc["report"]["saddle"]["config"]
+        (tmp_path / "saddle.json").write_text(json.dumps(doc))
+        rc = main(["verify", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "saddle report" in err
+        assert not (tmp_path / "verify.json").exists()
+
     def test_corrupt_saddle_report_rejected(self, tmp_path, capsys):
         # A truncated saddle.json exits 1 with a message naming the file.
         (tmp_path / "saddle.json").write_text('{"meta": ')
@@ -500,6 +530,21 @@ class TestDeterminismAndFormats:
             rows = {k: v for k, v in list(csv.reader(fh))[1:]}
         assert float(rows["omegaN"]) == rep["omegaN"]
         assert float(rows["cN"]) == rep["cN"]
+
+    def test_csv_twin_of_a_report_with_lists(self, tmp_path):
+        # Lists flatten to one key[i] row per entry.
+        rc = main(["saddle", "--out", str(tmp_path), "--format", "csv"])
+        assert rc == EXIT_OK
+        rep = read_json(tmp_path / "saddle.json")["report"]["saddle"]
+        with open(tmp_path / "saddle.csv", newline="") as fh:
+            rows = {k: v for k, v in list(csv.reader(fh))[1:]}
+        lists = {"saddle.config.Lambda": (rep["config"]["Lambda"], float),
+                 "saddle.config.t": (rep["config"]["t"], float),
+                 "saddle.inertia": (rep["inertia"], int)}
+        for key, (values, kind) in lists.items():
+            flat = [kind(rows[f"{key}[{i}]"]) for i in range(len(values))]
+            assert flat == values
+        assert f"saddle.inertia[{len(rep['inertia'])}]" not in rows
 
     def test_report_without_json_form_writes_nothing(self, tmp_path):
         # JSON has no NaN: the report is refused before any file is opened.

@@ -287,6 +287,34 @@ class TestHypothesisChecks:
         assert report.worst_value < 0.0
         assert report.sample_count == 1000
 
+    def test_directional_monotonicity_counts_the_pairs_kept(self, domain,
+                                                            monkeypatch):
+        # One draw of n_samples pairs: pairs closer than 1e-6 R are dropped,
+        # not re-drawn, and the report counts the pairs kept.  Here the y
+        # draw repeats the x draw in its first three rows.
+        rng = np.random.default_rng
+
+        class RepeatsThreeRows:
+            def __init__(self, seed):
+                self.rng, self.drawn = rng(seed), []
+
+            def _next(self, out):
+                if len(self.drawn) in (2, 3):   # the y draw
+                    out[:3] = self.drawn[-2][:3]
+                self.drawn.append(out)
+                return out
+
+            def standard_normal(self, shape):
+                return self._next(self.rng.standard_normal(shape))
+
+            def random(self, m):
+                return self._next(self.rng.random(m))
+
+        monkeypatch.setattr(np.random, "default_rng", RepeatsThreeRows)
+        report = check_directional_monotonicity(domain, n_samples=50, seed=0)
+        assert report.sample_count == 47
+        assert report.passed and report.worst_value < 0.0
+
     @pytest.mark.parametrize("check, kwargs", [
         ("validate_A3", {"n_grid": 15}),
         ("validate_A3", {"n_pairs": 0}),
@@ -329,3 +357,14 @@ class TestDomainValidation:
     def test_bad_section(self):
         with pytest.raises(ParameterError):
             AxisSection(a=1.0, b=-1.0)
+
+    @pytest.mark.parametrize("call, error", [
+        pytest.param(lambda: BallDomain(N=3, center=np.zeros(2), radius=1.0),
+                     ParameterError, id="center-length"),
+        pytest.param(lambda: grad_x_G(BallDomain.unit(3), np.full(3, 0.2),
+                                      np.full(3, 0.2)),
+                     SingularityError, id="grad_x_G-diagonal"),
+    ])
+    def test_input_guards(self, call, error):
+        with pytest.raises(error):
+            call()

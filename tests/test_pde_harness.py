@@ -723,6 +723,25 @@ class TestGridProjection:
         with pytest.raises(ResolutionError):
             project_bubble(domain, p, grid257)
 
+    @pytest.mark.parametrize("x1", [1.0, 1.5])
+    def test_outside_center_is_a_domain_error(self, domain, x1):
+        # The ball's own inside check runs before the 4-cell margin rule,
+        # which would ask for a grid of about 8.0e300 nodes at x1 = 1.5.
+        p = BubbleParams(N=3, eps=0.1, lam=1.0, xi=np.array([x1, 0.0, 0.0]))
+        with pytest.raises(DomainError):
+            project_bubble(domain, p, AxisymGrid.for_ball(domain, nz=65,
+                                                          nr=33))
+
+    def test_boundary_margin_names_the_grid(self, domain):
+        # 1e-3 from the boundary spans 4 cells from 8001 x 4001 nodes on.
+        p = BubbleParams(N=3, eps=0.1, lam=1.0,
+                         xi=np.array([0.999, 0.0, 0.0]))
+        with pytest.raises(ResolutionError) as exc_info:
+            project_bubble(domain, p, AxisymGrid.for_ball(domain, nz=65,
+                                                          nr=33))
+        err = exc_info.value
+        assert (err.required_nz, err.required_nr) == (8001, 4001)
+
 
 class TestGridInEveryDimension:
     """The grid instrument takes N, R and the center from its ball."""
@@ -954,3 +973,33 @@ class TestFieldIO:
         bad[0, 0] = np.nan
         with pytest.raises(ParameterError):
             Field(grid257, bad)
+
+
+_CONFIG3 = Configuration(k=1, signs=(1,), Lambda=(1.0,), t=(0.0,))
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda g: ProjectedBubbleExact(N=2, R=1.0, m=0.1, t=0.0),
+                 ParameterError, id="exact-N"),
+    pytest.param(lambda g: ProjectedBubbleExact(N=3, R=0.0, m=0.1, t=0.0),
+                 ParameterError, id="exact-R"),
+    pytest.param(lambda g: ProjectedBubbleExact(N=3, R=1.0, m=0.0, t=0.0),
+                 ParameterError, id="exact-m"),
+    pytest.param(lambda g: ProjectedBubbleExact(N=3, R=1.0, m=0.1, t=-1.0),
+                 DomainError, id="exact-t"),
+    pytest.param(lambda g: projected_bubbles_of_config(
+        g.domain, _CONFIG3, compute_constants(3), 0.0),
+                 ParameterError, id="family-eps"),
+    pytest.param(lambda g: residual_norm(
+        Field(g, np.zeros((g.nz, g.nr))), 0.0),
+                 ParameterError, id="residual-eps"),
+    pytest.param(lambda g: energy_I(Field(g, np.zeros((g.nz, g.nr))), -0.1),
+                 ParameterError, id="energy-eps"),
+    pytest.param(lambda g: AxisymGrid.for_ball(g.domain, nz=4, nr=5),
+                 ParameterError, id="grid-nz"),
+    pytest.param(lambda g: AxisymGrid.for_ball(g.domain, nz=5, nr=4),
+                 ParameterError, id="grid-nr"),
+])
+def test_input_guards(domain, call, error):
+    with pytest.raises(error):
+        call(AxisymGrid.for_ball(domain, nz=9, nr=5))

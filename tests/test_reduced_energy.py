@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import nodalbubbles.reduced_energy as reduced_energy
 from nodalbubbles import (
     ALTERNATING_SIGNS_4,
     AxisKernels,
@@ -12,6 +13,7 @@ from nodalbubbles import (
     BallDomain,
     Configuration,
     ParameterError,
+    SearchError,
     base_spacing_points,
     bounds_report,
     find_t0_r0,
@@ -37,6 +39,52 @@ PSI1_MIN = -0.7655121234846454
 # Frozen a-priori bracket at the canonical spacing (t0, r0) = (0, 0.06).
 LOWER_BOUND = -15.669274432356726
 UPPER_BOUND = 4.100326821536164
+
+
+# Balls of four radii, centered and shifted along and across the axis.
+BALLS = ((0.1, 0.0), (1.0, 0.0), (2.5, 0.0), (10.0, 0.0),
+         (0.1, 3.22), (1.0, -1.8), (2.5, 0.3), (10.0, -7.0))
+
+
+def ball(N, radius, c1):
+    center = np.zeros(N)
+    center[0], center[-1] = c1, 0.5 * c1
+    return BallDomain(N=N, center=center, radius=radius)
+
+
+def ordered_pair_margin(kern, t0, r0, n_check=33):
+    """min g(t,s) − ½h(t) − ½h(s) over the ordered pairs t ≠ s of the
+    n_check × n_check window lattice (the reference for spacing_margin)."""
+    t0, r0 = np.asarray(t0, dtype=float), np.asarray(r0, dtype=float)
+    ts = np.linspace(t0 - 4.0 * r0, t0 + 4.0 * r0, n_check, axis=-1)
+    T, S = np.broadcast_arrays(ts[..., :, None], ts[..., None, :])
+    off = ~np.eye(n_check, dtype=bool)
+    T, S = T[..., off], S[..., off]
+    margin = np.min(kern.g(T, S) - 0.5 * kern.h(T) - 0.5 * kern.h(S),
+                    axis=-1)
+    return float(margin) if margin.ndim == 0 else margin
+
+
+def scalar_search(domain, margin):
+    """The spacing search one candidate at a time, one scalar margin each."""
+    sec = AxisSection.of_ball(domain)
+    kern = AxisKernels(domain, sec)
+    width = sec.b - sec.a
+    guard = 0.01 * width
+    step = width / 200.0
+    r_cands = np.arange(math.floor((width / 2.0 - guard) / 4.0 / step),
+                        0, -1) * step
+    offsets = [0.0]
+    for i in range(1, 5):
+        offsets.extend([0.025 * i * width, -0.025 * i * width])
+    t_cands = [0.5 * (sec.a + sec.b) + o for o in offsets]
+    for r0 in r_cands:
+        for t0 in t_cands:
+            if (t0 - 4.0 * r0 > sec.a + guard
+                    and t0 + 4.0 * r0 < sec.b - guard
+                    and margin(kern, t0, r0) > 0.0
+                    and margin(kern, t0, r0, 330) > 0.0):
+                return (float(t0), float(r0))
 
 
 def config1(L, t=0.0):
@@ -232,29 +280,54 @@ class TestSearchAndBounds:
         BallDomain(N=3, center=np.array([0.3, 0.0, 0.0]), radius=2.0)),
         ids=lambda d: f"N{d.N}-R{d.radius}")
     def test_find_t0_r0_matches_the_scalar_search(self, domain):
-        # The search one candidate at a time, one scalar margin per pair.
-        sec = AxisSection.of_ball(domain)
-        kern = AxisKernels(domain, sec)
-        width = sec.b - sec.a
-        guard = 0.01 * width
-        step = width / 200.0
-        r_cands = np.arange(math.floor((width / 2.0 - guard) / 4.0 / step),
-                            0, -1) * step
-        offsets = [0.0]
-        for i in range(1, 5):
-            offsets.extend([0.025 * i * width, -0.025 * i * width])
-        t_cands = [0.5 * (sec.a + sec.b) + o for o in offsets]
+        assert find_t0_r0(domain) == scalar_search(domain, spacing_margin)
 
-        def scalar_search():
-            for r0 in r_cands:
-                for t0 in t_cands:
-                    if (t0 - 4.0 * r0 > sec.a + guard
-                            and t0 + 4.0 * r0 < sec.b - guard
-                            and spacing_margin(kern, t0, r0) > 0.0
-                            and spacing_margin(kern, t0, r0, 330) > 0.0):
-                        return (float(t0), float(r0))
+    @pytest.mark.parametrize("N", range(3, 11))
+    def test_spacing_margin_is_the_ordered_pair_margin(self, N):
+        # One g per unordered pair and one ½h per point, with the minimum
+        # over both subtraction orders, give the ordered-pair margin's bits.
+        for radius, c1 in BALLS:
+            kern = AxisKernels.for_ball(ball(N, radius, c1))
+            t0 = c1 + radius * np.array([0.0, 0.1, -0.2])
+            for n_check, spacings in ((2, (0.01, 0.06, 0.15)),
+                                      (3, (0.01, 0.06, 0.15)),
+                                      (33, (0.01, 0.06, 0.15)), (330, (0.06,))):
+                for r0 in radius * np.array(spacings):
+                    batch = spacing_margin(kern, t0, r0, n_check)
+                    assert np.array_equal(
+                        batch, ordered_pair_margin(kern, t0, r0, n_check))
+                    scalar = spacing_margin(kern, t0[1], r0, n_check)
+                    assert type(scalar) is float and scalar == batch[1]
 
-        assert find_t0_r0(domain) == scalar_search()
+    @pytest.mark.parametrize("N", range(3, 11))
+    def test_search_and_bounds_match_the_ordered_pair_oracle(self, N):
+        # The search on ordered-pair margins, and the bracket from four
+        # scalar g calls.
+        for radius, c1 in BALLS:
+            d = ball(N, radius, c1)
+            expected = scalar_search(d, ordered_pair_margin)
+            assert find_t0_r0(d) == expected
+            kern = AxisKernels.for_ball(d)
+            t1, t2, t3, t4 = base_spacing_points(*expected)
+            upper = (kern.g(t1, t2) + kern.g(t2, t3)
+                     + kern.g(t3, t4) + kern.g(t1, t4))
+            assert bounds_report(d, None, *expected).upper == upper
+
+    @pytest.mark.parametrize("r0", [0.0, -0.1, math.nan])
+    def test_spacing_of_no_width_rejected(self, kern, r0):
+        # r0 = 0 collapses the window to one point, which left no pair and
+        # a margin of +inf: a pass on no evidence.
+        with pytest.raises(ParameterError, match="r0"):
+            spacing_margin(kern, 0.0, r0)
+        with pytest.raises(ParameterError, match="r0"):
+            spacing_margin(kern, [0.0, 0.1], [0.06, r0])
+
+    def test_search_without_admissible_candidate(self, domain, monkeypatch):
+        monkeypatch.setattr(
+            reduced_energy, "spacing_margin",
+            lambda kern, t0, r0, n_check=33: np.full(np.shape(t0), -1.0))
+        with pytest.raises(SearchError, match="33 window points"):
+            find_t0_r0(domain)
 
     def test_robin_min(self, kern):
         assert robin_min(kern) == pytest.approx(1.0 / FOUR_PI, rel=1e-9)
@@ -313,6 +386,26 @@ class TestConfigurationType:
         with pytest.raises(ParameterError):
             Configuration(k=1, signs=(1,), Lambda=(10 ** 400,),
                           t=(0.0,))       # float() overflows
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: Configuration(k=0, signs=(), Lambda=(), t=()),
+                     id="k0"),
+        pytest.param(lambda: config1(1.0, t=math.nan), id="t-nan"),
+        pytest.param(lambda: config1(1.0, t=math.inf), id="t-inf"),
+        pytest.param(lambda: log_plus(0.0), id="log_plus-0"),
+        pytest.param(lambda: log_plus([1.0, -2.0]), id="log_plus-negative"),
+        pytest.param(lambda: mu_embed(math.inf, 1.0, 1.0, (0.0, 0.1, 0.2,
+                                                            0.3)),
+                     id="mu_embed-inf"),
+        pytest.param(lambda: mu_embed(1.0, math.nan, 1.0, (0.0, 0.1, 0.2,
+                                                            0.3)),
+                     id="mu_embed-nan"),
+        pytest.param(lambda: scaling_products(config1(1.0)),
+                     id="scaling_products-k1"),
+    ])
+    def test_input_guards(self, call):
+        with pytest.raises(ParameterError):
+            call()
 
     def test_with_params(self, saddle_config):
         cfg = saddle_config.with_params(Lambda=(1.0, 2.0, 3.0, 4.0))

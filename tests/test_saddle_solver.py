@@ -12,8 +12,10 @@ import nodalbubbles.saddle_solver as saddle_solver
 from nodalbubbles import (
     AxisKernels,
     BallDomain,
+    BoundsReport,
     Configuration,
     ParameterError,
+    SaddleReport,
     SolverDivergenceError,
     base_spacing_points,
     bounds_report,
@@ -283,6 +285,17 @@ class TestDilationCovariance:
             assert err <= 1e-10 * max(np.linalg.norm(want), 1.0)
 
 
+def _pack(cfg):
+    return np.asarray(cfg.Lambda + cfg.t)
+
+
+def quadratic_model(monkeypatch, x_star, H):
+    """Give the solver the gradient F(x) = x − x* and the fixed Hessian H."""
+    monkeypatch.setattr(saddle_solver, "grad_psi_k",
+                        lambda cfg, kern: _pack(cfg) - x_star)
+    monkeypatch.setattr(saddle_solver, "hessian_psi_k", lambda cfg, kern: H)
+
+
 class TestSolverBehavior:
     def test_start_is_admissible_embedding(self):
         start = mu_embed(1.0, 1.0, 1.0, base_spacing_points(0.0, 0.06))
@@ -295,6 +308,58 @@ class TestSolverBehavior:
         with pytest.raises(SolverDivergenceError) as exc_info:
             solve_saddle(domain, None, init, max_iter=1)
         assert exc_info.value.trace
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    def test_tolerance_guard(self, domain, tol):
+        init = mu_embed(1.0, 1.0, 1.0, base_spacing_points(0.0, 0.06))
+        with pytest.raises(ParameterError, match="tol"):
+            solve_saddle(domain, None, init, tol=tol)
+
+    def test_singular_hessian_is_regularized(self, domain, monkeypatch):
+        # A quadratic model F = x − x* with a Hessian that is singular in
+        # t₄, where F vanishes: the Tikhonov step converges in one
+        # iteration, and the singular direction is reported as degenerate.
+        init = mu_embed(1.0, 1.0, 1.0, base_spacing_points(0.0, 0.06))
+        quadratic_model(monkeypatch, _pack(init) + np.eye(8)[0],
+                        np.diag([1.0] * 7 + [0.0]))
+        rep = solve_saddle(domain, None, init)
+        assert rep.iterations == 1 and rep.inertia == (7, 0, 1)
+        assert rep.warnings == [
+            "iteration 1: Hessian numerically singular, regularized by "
+            "1.000e-08",
+            "degenerate critical point: 1 Hessian eigenvalue(s) below the "
+            "zero threshold"]
+
+    def test_line_search_stall_raises_with_trace(self, domain, monkeypatch):
+        # With H = −I the Newton direction of F = x − x* is +F, along which
+        # |F| grows at every step length.
+        init = mu_embed(1.0, 1.0, 1.0, base_spacing_points(0.0, 0.06))
+        quadratic_model(monkeypatch, _pack(init) + 0.1, -np.eye(8))
+        with pytest.raises(SolverDivergenceError,
+                           match="line search stalled at iteration 1") as e:
+            solve_saddle(domain, None, init)
+        assert [row[0] for row in e.value.trace] == [0]
+
+    def test_multistart_skips_failed_starts(self, domain, monkeypatch):
+        calls = []
+
+        def fails(*args):
+            calls.append(args)
+            raise SolverDivergenceError("no convergence", trace=[])
+
+        monkeypatch.setattr(saddle_solver, "solve_saddle", fails)
+        assert solve_saddle_multistart(
+            domain, None, base_spacing_points(0.0, 0.06), n_starts=3) == []
+        assert len(calls) == 3
+
+    def test_value_outside_the_bracket_is_a_warning(self, saddle_config):
+        rep = SaddleReport(config=saddle_config, value=5.0, grad_norm=0.0,
+                           inertia=(7, 1, 0), bounds_ok=None, iterations=0)
+        bounds = BoundsReport(H0=1.0, lower=-1.0, upper=4.0, t0=0.0, r0=0.06)
+        assert verify_bounds(rep, bounds) is False
+        assert rep.bounds_ok is False
+        assert rep.warnings == [
+            "critical value 5 outside the a-priori bracket [-1, 4]"]
 
     def test_start_below_scaling_guard_rejected(self, domain):
         # Λ₁ = 1e-7 lies below the 1e-6 scaling guard.
@@ -352,6 +417,18 @@ class TestCoercivity:
     def test_strictly_increasing_in_M(self, scan):
         mins = [row["min_psi_tilde"] for row in scan]
         assert mins[0] < mins[1] < mins[2]
+
+    @pytest.mark.parametrize("M_list", [(20.0, 10.0), (10.0, 10.0)])
+    def test_levels_must_increase(self, domain, M_list):
+        with pytest.raises(ParameterError, match="M_list"):
+            coercivity_scan(domain, M_list=M_list)
+
+    def test_level_below_the_anchor_is_skipped(self, domain):
+        # The anchor's penalty on the unit ball is 3.9968 >= 7/2.
+        (row,) = coercivity_scan(domain, M_list=(7.0,))
+        assert row["M"] == 7.0 and row["min_psi_tilde"] is None
+        assert row["n_certified"] == 0
+        assert row["note"].startswith("level set skipped: anchor penalty 3.99")
 
     def test_minima_exceed_saddle_value(self, scan):
         # The max-min protection: min over the level set (the K_0 boundary
