@@ -154,13 +154,12 @@ class ValidationReport:
 # kernel evaluation
 # ---------------------------------------------------------------------------
 
-def _centered(d: BallDomain, x) -> np.ndarray:
-    return np.asarray(x, dtype=float) - d.center
-
-
-def _check_inside(d: BallDomain, x, *, closed: bool, what: str) -> None:
-    x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x - d.center, axis=-1)
+def _inside(d: BallDomain, x, *, closed: bool, what: str) -> tuple:
+    """Centered points x - center, a single point as a batch of one, and
+    their squared norms; raises outside the closed or open ball."""
+    xc = np.atleast_2d(np.asarray(x, dtype=float) - d.center)
+    n2 = np.sum(xc * xc, axis=-1)
+    r = np.sqrt(n2)
     if closed:
         bad = r > d.radius * (1.0 + 1e-12)
     else:
@@ -169,12 +168,12 @@ def _check_inside(d: BallDomain, x, *, closed: bool, what: str) -> None:
         raise DomainError(
             f"{what} lies outside the {'closed' if closed else 'open'} "
             f"ball of radius {d.radius} (max |x-center| = {float(np.max(r)):.6g})")
+    return xc, n2
 
 
-def _rho_sq(d: BallDomain, xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
+def _rho_sq(d: BallDomain, xc: np.ndarray, yc: np.ndarray, nx2: np.ndarray,
+            ny2: np.ndarray) -> np.ndarray:
     R = d.radius
-    nx2 = np.sum(xc * xc, axis=-1)
-    ny2 = np.sum(yc * yc, axis=-1)
     return nx2 * ny2 / R ** 2 - 2.0 * np.sum(xc * yc, axis=-1) + R ** 2
 
 
@@ -185,22 +184,20 @@ def green_G(d: BallDomain, x, y) -> float | np.ndarray:
     symmetric in (x, y).  Accepts broadcastable batches of points with
     trailing dimension N.
     """
-    xc, yc = _centered(d, x), _centered(d, y)
-    scalar = (xc.ndim == 1 and yc.ndim == 1)
-    _check_inside(d, x, closed=True, what="x")
-    _check_inside(d, y, closed=True, what="y")
+    xc, nx2 = _inside(d, x, closed=True, what="x")
+    yc, ny2 = _inside(d, y, closed=True, what="y")
     diff2 = np.sum((xc - yc) ** 2, axis=-1)
     if np.any(diff2 < (1e-14 * d.radius) ** 2):
         raise SingularityError("green_G evaluated on the diagonal x == y")
     e = (2.0 - d.N) / 2.0
-    val = d.kappa * (diff2 ** e - _rho_sq(d, xc, yc) ** e)
+    val = d.kappa * (diff2 ** e - _rho_sq(d, xc, yc, nx2, ny2) ** e)
     # Dirichlet condition: an argument on the sphere gives an exact zero
     # (analytically |x-y| == rho there; enforce it against rounding).
     R2 = d.radius ** 2
-    on_bnd = (np.abs(np.sum(xc * xc, axis=-1) - R2) <= 4e-15 * R2) \
-        | (np.abs(np.sum(yc * yc, axis=-1) - R2) <= 4e-15 * R2)
+    on_bnd = ((np.abs(nx2 - R2) <= 4e-15 * R2)
+              | (np.abs(ny2 - R2) <= 4e-15 * R2))
     val = np.where(on_bnd, 0.0, val)
-    return float(val) if scalar else val
+    return float(val[0]) if np.ndim(x) == np.ndim(y) == 1 else val
 
 
 def robin_H(d: BallDomain, x, y) -> float | np.ndarray:
@@ -209,13 +206,11 @@ def robin_H(d: BallDomain, x, y) -> float | np.ndarray:
     On the diagonal of a centered ball, H(x,x) = kappa (R - |x|^2/R)^{2-N};
     for the unit ball in R^3 this is 1/(4 pi (1-|x|^2)).
     """
-    xc, yc = _centered(d, x), _centered(d, y)
-    scalar = (xc.ndim == 1 and yc.ndim == 1)
-    _check_inside(d, x, closed=False, what="x")
-    _check_inside(d, y, closed=False, what="y")
+    xc, nx2 = _inside(d, x, closed=False, what="x")
+    yc, ny2 = _inside(d, y, closed=False, what="y")
     e = (2.0 - d.N) / 2.0
-    val = d.kappa * _rho_sq(d, xc, yc) ** e
-    return float(val) if scalar else val
+    val = d.kappa * _rho_sq(d, xc, yc, nx2, ny2) ** e
+    return float(val[0]) if np.ndim(x) == np.ndim(y) == 1 else val
 
 
 def grad_x_G(d: BallDomain, x, y) -> np.ndarray:
@@ -224,19 +219,18 @@ def grad_x_G(d: BallDomain, x, y) -> np.ndarray:
     ∇_x G = -kappa (N-2) [ (x-y)|x-y|^{-N} - (|y|^2/R^2 x - y) rho^{-N} ]
     in centered coordinates (the shift drops out of the gradient).
     """
-    xc, yc = _centered(d, x), _centered(d, y)
-    _check_inside(d, x, closed=True, what="x")
-    _check_inside(d, y, closed=True, what="y")
+    xc, nx2 = _inside(d, x, closed=True, what="x")
+    yc, ny2 = _inside(d, y, closed=True, what="y")
     diff = xc - yc
     diff2 = np.sum(diff * diff, axis=-1)
     if np.any(diff2 < (1e-14 * d.radius) ** 2):
         raise SingularityError("grad_x_G evaluated on the diagonal x == y")
-    rho2 = _rho_sq(d, xc, yc)
-    ny2 = np.sum(yc * yc, axis=-1)
+    rho2 = _rho_sq(d, xc, yc, nx2, ny2)
     img = ny2[..., None] / d.radius ** 2 * xc - yc
-    return -d.kappa * (d.N - 2) * (
+    val = -d.kappa * (d.N - 2) * (
         diff * diff2[..., None] ** (-d.N / 2.0)
         - img * rho2[..., None] ** (-d.N / 2.0))
+    return val[0] if np.ndim(x) == np.ndim(y) == 1 else val
 
 
 def grad_x_H(d: BallDomain, x, y) -> np.ndarray:
@@ -244,41 +238,36 @@ def grad_x_H(d: BallDomain, x, y) -> np.ndarray:
 
     ∇_x H = -kappa (N-2) (|y|^2/R^2 x - y) rho^{-N}.
     """
-    xc, yc = _centered(d, x), _centered(d, y)
-    _check_inside(d, x, closed=False, what="x")
-    _check_inside(d, y, closed=False, what="y")
-    rho2 = _rho_sq(d, xc, yc)
-    ny2 = np.sum(yc * yc, axis=-1)
+    xc, nx2 = _inside(d, x, closed=False, what="x")
+    yc, ny2 = _inside(d, y, closed=False, what="y")
+    rho2 = _rho_sq(d, xc, yc, nx2, ny2)
     img = ny2[..., None] / d.radius ** 2 * xc - yc
-    return -d.kappa * (d.N - 2) * img * rho2[..., None] ** (-d.N / 2.0)
+    val = -d.kappa * (d.N - 2) * img * rho2[..., None] ** (-d.N / 2.0)
+    return val[0] if np.ndim(x) == np.ndim(y) == 1 else val
 
 
 # ---------------------------------------------------------------------------
 # axis restrictions
 # ---------------------------------------------------------------------------
 
-def _axis_check(d: BallDomain, sec: AxisSection, *vals) -> None:
-    for v in vals:
-        v = np.asarray(v, dtype=float)
-        if np.any(v <= sec.a) or np.any(v >= sec.b):
-            raise DomainError(
-                f"axis coordinate outside the open chord ({sec.a}, {sec.b})")
-
-
-def _axis_centered(d: BallDomain, t) -> np.ndarray:
-    return np.asarray(t, dtype=float) - d.center[0]
+def _axis_point(d: BallDomain, sec: AxisSection, t) -> np.ndarray:
+    """Centered axis coordinates t - c1, a scalar as a batch of one; raises
+    outside the open chord."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(t <= sec.a) or np.any(t >= sec.b):
+        raise DomainError(
+            f"axis coordinate outside the open chord ({sec.a}, {sec.b})")
+    return t - d.center[0]
 
 
 def _axis_pair(d: BallDomain, sec: AxisSection, t, s, who: str) -> tuple:
     """Centered, broadcast 1-d (t, s) of a pair kernel and whether both were
     scalars; raises outside the chord and at t == s."""
-    _axis_check(d, sec, t, s)
-    tc, sc = _axis_centered(d, t), _axis_centered(d, s)
-    scalar = (np.ndim(tc) == 0 and np.ndim(sc) == 0)
-    tc, sc = np.broadcast_arrays(np.atleast_1d(tc), np.atleast_1d(sc))
+    tc, sc = np.broadcast_arrays(_axis_point(d, sec, t),
+                                 _axis_point(d, sec, s))
     if np.any(tc == sc):
         raise SingularityError(f"{who} evaluated at t == s")
-    return tc, sc, scalar
+    return tc, sc, np.ndim(t) == np.ndim(s) == 0
 
 
 def axis_g(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
@@ -292,11 +281,10 @@ def axis_g(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
 
 def axis_h(d: BallDomain, sec: AxisSection, t) -> float | np.ndarray:
     """Diagonal Robin function on the axis: h(t) = H(te1, te1)."""
-    _axis_check(d, sec, t)
-    tc = _axis_centered(d, t)
+    tc = _axis_point(d, sec, t)
     R = d.radius
     val = d.kappa * (R - tc * tc / R) ** (2.0 - d.N)
-    return float(val) if np.ndim(val) == 0 else val
+    return float(val[0]) if np.ndim(t) == 0 else val
 
 
 def axis_g_dt(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
@@ -334,11 +322,10 @@ def axis_g_ts(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
 
 def axis_h_d1(d: BallDomain, sec: AxisSection, t) -> float | np.ndarray:
     """First derivative of the diagonal Robin function h(t,t)."""
-    _axis_check(d, sec, t)
-    tc = _axis_centered(d, t)
+    tc = _axis_point(d, sec, t)
     R = d.radius
     val = 2.0 * d.kappa * (d.N - 2) * (tc / R) * (R - tc * tc / R) ** (1.0 - d.N)
-    return float(val) if np.ndim(val) == 0 else val
+    return float(val[0]) if np.ndim(t) == 0 else val
 
 
 def axis_h_d2(d: BallDomain, sec: AxisSection, t) -> float | np.ndarray:
@@ -348,13 +335,12 @@ def axis_h_d2(d: BallDomain, sec: AxisSection, t) -> float | np.ndarray:
     (1/(4 pi)) (2 (1-t^2)^{-2} + 8 t^2 (1-t^2)^{-3}),
     strictly positive on (-1, 1).
     """
-    _axis_check(d, sec, t)
-    tc = _axis_centered(d, t)
+    tc = _axis_point(d, sec, t)
     R = d.radius
     w = R - tc * tc / R
     val = (2.0 * d.kappa * (d.N - 2) / R * w ** (1.0 - d.N)
            + 4.0 * d.kappa * (d.N - 2) * (d.N - 1) * (tc / R) ** 2 * w ** (-float(d.N)))
-    return float(val) if np.ndim(val) == 0 else val
+    return float(val[0]) if np.ndim(t) == 0 else val
 
 
 # ---------------------------------------------------------------------------

@@ -478,8 +478,6 @@ def find_t0_r0(domain: BallDomain, section: AxisSection | None = None
     for r0 in r_cands:
         inside = [t0 for t0 in t_cands if t0 - 4.0 * r0 > sec.a + guard
                   and t0 + 4.0 * r0 < sec.b - guard]
-        if not inside:
-            continue
         # One kernel batch for the spacing's base points, in scan order.
         for t0, margin in zip(inside, spacing_margin(kern, inside, r0)):
             if margin > 0.0 and spacing_margin(kern, t0, r0, 330) > 0.0:

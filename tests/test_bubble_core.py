@@ -141,6 +141,10 @@ class TestBasicScalars:
         assert sigma_N(3) == pytest.approx(4.0 * math.pi, rel=1e-15)
         assert sigma_N(4) == pytest.approx(2.0 * math.pi ** 2, rel=1e-15)
 
+    def test_sigma_N_overflow_names_N(self):
+        with pytest.raises(ParameterError, match="N=400"):
+            sigma_N(400)
+
     @pytest.mark.parametrize("fn, N", [(alpha_N, 2), (two_star, 2),
                                        (sigma_N, 0)])
     def test_dimension_guards(self, fn, N):

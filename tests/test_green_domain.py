@@ -225,17 +225,52 @@ class TestAxisSecondDerivatives:
             assert axis_g_ts(d, sec, t, s) == pytest.approx(
                 axis_g_ts(d, sec, s, t), rel=1e-14)
 
-    def test_vectorized_and_kernel_methods(self, domain):
+    def test_vectorized_and_kernel_methods(self, domain, kern):
         sec = AxisSection.of_ball(domain)
-        kern = AxisKernels.for_ball(domain)
         t = np.array([-0.4, 0.1, 0.6])
         s = np.array([0.2, -0.3, 0.0])
-        for f, m in ((axis_g_tt, kern.g_tt), (axis_g_ts, kern.g_ts)):
+        for f, m in ((axis_g, kern.g), (axis_g_dt, kern.g_dt),
+                     (axis_g_tt, kern.g_tt), (axis_g_ts, kern.g_ts)):
             vec = f(domain, sec, t, s)
             assert vec.shape == (3,)
-            for n in range(3):
-                assert vec[n] == f(domain, sec, t[n], s[n])
             assert np.array_equal(m(t, s), vec)
+        for f, m in ((axis_h, kern.h), (axis_h_d1, kern.h_d1),
+                     (axis_h_d2, kern.h_d2)):
+            vec = f(domain, sec, t)
+            assert vec.shape == (3,)
+            assert np.array_equal(m(t), vec)
+
+    @pytest.mark.parametrize("N", range(3, 9))
+    @pytest.mark.parametrize("R", (0.5, 1.0, 3.0))
+    def test_scalar_call_is_a_batch_of_one(self, N, R):
+        # Every kernel evaluates a scalar argument as a batch of one, so a
+        # scalar call returns the bits of the same point inside a batch
+        # (as a Python float; a gradient as an (N,) vector).
+        center = np.zeros(N)
+        center[0], center[1] = 0.37 * R, -0.8 * R   # shifted off the origin
+        d = BallDomain(N=N, center=center, radius=R)
+        sec = AxisSection.of_ball(d)
+        rng = np.random.default_rng(N)
+        t, s = center[0] + R * rng.uniform(-0.95, 0.95, (2, 64))
+        # inside the cube of half-width 0.95 R/sqrt(N), so |x - center| < R
+        x, y = center + R / math.sqrt(N) * rng.uniform(-0.95, 0.95, (2, 64, N))
+        calls = ([(f, (d, sec), (t, s)) for f in (axis_g, axis_g_dt,
+                                                  axis_g_tt, axis_g_ts)]
+                 + [(f, (d, sec), (t,)) for f in (axis_h, axis_h_d1,
+                                                  axis_h_d2)]
+                 + [(f, (d,), (x, y)) for f in (green_G, robin_H,
+                                                grad_x_G, grad_x_H)])
+        for f, fixed, batch in calls:
+            vec = f(*fixed, *batch)
+            for n in range(64):
+                one = f(*fixed, *(b[n] if b.ndim == 2 else float(b[n])
+                                  for b in batch))
+                if f in (grad_x_G, grad_x_H):
+                    assert one.shape == (N,)
+                    assert np.array_equal(one, vec[n]), (f.__name__, n)
+                else:
+                    assert type(one) is float
+                    assert one == vec[n], (f.__name__, n)
 
     def test_coincident_and_outside_rejected(self, domain):
         sec = AxisSection.of_ball(domain)

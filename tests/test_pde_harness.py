@@ -651,6 +651,15 @@ class TestAxisymGrid:
         with pytest.raises(SolverDivergenceError):
             solve_dirichlet_laplace(g, Field(g, np.ones((g.nz, g.nr))))
 
+    def test_inaccurate_solve_raises(self, domain):
+        # A factor that no longer solves the system fails the residual check.
+        g = AxisymGrid.for_ball(domain, nz=65, nr=33)
+        g._factor()
+        g._lu.inv_pivots[...] *= 1.5
+        with pytest.raises(SolverDivergenceError,
+                           match=r"grid solve residual .* exceeds tolerance"):
+            solve_dirichlet_laplace(g, Field(g, np.ones((g.nz, g.nr))))
+
 
 class TestGridProjection:
     def test_boundary_exactly_zero(self, domain, grid257):

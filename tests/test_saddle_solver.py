@@ -2,6 +2,7 @@
 
 import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nodalbubbles import (
     base_spacing_points,
     bounds_report,
     coercivity_scan,
+    find_t0_r0,
     grad_psi_k,
     grad_psi_tilde,
     hessian_psi_k,
@@ -435,6 +437,60 @@ class TestCoercivity:
         # piece) sits strictly above the interior saddle level.
         assert min(row["min_psi_tilde"] for row in scan) > SADDLE_VALUE
 
+    def test_level_without_certified_samples(self, domain, monkeypatch):
+        crossings = saddle_solver._level_crossings
+
+        def uncertified(*args):
+            c, psi, ok = crossings(*args)
+            return c, np.full_like(psi, np.inf), np.zeros_like(ok)
+
+        monkeypatch.setattr(saddle_solver, "_level_crossings", uncertified)
+        (row,) = coercivity_scan(domain, M_list=(10.0,))
+        assert row == {"M": 10.0, "min_psi_tilde": None, "n_certified": 0,
+                       "note": "no certified sample reached the level"}
+
+    def test_positions_fall_back_to_the_base_points(self, domain,
+                                                    monkeypatch):
+        # Four equal positions never keep the minimum gap, so after 200
+        # draws every sample takes the base spacing points.
+        rng = np.random.default_rng
+
+        class EqualPositions:
+            def __init__(self, seed):
+                self.rng = rng(seed)
+
+            def uniform(self, low, high, size=None):
+                if size == 4:
+                    return np.full(4, low)
+                return self.rng.uniform(low, high, size)
+
+        calls = record_level_crossings(monkeypatch)
+        monkeypatch.setattr(np.random, "default_rng", EqualPositions)
+        coercivity_scan(domain, M_list=(10.0,), n_samples=4)
+        ((_, t, *_),) = calls
+        t_base = base_spacing_points(*find_t0_r0(domain))
+        assert np.array_equal(t, np.tile(t_base, (4, 1)))
+
+    def test_polish_without_improvement_keeps_the_sample(self, domain,
+                                                         monkeypatch):
+        from scipy import optimize
+        sampled = []
+        crossings = saddle_solver._level_crossings
+
+        def recorded(*args):
+            out = crossings(*args)
+            sampled.append(out[1])
+            return out
+
+        monkeypatch.setattr(saddle_solver, "_level_crossings", recorded)
+        monkeypatch.setattr(optimize, "minimize",
+                            lambda *a, **k: SimpleNamespace(fun=math.inf))
+        (row,) = coercivity_scan(domain, M_list=(10.0,))
+        assert row["note"] == "polish did not improve the sampled minimum"
+        assert len(sampled) == 1 and row["n_certified"] == 43
+        assert row["min_psi_tilde"] == float(np.min(sampled[0]))
+        assert row["min_psi_tilde"] > COERCIVITY_MINIMA[10.0]
+
 
 def record_level_crossings(monkeypatch):
     """Record every batch the scan evaluates, with the polish switched off."""
@@ -519,6 +575,16 @@ class TestLevelCrossings:
                                              for v in cfg.Lambda])
             assert phi_penalty(scaled, kern) == pytest.approx(10.0, rel=1e-12)
             assert pj == pytest.approx(psi_tilde(scaled, kern), rel=1e-12)
+
+    def test_newton_cap_reached_raises(self, kern, monkeypatch):
+        monkeypatch.setattr(saddle_solver, "_NEWTON_CAP", 0)
+        anchor = saddle_solver._anchor_config(
+            kern, base_spacing_points(0.0, 0.06))
+        cfg = mu_embed(1.0, 1.0, 1.0, base_spacing_points(-0.05, 0.04))
+        with pytest.raises(SolverDivergenceError,
+                           match="did not converge in 0 Newton steps"):
+            saddle_solver._level_crossings(kern, anchor, cfg.Lambda, cfg.t,
+                                           10.0)
 
     def test_ray_below_the_level_is_masked(self, kern):
         anchor = saddle_solver._anchor_config(
