@@ -133,7 +133,12 @@ def bubble_profile(N: int, m: float, d2):
     quadratures' panel kernel (``pde_harness._SlabFrame``) spells it over
     ``alpha_N`` in the frame of each slab, equal to it up to rounding.
     """
-    return alpha_N(N) * (m / (m * m + d2)) ** ((N - 2) / 2.0)
+    # One buffer, worked in place (a 0-d array for scalar arguments).
+    q = np.asarray(m * m + d2, dtype=float)
+    np.divide(m, q, out=q)
+    q **= (N - 2) / 2.0
+    q *= alpha_N(N)
+    return q[()]
 
 
 @dataclass(frozen=True)

@@ -97,12 +97,14 @@ class BallDomain:
         """The unit ball centered at the origin."""
         return cls(N=N, center=np.zeros(N), radius=1.0)
 
-    @property
+    # Cached in the instance __dict__, not as fields: the dataclass fields
+    # and the generated methods stay as they are.
+    @functools.cached_property
     def sigma(self) -> float:
         """Unit-sphere area sigma_N in this dimension."""
         return sigma_N(self.N)
 
-    @property
+    @functools.cached_property
     def kappa(self) -> float:
         """Fundamental-solution normalization 1/((N-2) sigma_N)."""
         return 1.0 / ((self.N - 2) * self.sigma)

@@ -348,10 +348,9 @@ def _section_nodes(N: int, R: float, t: float, core_scale: float,
             ahead = u * (zc - t) > 0
             rmax = np.where(ahead, np.minimum(
                 rmax, (zc - t) / np.where(ahead, u, 1.0)), rmax)
+        # top > 0: |t| < R makes the sphere exit positive, zlo < t < zhi
+        # every plane exit ahead.
         top = float(np.max(rmax))
-        if top <= 0.0:
-            continue
-
         sig = _geometric_breaks(min(core_scale / 8.0 / top, 1.0), refine)
         s_nodes, s_w = _panel_nodes(sig)
         s_w = s_w * s_nodes ** (N - 1)
@@ -588,7 +587,8 @@ def _capacitance(gj: np.ndarray, S: np.ndarray, diag: np.ndarray,
     ``diag`` its diagonal and ``ratios`` the factors ``b_j/p_j``, one column
     per mode of ``S``.  One GEMM per block of nodes; each block divides by
     the products of ratios from its own first column, and a block ends
-    before they pass ``e^200``.
+    before they pass ``e^200``.  The blocks fill the upper triangle, which
+    is then mirrored into the lower one in place.
     """
     nr1 = ratios.shape[0]
     Y0 = S * diag[gj]
@@ -602,28 +602,45 @@ def _capacitance(gj: np.ndarray, S: np.ndarray, diag: np.ndarray,
         np.cumprod(ratios[j0:-1], axis=0, out=span[1:])
         X = S[s:stop] / span[gj[s:stop] - j0]
         C[s:stop, s:] = X @ (Y0[s:] * span[gj[s:] - j0]).T
-    return np.triu(C) + np.triu(C, 1).T
+    for i in range(1, gj.size):
+        C[i, :i] = C[:i, i]
+    return C
+
+
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """Invert the lower-triangular ``L`` in place by 2 x 2 blocks,
+    ``[A 0; B D]^{-1} = [A^{-1} 0; -D^{-1} B A^{-1}  D^{-1}]``, down to
+    blocks of at most 64 rows."""
+    n = len(L)
+    if n <= 64:
+        L[...] = np.tril(np.linalg.inv(L))
+        return L
+    k = n // 2
+    A, B, D = L[:k, :k], L[k:, :k], L[k:, k:]
+    _tril_inverse(A)
+    _tril_inverse(D)
+    np.negative(D @ (B @ A), out=B)
+    return L
 
 
 @dataclass(frozen=True)
 class _GridFactor:
     """What :meth:`AxisymGrid._factor` stores: per sine mode (columns) and
-    radial node (rows) the reciprocal pivots and the ratios ``b_j/p_j``;
-    the flat rectangle indices of the half of ``Γ`` below the center and
-    of their mirror images; and the inverses of the two mirror blocks of
+    radial node (rows) the reciprocal pivots; the flat rectangle indices of
+    the half of ``Γ`` below the center and of their mirror images; and the
+    inverses ``L^{-1}`` of the Cholesky factors of the two mirror blocks of
     ``C``."""
 
     inv_pivots: np.ndarray
-    ratios: np.ndarray
     half: np.ndarray
     mirror: np.ndarray
-    even_inv: np.ndarray
-    odd_inv: np.ndarray
+    even_linv: np.ndarray
+    odd_linv: np.ndarray
 
     # perfbench/layers.py (GridWatch) reads L.nnz + U.nnz as the factor size.
     @property
     def L(self):
-        return SimpleNamespace(nnz=self.even_inv.size + self.odd_inv.size)
+        return SimpleNamespace(nnz=self.even_linv.size + self.odd_linv.size)
 
     @property
     def U(self):
@@ -748,10 +765,14 @@ class AxisymGrid:
         the sums ``x_a + x_Ma`` it acts as ``E = 2 sum_{k odd}`` and on the
         differences as ``O = 2 sum_{k even}`` of the half's rows, two
         ``|Γ|/2``-square blocks (318 on the default 513 x 257 grid, where
-        the set-up stores 463,880 numbers with the reciprocal pivots and the
-        ratios).  Each is built by
-        :func:`_capacitance`, checked finite and positive definite, and
-        inverted once (see :meth:`_solve`).
+        the set-up stores 333,064 numbers with the reciprocal pivots).  Each
+        is built by :func:`_capacitance`, checked finite and
+        Cholesky-factored once, ``L L^T``, which checks that it is positive
+        definite; the solver keeps and applies ``L^{-1}`` (see
+        :meth:`_solve`).  Of the tridiagonal factors only ``1/p_j`` is kept:
+        ``h`` runs from the rim into the buffer of the diagonal, the pivots
+        from the axis row by row, and the ratios ``b_j/p_j`` are formed
+        where they are used.
         """
         if self._lu is not None:
             return
@@ -759,24 +780,21 @@ class AxisymGrid:
         n = nz2 + 1
         modes = np.arange(1, n)
         lam = 4.0 * np.sin(0.5 * np.pi * modes / n) ** 2
-        a = np.outer(self.coeff_axial[:nr1], lam)      # (nr1, nz2)
-        b = self.coeff_radial[:, None]                 # b[-1]: the rim face
-        g = np.zeros_like(a)
-        h = np.zeros_like(a)
-        h[-1] = b[-1]
-        for j in range(nr1 - 1):
-            e = a[j] + g[j]
-            g[j + 1] = b[j] * e / (e + b[j])
-            f = a[-1 - j] + h[-1 - j]
-            h[-2 - j] = b[-2 - j] * f / (f + b[-2 - j])
-        # In place: the pivots (a + g) + b and diag = 1/((a + g) + h).
-        a += g
-        del g
-        h += a
-        diag = np.divide(1.0, h, out=h)
-        a += b
-        ratios = b / a
-        inv_pivots = np.divide(1.0, a, out=a)
+        ax, b = self.coeff_axial, self.coeff_radial     # b[-1]: the rim face
+        diag = np.empty((nr1, nz2))
+        inv_pivots = np.empty((nr1, nz2))
+        diag[-1] = b[-1]                                # h from the rim
+        for j in range(nr1 - 1, 0, -1):
+            f = ax[j] * lam + diag[j]
+            diag[j - 1] = b[j - 1] * f / (f + b[j - 1])
+        g = 0.0
+        for j in range(nr1):            # a + g, the pivot and diag = 1/(a+g+h)
+            e = ax[j] * lam + g
+            p = e + b[j]
+            diag[j] += e
+            np.divide(1.0, diag[j], out=diag[j])
+            g = b[j] * e / p
+            np.divide(1.0, p, out=inv_pivots[j])
 
         gam = self.boundary[1:-1, :-1]
         if not np.array_equal(gam, gam[::-1]) or (nz2 % 2
@@ -785,35 +803,36 @@ class AxisymGrid:
                 "staircase boundary not mirror-paired: a node has no mirror "
                 "image or lies on the center row")
         gj, gi = np.nonzero(gam[:nz2 // 2].T)   # the half below, sorted by j
-        inverses = []
+        factors = []
         for parity in (0, 1):                   # modes 1, 3, ... then 2, 4, ...
             # sqrt(2) times the orthonormal sine, so S S^T carries the 2;
             # exact integer reduction of the sine arguments.
             k = modes[parity::2]
             S = (2.0 / math.sqrt(n)) * np.sin(
                 (np.pi / n) * (np.outer(gi + 1, k) % (2 * n)))
-            C = _capacitance(gj, S, diag[:, parity::2], ratios[:, parity::2])
+            C = _capacitance(gj, S, diag[:, parity::2],
+                             b[:, None] * inv_pivots[:, parity::2])
             if not np.all(np.isfinite(C)):
                 raise SolverDivergenceError("non-finite capacitance matrix")
             try:
-                np.linalg.cholesky(C)
+                L = np.linalg.cholesky(C)
             except np.linalg.LinAlgError:
                 raise SolverDivergenceError(
                     "capacitance matrix is not positive definite") from None
-            inverses.append(np.linalg.inv(C))
             del S, C
-        self._lu = _GridFactor(inv_pivots, ratios, gj * nz2 + gi,
-                               gj * nz2 + (nz2 - 1 - gi), *inverses)
+            factors.append(_tril_inverse(L))
+        self._lu = _GridFactor(inv_pivots, gj * nz2 + gi,
+                               gj * nz2 + (nz2 - 1 - gi), *factors)
 
     def _rect_solve(self, f: np.ndarray) -> np.ndarray:
         """``A_rect^{-1} f`` for ``f`` of shape (nr-1, nz-2), r by z, in place."""
-        inv_p, ratios = self._lu.inv_pivots, self._lu.ratios
+        inv_p, b = self._lu.inv_pivots, self.coeff_radial
         y = _dst1(f)
         for j in range(1, len(y)):
-            y[j] += ratios[j - 1] * y[j - 1]
+            y[j] += b[j - 1] * inv_p[j - 1] * y[j - 1]
         y *= inv_p
         for j in range(len(y) - 2, -1, -1):
-            y[j] += ratios[j] * y[j + 1]
+            y[j] += b[j] * inv_p[j] * y[j + 1]
         return _dst1(y)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -824,7 +843,8 @@ class AxisymGrid:
         fixes ``beta = -C^{-1} u_Γ`` for ``u`` the rectangle solution of
         ``rhs`` alone.  By the mirror split of :meth:`_factor`, with ``s =
         E^{-1}(u_a + u_Ma)`` and ``d = O^{-1}(u_a - u_Ma)``, that is
-        ``beta_a = -(s + d)/2`` and ``beta_Ma = -(s - d)/2``.
+        ``beta_a = -(s + d)/2`` and ``beta_Ma = -(s - d)/2``; each inverse is
+        applied as ``L^{-T}(L^{-1} v)`` from the kept Cholesky factor.
         """
         self._factor()
         fac = self._lu
@@ -833,8 +853,8 @@ class AxisymGrid:
         f = np.ascontiguousarray(x[1:-1, :-1].T)
         u = self._rect_solve(f).ravel()         # a view of f
         u_a, u_ma = u[fac.half], u[fac.mirror]
-        s = fac.even_inv @ (u_a + u_ma)
-        d = fac.odd_inv @ (u_a - u_ma)
+        s = fac.even_linv.T @ (fac.even_linv @ (u_a + u_ma))
+        d = fac.odd_linv.T @ (fac.odd_linv @ (u_a - u_ma))
         f[...] = x[1:-1, :-1].T
         f.flat[fac.half] = -0.5 * (s + d)
         f.flat[fac.mirror] = -0.5 * (s - d)
@@ -978,6 +998,7 @@ def _project(grid: AxisymGrid, signs, fam: ProjectedBubbleExact) -> Field:
     lie at least 4 cells from the boundary."""
     for t in np.ravel(fam.t):
         _require_cells(grid, fam.R - abs(t), 4, "boundary margin")
+    grid._factor()      # its transients do not stack on the trace's
     trace = np.asarray(signs, dtype=float) @ fam.u(
         (grid.z_nodes - float(grid.domain.center[0])).ravel(),
         grid.r_nodes.ravel())

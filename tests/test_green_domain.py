@@ -1,5 +1,6 @@
 """Ball Green/Robin kernels: image-formula oracles and hypothesis checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -403,3 +404,26 @@ class TestDomainValidation:
     def test_input_guards(self, call, error):
         with pytest.raises(error):
             call()
+
+    def test_sphere_area_computed_once_per_domain(self, monkeypatch):
+        # sigma and kappa are cached on the domain: 100 kernel calls on one
+        # ball evaluate sigma_N once, and the cache adds no field.
+        from nodalbubbles import green_domain
+        calls = []
+        real = green_domain.sigma_N
+
+        def counted(N):
+            calls.append(N)
+            return real(N)
+
+        monkeypatch.setattr(green_domain, "sigma_N", counted)
+        d = BallDomain.unit(5)
+        sec = AxisSection.of_ball(d)
+        vals = [axis_g(d, sec, 0.1, -0.2 + 1e-3 * i) for i in range(50)]
+        vals += [green_G(d, np.full(5, 0.1), np.full(5, -0.1 + 1e-3 * i))
+                 for i in range(50)]
+        assert calls == [5]
+        assert d.kappa == 1.0 / (3 * real(5))
+        assert [f.name for f in dataclasses.fields(d)] == ["N", "center",
+                                                           "radius"]
+        assert vals[0] == axis_g(BallDomain.unit(5), sec, 0.1, -0.2)

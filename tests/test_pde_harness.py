@@ -194,6 +194,38 @@ class TestEnergyQuadrature:
             assert abs(coarse - val) <= 1e-12 * abs(val)
             assert info["K_sym_defect"] <= 1e-14
 
+    def test_wide_core_against_radial_oracle(self, domain, table3,
+                                             monkeypatch):
+        # A core wider than four ball radii (Lambda = 40, eps = 0.5 give
+        # m = 6.25 on the unit ball) needs no geometric grading, so the
+        # radial panels are [0, 1/2, 1].  The centered PU = U - U(R) is
+        # radial: a 1-D Gauss-Legendre rule in rho is the oracle, with the
+        # gradient term from U' in place of the quadrature's K identity.
+        scales = []
+
+        def recorded(scale, refine):
+            scales.append(scale)
+            return real(scale, refine)
+
+        real = pde_harness._geometric_breaks
+        monkeypatch.setattr(pde_harness, "_geometric_breaks", recorded)
+        cfg, eps = centered1(40.0), 0.5
+        fam = projected_bubbles_of_config(domain, cfg, table3, eps)
+        m = float(fam.m[0, 0])
+        assert m == pytest.approx(6.25, rel=1e-12)
+        x, w = np.polynomial.legendre.leggauss(64)
+        rho, w = 0.5 * (x + 1.0), 0.5 * w
+        a = alpha_N(3)
+        pu = a * ((m / (m * m + rho * rho)) ** 0.5 - (m / (m * m + 1.0)) ** 0.5)
+        du = -a * math.sqrt(m) * rho * (m * m + rho * rho) ** -1.5
+        p = 6.0 - eps
+        oracle = 4.0 * math.pi * (0.5 * (w @ (du * du * rho * rho))
+                                  - (w @ (pu ** p * rho * rho)) / p)
+        for refine in (1, 2):
+            val, _ = energy_quadrature(domain, cfg, table3, eps, refine=refine)
+            assert val == pytest.approx(oracle, rel=1e-13)
+        assert scales and min(scales) >= 0.5
+
     def test_gradient_scale_at_saddle(self, domain, table3, saddle_config):
         # dI/d(Lambda, t) = omega eps dPsi + O(eps^2 log^2 eps): near zero
         # at the saddle, O(omega eps) at a 10% perturbation.
@@ -588,7 +620,8 @@ class TestAxisymGrid:
 
     def test_factor_memory(self, domain):
         # The set-up of the default grid allocates two 318-square mirror
-        # blocks, not one 636-square capacitance matrix.
+        # blocks, not one 636-square capacitance matrix, factors each once
+        # and keeps no ratio array beside the reciprocal pivots.
         g = AxisymGrid.for_ball(domain, nz=513, nr=257)
         tracemalloc.start()
         try:
@@ -596,7 +629,18 @@ class TestAxisymGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9_000_000, peak
+        assert peak <= 7_500_000, peak
+
+    def test_factor_stores_each_number_once(self, grid513):
+        # Two 318-square inverse Cholesky factors and the 256 x 511
+        # reciprocal pivots; the mirror index pairs are integers.
+        grid513._factor()
+        fac = grid513._lu
+        stored = [v for v in vars(fac).values() if v.dtype.kind == "f"]
+        assert sum(v.size for v in stored) == 2 * 318 ** 2 + 256 * 511
+        assert fac.L.nnz + fac.U.nnz == 333_064
+        for linv in (fac.even_linv, fac.odd_linv):
+            assert not np.triu(linv, 1).any()
 
     def test_solve_memory(self, grid513, domain):
         # One solve holds two full-grid arrays and one 32-row transform
