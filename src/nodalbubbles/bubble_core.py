@@ -1,4 +1,4 @@
-"""Standard bubble profiles and the dimension-dependent energy constants.
+"""The dimension-dependent constants of the standard bubble, by ``math`` alone.
 
 The *bubble* with concentration parameter ``eps``, scaling ``lam`` and center
 ``xi`` in dimension ``N >= 3`` is
@@ -34,6 +34,12 @@ of variables to the bubble parameter is the quadratic map
 under which the computed energy of a projected multi-bubble ansatz
 reproduces the reduced energy's scaling weights term by term (see the pde
 harness module).
+
+The module imports no numpy, so the ``constants`` command and the run
+configuration's dimension check load the standard library alone.  The
+pointwise profile (``bubble_profile``) and the parameters of one bubble
+(``BubbleParams``) are numpy code and live in the pde harness, which
+evaluates them.
 """
 
 from __future__ import annotations
@@ -42,18 +48,14 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParameterError
 
 __all__ = [
-    "BubbleParams",
     "ConstantsTable",
     "BubbleIntegrals",
     "alpha_N",
     "sigma_N",
     "two_star",
-    "bubble_profile",
     "bubble_integrals",
     "compute_constants",
     "lambda_of_Lambda_quadratic",
@@ -83,62 +85,6 @@ def two_star(N: int) -> float:
     if N < 3:
         raise ParameterError(f"dimension N must be >= 3, got {N}")
     return 2.0 * N / (N - 2.0)
-
-
-@dataclass(frozen=True)
-class BubbleParams:
-    """Parameters (N, eps, lam, xi) of a single bubble.
-
-    Attributes
-    ----------
-    N : int
-        Ambient dimension, >= 3.
-    eps : float
-        Subcriticality parameter, > 0.
-    lam : float
-        Scaling parameter, > 0.
-    xi : numpy.ndarray
-        Center, shape ``(N,)``.
-    """
-
-    N: int
-    eps: float
-    lam: float
-    xi: np.ndarray
-
-    def __post_init__(self):
-        if self.N < 3:
-            raise ParameterError(f"dimension N must be >= 3, got {self.N}")
-        if not (self.eps > 0):
-            raise ParameterError(f"eps must be positive, got {self.eps}")
-        if not (self.lam > 0):
-            raise ParameterError(f"lam must be positive, got {self.lam}")
-        xi = np.asarray(self.xi, dtype=float).reshape(-1)
-        if xi.size != self.N:
-            raise ParameterError(
-                f"center xi must have length N={self.N}, got {xi.size}")
-        object.__setattr__(self, "xi", xi)
-
-    @property
-    def core_width(self) -> float:
-        """The concentration length scale m = lam * eps^{1/(N-2)}."""
-        return self.lam * self.eps ** (1.0 / (self.N - 2.0))
-
-
-def bubble_profile(N: int, m: float, d2):
-    """The bubble alpha_N (m / (m^2 + d2))^{(N-2)/2} of core width ``m``.
-
-    ``d2`` is the squared distance to the center (a float or an array).
-    Every pointwise bubble evaluation in the package uses this formula; the
-    quadratures' panel kernel (``pde_harness._SlabFrame``) spells it over
-    ``alpha_N`` in the frame of each slab, equal to it up to rounding.
-    """
-    # One buffer, worked in place (a 0-d array for scalar arguments).
-    q = np.asarray(m * m + d2, dtype=float)
-    np.divide(m, q, out=q)
-    q **= (N - 2) / 2.0
-    q *= alpha_N(N)
-    return q[()]
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,14 @@ then explicit flags; every run writes ``{"meta": ..., "report": ...}`` under
 seed produce byte-identical reports except for the timestamp line in the
 metadata.  Exit codes: 0 success, 1 configuration error, 3 assumption
 failure, 4 solver failure, 5 resolution guard.
+
+Each subcommand imports the library modules it runs when it starts, so a
+process loads only those: ``constants`` loads no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -41,10 +43,7 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .bubble_core import BubbleParams, bubble_profile, compute_constants
 from .errors import (
     ConfigurationError,
     NodalBubblesError,
@@ -52,36 +51,7 @@ from .errors import (
     ResolutionError,
     SearchError,
     SolverDivergenceError,
-)
-from .green_domain import (
-    AxisSection,
-    BallDomain,
-    check_boundary_expansion,
-    check_directional_monotonicity,
-    validate_A3,
-)
-from .pde_harness import (
-    AxisymGrid,
-    expansion_gap,
-    project_bubble,
-    require_core_resolution,
-    residual_norm,
-    residual_quadrature,
-)
-from .reduced_energy import (
-    AxisKernels,
-    Configuration,
     _is_number,
-    base_spacing_points,
-    bounds_report,
-    find_t0_r0,
-    mu_embed,
-)
-from .saddle_solver import (
-    solve_saddle,
-    stationarity_identities,
-    verify_bounds,
-    write_trace_csv,
 )
 
 __all__ = ["RunConfig", "main", "cmd_constants", "cmd_assumptions",
@@ -117,6 +87,7 @@ class RunConfig:
             raise ConfigurationError(
                 f"N >= 3 required (an integer that fits a double), "
                 f"got dim={self.dim!r}")
+        from .bubble_core import compute_constants
         try:    # one dimension range for every subcommand
             compute_constants(self.dim)
         except ParameterError as e:
@@ -169,14 +140,16 @@ class RunConfig:
         if self.configuration is not None:
             if not isinstance(self.configuration, dict):
                 raise ConfigurationError("configuration must be a JSON object")
+            from .reduced_energy import Configuration
             try:
                 Configuration.from_json_dict(self.configuration)
             except ParameterError as e:
                 raise ConfigurationError(f"configuration: {e}") from e
 
-    def domain(self) -> BallDomain:
-        return BallDomain(N=self.dim, center=np.array(self.center),
-                          radius=self.radius)
+    def domain(self):
+        """The configured ball (a :class:`~.green_domain.BallDomain`)."""
+        from .green_domain import BallDomain
+        return BallDomain(N=self.dim, center=self.center, radius=self.radius)
 
     def to_json_dict(self) -> dict:
         """Every field by name; tuples are written as JSON lists."""
@@ -256,6 +229,7 @@ def write_report(name: str, report: dict, config: RunConfig) -> Path:
     path = out_dir / f"{name}.json"
     path.write_text(text, encoding="utf-8")
     if config.format == "csv":
+        import csv
         with open(out_dir / f"{name}.csv", "w", newline="",
                   encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -271,6 +245,7 @@ def write_report(name: str, report: dict, config: RunConfig) -> Path:
 
 def cmd_constants(config: RunConfig) -> int:
     """Energy constants for the configured dimension -> constants.json."""
+    from .bubble_core import compute_constants
     table = compute_constants(config.dim)
     write_report("constants", table.to_json_dict(), config)
     return EXIT_OK
@@ -278,6 +253,8 @@ def cmd_constants(config: RunConfig) -> int:
 
 def cmd_assumptions(config: RunConfig) -> int:
     """Kernel hypothesis checks on the ball -> assumptions.json; 3 on failure."""
+    from .green_domain import (AxisSection, check_boundary_expansion,
+                               check_directional_monotonicity, validate_A3)
     domain = config.domain()
     checks = list(validate_A3(domain, AxisSection.of_ball(domain)))
     checks.extend(check_boundary_expansion(domain))
@@ -295,6 +272,13 @@ def cmd_saddle(config: RunConfig) -> int:
     ``grad_norm`` refer to it); the dilation x -> c + R x maps t -> c_1 + R t
     and Lambda -> R^{(N-2)/2} Lambda and shifts values by -k (N-2)/2 log R.
     Bracket and identity checks run on the configured ball."""
+    import numpy as np
+
+    from .green_domain import BallDomain
+    from .reduced_energy import (AxisKernels, base_spacing_points,
+                                 bounds_report, find_t0_r0, mu_embed)
+    from .saddle_solver import (solve_saddle, stationarity_identities,
+                                verify_bounds, write_trace_csv)
     domain = config.domain()
     N, R, c1 = domain.N, domain.radius, float(domain.center[0])
     unit = BallDomain.unit(N)
@@ -331,8 +315,10 @@ def cmd_saddle(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _verify_configuration(config: RunConfig) -> Configuration:
-    """The configuration under test: inline, else saddle.json of this ball."""
+def _verify_configuration(config: RunConfig):
+    """The configuration under test, a reduced-energy ``Configuration``:
+    inline, else saddle.json of this ball."""
+    from .reduced_energy import Configuration
     saddle_path = Path(config.out) / "saddle.json"
     if config.configuration is not None:
         return Configuration.from_json_dict(config.configuration)
@@ -359,6 +345,13 @@ def _verify_configuration(config: RunConfig) -> Configuration:
 
 def cmd_verify(config: RunConfig) -> int:
     """Projection rate, residuals, expansion gap in any N -> verify.json."""
+    import numpy as np
+
+    from .bubble_core import compute_constants
+    from .pde_harness import (AxisymGrid, BubbleParams, bubble_profile,
+                              expansion_gap, project_bubble,
+                              require_core_resolution, residual_norm,
+                              residual_quadrature)
     domain = config.domain()
     grid = AxisymGrid.for_ball(domain, nz=config.grid_nz, nr=config.grid_nr)
     # Every guard before any solve: the grid resolves the probe's core at

@@ -3,13 +3,26 @@
 The command-line front end maps these onto stable exit codes; library users
 can catch them individually.  Everything derives from ``NodalBubblesError``
 so a single ``except`` clause can fence off the whole package.
+
+The module also holds the one rule for what counts as a number in a JSON
+input (:func:`_is_number`), shared by the run configuration and the
+bubble configuration; it imports the standard library alone.
 """
 
 from __future__ import annotations
 
+import sys
+
 __all__ = ["NodalBubblesError", "ParameterError", "ConfigurationError",
            "DomainError", "SingularityError", "QuadratureError",
            "SearchError", "ResolutionError", "SolverDivergenceError"]
+
+
+def _is_number(v, kind=(int, float)) -> bool:
+    """``v`` is a JSON number of ``kind``, not true/false, and a finite
+    double (``json`` reads ``Infinity`` and long integers exactly)."""
+    return (isinstance(v, kind) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 class NodalBubblesError(Exception):

@@ -75,6 +75,8 @@ class BallDomain:
         Center point, shape ``(N,)``.
     radius : float
         Radius R > 0.
+
+    Two balls are equal, and hash alike, when N, radius and center are.
     """
 
     N: int
@@ -97,8 +99,21 @@ class BallDomain:
         """The unit ball centered at the origin."""
         return cls(N=N, center=np.zeros(N), radius=1.0)
 
-    # Cached in the instance __dict__, not as fields: the dataclass fields
-    # and the generated methods stay as they are.
+    # The generated equality and hash would compare and hash the center
+    # array, which has no truth value and no hash.
+    def _key(self) -> tuple:
+        return (self.N, self.radius, tuple(self.center.tolist()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    # Cached in the instance __dict__, not as fields, so equality, hash and
+    # repr see the three fields alone.
     @functools.cached_property
     def sigma(self) -> float:
         """Unit-sphere area sigma_N in this dimension."""

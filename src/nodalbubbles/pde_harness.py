@@ -2,8 +2,11 @@
 
 Everything here serves one question: does the computed energy of the
 projected multi-bubble ansatz match the reduced-energy expansion, and does
-the ansatz nearly solve the slightly subcritical equation?  Two independent
-instruments are provided.
+the ansatz nearly solve the slightly subcritical equation?  One bubble is
+given by its parameters (:class:`BubbleParams`) and evaluated pointwise by
+:func:`bubble_profile`, the profile whose constants
+:mod:`~nodalbubbles.bubble_core` computes.  Two independent instruments are
+provided.
 
 Grid instrument
     An axisymmetric finite-volume discretization of the ball in R^N on its
@@ -47,15 +50,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bubble_core import (BubbleParams, ConstantsTable, alpha_N,
-                          bubble_profile, lambda_of_Lambda_quadratic, sigma_N,
-                          single_bubble_energy_limit, two_star)
+from .bubble_core import (ConstantsTable, alpha_N, lambda_of_Lambda_quadratic,
+                          sigma_N, single_bubble_energy_limit, two_star)
 from .errors import (DomainError, ParameterError, ResolutionError,
                      SolverDivergenceError)
 from .green_domain import BallDomain
 from .reduced_energy import AxisKernels, Configuration, psi_k
 
 __all__ = [
+    "BubbleParams",
+    "bubble_profile",
     "AxisymGrid",
     "Field",
     "ProjectedBubbleExact",
@@ -72,6 +76,66 @@ __all__ = [
     "residual_quadrature",
     "expansion_gap",
 ]
+
+
+# --------------------------------------------------------------------------
+# Single bubbles
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BubbleParams:
+    """Parameters (N, eps, lam, xi) of a single bubble.
+
+    Attributes
+    ----------
+    N : int
+        Ambient dimension, >= 3.
+    eps : float
+        Subcriticality parameter, > 0.
+    lam : float
+        Scaling parameter, > 0.
+    xi : numpy.ndarray
+        Center, shape ``(N,)``.
+    """
+
+    N: int
+    eps: float
+    lam: float
+    xi: np.ndarray
+
+    def __post_init__(self):
+        if self.N < 3:
+            raise ParameterError(f"dimension N must be >= 3, got {self.N}")
+        if not (self.eps > 0):
+            raise ParameterError(f"eps must be positive, got {self.eps}")
+        if not (self.lam > 0):
+            raise ParameterError(f"lam must be positive, got {self.lam}")
+        xi = np.asarray(self.xi, dtype=float).reshape(-1)
+        if xi.size != self.N:
+            raise ParameterError(
+                f"center xi must have length N={self.N}, got {xi.size}")
+        object.__setattr__(self, "xi", xi)
+
+    @property
+    def core_width(self) -> float:
+        """The concentration length scale m = lam * eps^{1/(N-2)}."""
+        return self.lam * self.eps ** (1.0 / (self.N - 2.0))
+
+
+def bubble_profile(N: int, m: float, d2):
+    """The bubble alpha_N (m / (m^2 + d2))^{(N-2)/2} of core width ``m``.
+
+    ``d2`` is the squared distance to the center (a float or an array).
+    Every pointwise bubble evaluation in the package uses this formula; the
+    quadratures' panel kernel (:class:`_SlabFrame`) spells it over
+    ``alpha_N`` in the frame of each slab, equal to it up to rounding.
+    """
+    # One buffer, worked in place (a 0-d array for scalar arguments).
+    q = np.asarray(m * m + d2, dtype=float)
+    np.divide(m, q, out=q)
+    q **= (N - 2) / 2.0
+    q *= alpha_N(N)
+    return q[()]
 
 
 # --------------------------------------------------------------------------
@@ -1016,7 +1080,7 @@ def project_bubble(domain: BallDomain, p: BubbleParams,
     the symmetry axis, at least 4 cells from the boundary.
     """
     g = grid.domain
-    if (domain.N, domain.radius, *domain.center) != (g.N, g.radius, *g.center):
+    if domain != g:
         raise ParameterError("domain does not match the grid's domain")
     t = _require_axis_center(p, grid)
     fam = ProjectedBubbleExact(N=g.N, R=g.radius, m=np.array([[p.core_width]]),

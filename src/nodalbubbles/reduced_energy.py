@@ -41,13 +41,12 @@ Besides the evaluators, the module provides:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError, SearchError
+from .errors import ParameterError, SearchError, _is_number
 from .green_domain import (AxisSection, BallDomain, axis_g, axis_g_dt,
                            axis_g_ts, axis_g_tt, axis_h, axis_h_d1, axis_h_d2)
 
@@ -72,13 +71,6 @@ __all__ = [
 ]
 
 ALTERNATING_SIGNS_4 = (1, -1, 1, -1)
-
-
-def _is_number(v, kind=(int, float)) -> bool:
-    """``v`` is a JSON number of ``kind``, not true/false, and a finite
-    double (``json`` reads ``Infinity`` and long integers exactly)."""
-    return (isinstance(v, kind) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ samples go through one batched evaluator with closed-form level crossings.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -298,6 +297,7 @@ def verify_bounds(report: SaddleReport, bounds: BoundsReport) -> bool:
 def write_trace_csv(report: SaddleReport, path) -> None:
     """Dump the iteration trace as CSV rows (iter, psi_tilde, grad_norm, step);
     the ``psi_tilde`` column, named by the schema, holds Ψ_k for any k."""
+    import csv
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["iter", "psi_tilde", "grad_norm", "step"])

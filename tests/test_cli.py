@@ -356,15 +356,15 @@ class TestVerifyCommand:
                                                             abs=1e-9)
 
     def test_projects_each_bubble_once(self, tmp_path, monkeypatch):
-        import nodalbubbles.cli as cli
+        import nodalbubbles.pde_harness as pde_harness
         calls = []
 
         def counted(*args):
             calls.append(args[1].eps)
             return project_bubble(*args)
 
-        project_bubble = cli.project_bubble
-        monkeypatch.setattr(cli, "project_bubble", counted)
+        project_bubble = pde_harness.project_bubble
+        monkeypatch.setattr(pde_harness, "project_bubble", counted)
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({
             "configuration": {"k": 1, "signs": [1],
@@ -382,9 +382,9 @@ class TestVerifyCommand:
                              ids=["one", "repeated"])
     def test_single_eps_rejected_before_any_work(self, tmp_path, monkeypatch,
                                                  capsys, eps):
-        import nodalbubbles.cli as cli
+        import nodalbubbles.pde_harness as pde_harness
         calls = []
-        monkeypatch.setattr(cli, "project_bubble",
+        monkeypatch.setattr(pde_harness, "project_bubble",
                             lambda *args: calls.append(args))
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({
@@ -407,9 +407,9 @@ class TestVerifyCommand:
                                              monkeypatch, capsys, flags, run):
         # A saddle.json written for the unit ball in R^3 is not evaluated
         # in another ball: exit 1 before any grid solve.
-        import nodalbubbles.cli as cli
+        import nodalbubbles.pde_harness as pde_harness
         calls = []
-        monkeypatch.setattr(cli, "project_bubble",
+        monkeypatch.setattr(pde_harness, "project_bubble",
                             lambda *args: calls.append(args))
         (tmp_path / "saddle.json").write_text(
             (outdir / "saddle.json").read_text())

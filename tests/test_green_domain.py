@@ -159,6 +159,16 @@ class TestRobinFunction:
         order = harmonic_defect_order(domain, x, y, h0=0.02)
         assert 1.7 <= order <= 2.3
 
+    def test_harmonicity_order_of_a_zero_defect(self, domain, monkeypatch):
+        # An affine H at dyadic points has a stencil defect of exactly 0 at
+        # both steps, which the measurement reports as an infinite order.
+        from nodalbubbles import green_domain
+        monkeypatch.setattr(green_domain, "robin_H",
+                            lambda d, x, y: 1.0 + 2.0 * y[:, 0] - y[:, 2])
+        x = np.array([0.25, 0.0, 0.0])
+        y = np.array([-0.25, 0.125, 0.5])
+        assert harmonic_defect_order(domain, x, y, h0=0.125) == math.inf
+
 
 class TestAxisKernels:
     def test_axis_values(self, domain, kern):
@@ -393,6 +403,31 @@ class TestDomainValidation:
     def test_bad_section(self):
         with pytest.raises(ParameterError):
             AxisSection(a=1.0, b=-1.0)
+
+    def test_equal_balls_compare_and_hash_equal(self):
+        a = BallDomain(N=3, center=[0.2, 0.0, -0.1], radius=2)
+        b = BallDomain(N=3, center=np.array([0.2, 0.0, -0.1]), radius=2.0)
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert BallDomain.unit(3) == BallDomain.unit(3)
+        assert {a: "ball"}[b] == "ball"
+        assert len({a, b, BallDomain.unit(3), BallDomain.unit(3)}) == 2
+
+    @pytest.mark.parametrize("other", [
+        BallDomain.unit(4),
+        BallDomain(N=3, center=np.zeros(3), radius=2.0),
+        BallDomain(N=3, center=np.array([0.5, 0.0, 0.0]), radius=1.0),
+        BallDomain(N=3, center=np.array([0.0, 0.0, 1e-12]), radius=1.0),
+    ], ids=["N", "radius", "center", "transverse-center"])
+    def test_balls_that_differ_compare_unequal(self, other):
+        unit = BallDomain.unit(3)
+        assert unit != other and not unit == other
+        assert len({unit, other}) == 2
+
+    def test_ball_is_not_equal_to_its_fields(self):
+        unit = BallDomain.unit(3)
+        assert unit != (3, (0.0, 0.0, 0.0), 1.0)
+        assert unit != "unit ball"
 
     @pytest.mark.parametrize("call, error", [
         pytest.param(lambda: BallDomain(N=3, center=np.zeros(2), radius=1.0),
