@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ParameterError
 
@@ -124,17 +124,8 @@ class ConstantsTable:
     quad_error: float
 
     def to_json_dict(self) -> dict:
-        """Serializable report with the documented field names."""
-        return {
-            "N": self.N,
-            "alphaN": self.alphaN,
-            "CN": self.CN,
-            "cN": self.cN,
-            "omegaN": self.omegaN,
-            "gammaN": self.gammaN,
-            "quad_error": self.quad_error,
-            "values_implementer_derived": True,
-        }
+        """The fields in order, then the flag ``values_implementer_derived``."""
+        return {**asdict(self), "values_implementer_derived": True}
 
 
 def _half_beta(a: float, b: float) -> float:

@@ -40,7 +40,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -138,8 +138,6 @@ class RunConfig:
             raise ConfigurationError(
                 f"trace must be true or false, got {self.trace!r}")
         if self.configuration is not None:
-            if not isinstance(self.configuration, dict):
-                raise ConfigurationError("configuration must be a JSON object")
             from .reduced_energy import Configuration
             try:
                 Configuration.from_json_dict(self.configuration)
@@ -153,7 +151,7 @@ class RunConfig:
 
     def to_json_dict(self) -> dict:
         """Every field by name; tuples are written as JSON lists."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}

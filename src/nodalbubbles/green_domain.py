@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -159,12 +159,9 @@ class ValidationReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "sample_count": self.sample_count,
-            "worst_value": self.worst_value,
-            "pass": bool(self.passed),
-        }
+        d = asdict(self)
+        d["pass"] = bool(d.pop("passed"))
+        return d
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ Besides the evaluators, the module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -127,21 +127,28 @@ class Configuration:
         object.__setattr__(self, "t", tt)
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "signs": list(self.signs),
-            "Lambda": list(self.Lambda),
-            "t": list(self.t),
-        }
+        """The fields in order, tuples as lists."""
+        return {key: list(v) if isinstance(v, tuple) else v
+                for key, v in asdict(self).items()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Configuration":
-        """Inverse of :meth:`to_json_dict`.  ``k`` and the ``signs`` entries
-        must be JSON integers and the ``Lambda`` and ``t`` entries JSON
-        numbers that fit a double (true/false and strings are neither); a
-        missing key or an entry of the wrong type raises ParameterError."""
+        """Inverse of :meth:`to_json_dict`: ``data`` is an object holding
+        exactly the record's fields.  ``k`` and the ``signs`` entries must
+        be JSON integers and the ``Lambda`` and ``t`` entries JSON numbers
+        that fit a double (true/false and strings are neither); a non-object,
+        a missing or unknown key or an entry of the wrong type raises
+        ParameterError."""
+        if not isinstance(data, dict):
+            raise ParameterError("configuration must be a JSON object, "
+                                 f"got {type(data).__name__}")
+        keys = [f.name for f in fields(cls)]
+        unknown = [key for key in data if key not in keys]
+        if unknown:
+            raise ParameterError(f"configuration has unknown keys {unknown}; "
+                                 f"known keys: {keys}")
         try:
-            entries = {key: data[key] for key in ("k", "signs", "Lambda", "t")}
+            entries = {key: data[key] for key in keys}
         except KeyError as exc:
             raise ParameterError(
                 f"configuration dict is missing key {exc}") from exc
@@ -217,13 +224,7 @@ class BoundsReport:
     r0: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "H0": self.H0,
-            "lower": self.lower,
-            "upper": self.upper,
-            "t0": self.t0,
-            "r0": self.r0,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

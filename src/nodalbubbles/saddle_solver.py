@@ -30,7 +30,7 @@ samples go through one batched evaluator with closed-form level crossings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -75,15 +75,11 @@ class SaddleReport:
     warnings: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config.to_json_dict(),
-            "value": self.value,
-            "grad_norm": self.grad_norm,
-            "inertia": list(self.inertia),
-            "bounds_ok": self.bounds_ok,
-            "iterations": self.iterations,
-            "warnings": list(self.warnings),
-        }
+        """The fields in order but ``trace``, which goes to trace.csv."""
+        d = asdict(self)
+        del d["trace"]
+        d.update(config=self.config.to_json_dict(), inertia=list(self.inertia))
+        return d
 
 
 # Admissible-set guards for solver iterates: scalings in [LAM_MIN, LAM_MAX],

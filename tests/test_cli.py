@@ -3,9 +3,11 @@
 import csv
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
+from nodalbubbles.bubble_core import ConstantsTable
 from nodalbubbles.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -70,6 +72,11 @@ class TestRunConfig:
         assert rc == EXIT_CONFIG
         assert "penalty_M" not in RunConfig().to_json_dict()
 
+    def test_json_dict_is_the_fields_in_order(self):
+        assert list(RunConfig().to_json_dict()) == [
+            "dim", "radius", "center", "eps", "tol", "max_iter", "grid_nz",
+            "grid_nr", "seed", "out", "format", "trace", "configuration"]
+
 
 _SADDLE_CONFIG = {"k": 4, "signs": [1, -1, 1, -1],
                   "Lambda": [1.0, 1.0, 1.0, 1.0], "t": [0.0, 0.06, 0.12, 0.18]}
@@ -95,6 +102,7 @@ class TestConfigFileValues:
         ("saddle", {"trace": True, "max_iter": True}),
         ("verify", {"configuration": dict(_SADDLE_CONFIG, signs=1)}),
         ("verify", {"configuration": dict(_SADDLE_CONFIG, Lambda=["a"] * 4)}),
+        ("verify", {"configuration": dict(_SADDLE_CONFIG, extra=1)}),
         # Every subcommand parses an inline configuration, not only verify.
         ("constants", {"configuration": {"k": 4, "signs": 1}}),
         ("assumptions", {"configuration": {"k": 4, "signs": 1}}),
@@ -530,6 +538,15 @@ class TestDeterminismAndFormats:
             rows = {k: v for k, v in list(csv.reader(fh))[1:]}
         assert float(rows["omegaN"]) == rep["omegaN"]
         assert float(rows["cN"]) == rep["cN"]
+
+    def test_csv_twin_keeps_the_field_order(self, tmp_path):
+        # JSON sorts its keys; the CSV twin shows the record's own order.
+        rc = main(["constants", "--out", str(tmp_path), "--format", "csv"])
+        assert rc == EXIT_OK
+        with open(tmp_path / "constants.csv", newline="") as fh:
+            keys = [row[0] for row in csv.reader(fh)]
+        assert keys == ["key", *(f.name for f in fields(ConstantsTable)),
+                        "values_implementer_derived"]
 
     def test_csv_twin_of_a_report_with_lists(self, tmp_path):
         # Lists flatten to one key[i] row per entry.

@@ -364,14 +364,25 @@ class TestSearchAndBounds:
         assert rep.upper == pytest.approx(UPPER_BOUND, abs=1e-9)
         assert rep.lower < rep.upper
         d = rep.to_json_dict()
-        assert set(d) == {"H0", "lower", "upper", "t0", "r0"}
+        assert list(d) == ["H0", "lower", "upper", "t0", "r0"]
 
 
 class TestConfigurationType:
     def test_json_round_trip(self, saddle_config):
         d = saddle_config.to_json_dict()
+        assert list(d) == ["k", "signs", "Lambda", "t"]
         back = Configuration.from_json_dict(d)
         assert back == saddle_config
+
+    @pytest.mark.parametrize("data", [None, [1, 2], "x"])
+    def test_from_json_dict_needs_an_object(self, data):
+        with pytest.raises(ParameterError, match="JSON object"):
+            Configuration.from_json_dict(data)
+
+    def test_from_json_dict_rejects_unknown_keys(self, saddle_config):
+        d = dict(saddle_config.to_json_dict(), extra=1)
+        with pytest.raises(ParameterError, match="extra"):
+            Configuration.from_json_dict(d)
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -142,8 +142,8 @@ class TestCanonicalSaddle:
 
     def test_report_serialization(self, saddle_report):
         d = saddle_report.to_json_dict()
-        assert set(d) >= {"config", "value", "grad_norm", "inertia",
-                          "bounds_ok", "iterations", "warnings"}
+        assert list(d) == ["config", "value", "grad_norm", "inertia",
+                           "bounds_ok", "iterations", "warnings"]
         assert d["config"]["signs"] == [1, -1, 1, -1]
 
 
@@ -490,6 +490,29 @@ class TestCoercivity:
         assert len(sampled) == 1 and row["n_certified"] == 43
         assert row["min_psi_tilde"] == float(np.min(sampled[0]))
         assert row["min_psi_tilde"] > COERCIVITY_MINIMA[10.0]
+
+    def test_polish_rejects_points_mu_embed_refuses(self, domain,
+                                                     monkeypatch):
+        # The polish gets the default scan's real anchor and best sample;
+        # every trial point mu_embed refuses scores 1e6, so the sampled
+        # minimum stands.
+        args = []
+        monkeypatch.setattr(saddle_solver, "_refine_level_min",
+                            lambda *a: args.append(a) or (a[4], ""))
+        coercivity_scan(domain, M_list=(10.0,))
+        (kern, anchor, cfg0, level, val0, window, min_gap), = args
+        monkeypatch.undo()
+        refused = []
+
+        def refuse(*a):
+            refused.append(a)
+            raise ParameterError("refused")
+
+        monkeypatch.setattr(saddle_solver, "mu_embed", refuse)
+        assert saddle_solver._refine_level_min(
+            kern, anchor, cfg0, level, val0, window, min_gap) == (
+            val0, "polish did not improve the sampled minimum")
+        assert refused
 
 
 def record_level_crossings(monkeypatch):
