@@ -102,7 +102,6 @@ class TestConfigFileValues:
         ("saddle", {"trace": True, "max_iter": True}),
         ("verify", {"configuration": dict(_SADDLE_CONFIG, signs=1)}),
         ("verify", {"configuration": dict(_SADDLE_CONFIG, Lambda=["a"] * 4)}),
-        ("verify", {"configuration": dict(_SADDLE_CONFIG, extra=1)}),
         # Every subcommand parses an inline configuration, not only verify.
         ("constants", {"configuration": {"k": 4, "signs": 1}}),
         ("assumptions", {"configuration": {"k": 4, "signs": 1}}),
@@ -126,6 +125,8 @@ class TestConfigFileValues:
                                           Lambda=[_HUGE, 1.0, 1.0, 1.0])}),
         ("saddle", {"trace": True, "dim": _HUGE}),
         ("constants", {"center": [math.inf, 0, 0]}),
+        # An unknown configuration key is refused, not ignored.
+        ("verify", {"configuration": dict(_SADDLE_CONFIG, extra=1)}),
     ])
     def test_rejected(self, tmp_path, capsys, command, data):
         cfg_file = tmp_path / "run.json"
