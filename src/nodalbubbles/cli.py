@@ -278,7 +278,7 @@ def cmd_saddle(config: RunConfig) -> int:
     from .saddle_solver import (solve_saddle, stationarity_identities,
                                 verify_bounds, write_trace_csv)
     domain = config.domain()
-    N, R, c1 = domain.N, domain.radius, float(domain.center[0])
+    N, R, c1 = domain.N, domain.radius, domain.center[0]
     unit = BallDomain.unit(N)
     t0, r0 = find_t0_r0(unit)
     init = mu_embed(1.0, 1.0, 1.0, base_spacing_points(t0, r0))

@@ -71,46 +71,36 @@ class BallDomain:
     ----------
     N : int
         Dimension, >= 3.
-    center : numpy.ndarray
-        Center point, shape ``(N,)``.
+    center : tuple of float
+        Center point, N finite floats (any sequence of length N is taken).
     radius : float
-        Radius R > 0.
+        Radius R > 0, finite.
 
     Two balls are equal, and hash alike, when N, radius and center are.
     """
 
     N: int
-    center: np.ndarray
+    center: tuple
     radius: float
 
     def __post_init__(self):
         if self.N < 3:
             raise ParameterError(f"dimension N must be >= 3, got {self.N}")
-        if not (self.radius > 0):
-            raise ParameterError(f"radius must be positive, got {self.radius}")
-        c = np.asarray(self.center, dtype=float).reshape(-1)
-        if c.size != self.N:
+        if not (0 < self.radius < math.inf):
             raise ParameterError(
-                f"center must have length N={self.N}, got {c.size}")
+                f"radius must be positive and finite, got {self.radius}")
+        c = tuple(np.asarray(self.center, dtype=float).reshape(-1).tolist())
+        if len(c) != self.N:
+            raise ParameterError(
+                f"center must have length N={self.N}, got {len(c)}")
+        if not all(map(math.isfinite, c)):
+            raise ParameterError(f"center must be finite, got {c}")
         object.__setattr__(self, "center", c)
 
     @classmethod
     def unit(cls, N: int = 3) -> "BallDomain":
         """The unit ball centered at the origin."""
         return cls(N=N, center=np.zeros(N), radius=1.0)
-
-    # The generated equality and hash would compare and hash the center
-    # array, which has no truth value and no hash.
-    def _key(self) -> tuple:
-        return (self.N, self.radius, tuple(self.center.tolist()))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     # Cached in the instance __dict__, not as fields, so equality, hash and
     # repr see the three fields alone.
@@ -140,8 +130,7 @@ class AxisSection:
     @classmethod
     def of_ball(cls, d: BallDomain) -> "AxisSection":
         """The full chord (center_1 - R, center_1 + R)."""
-        return cls(a=float(d.center[0] - d.radius),
-                   b=float(d.center[0] + d.radius))
+        return cls(a=d.center[0] - d.radius, b=d.center[0] + d.radius)
 
 
 @dataclass
@@ -266,12 +255,17 @@ def grad_x_H(d: BallDomain, x, y) -> np.ndarray:
 
 def _axis_point(d: BallDomain, sec: AxisSection, t) -> np.ndarray:
     """Centered axis coordinates t - c1, a scalar as a batch of one; raises
-    outside the open chord."""
+    for a section beyond the ball's chord and outside the open section."""
+    c1, reach = d.center[0], d.radius * (1.0 + 1e-12)   # _inside's slack
+    if sec.a < c1 - reach or sec.b > c1 + reach:
+        raise DomainError(
+            f"section ({sec.a}, {sec.b}) exceeds the chord of the ball "
+            f"of radius {d.radius} about {c1}")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t <= sec.a) or np.any(t >= sec.b):
         raise DomainError(
             f"axis coordinate outside the open chord ({sec.a}, {sec.b})")
-    return t - d.center[0]
+    return t - c1
 
 
 def _axis_pair(d: BallDomain, sec: AxisSection, t, s, who: str) -> tuple:
@@ -553,6 +547,8 @@ def harmonic_defect_order(d: BallDomain, x: np.ndarray, y: np.ndarray,
     :func:`robin_H` call, and returns log2 of the defect ratio; H is
     harmonic, so the defect is O(h^2) and the measurement should sit near 2.
     """
+    if not (0 < h0 < math.inf):
+        raise ParameterError(f"step h0 must be positive and finite, got {h0}")
     y = np.asarray(y, dtype=float)
     n = y.size
     steps = np.concatenate([np.zeros((1, n)), np.eye(n), -np.eye(n)])

@@ -53,7 +53,7 @@ import numpy as np
 from .bubble_core import (ConstantsTable, alpha_N, lambda_of_Lambda_quadratic,
                           sigma_N, single_bubble_energy_limit, two_star)
 from .errors import (DomainError, ParameterError, ResolutionError,
-                     SolverDivergenceError)
+                     SolverDivergenceError, _is_number)
 from .green_domain import BallDomain
 from .reduced_energy import AxisKernels, Configuration, psi_k
 
@@ -94,14 +94,14 @@ class BubbleParams:
         Subcriticality parameter, > 0.
     lam : float
         Scaling parameter, > 0.
-    xi : numpy.ndarray
-        Center, shape ``(N,)``.
+    xi : tuple of float
+        Center, N floats (any sequence of length N is taken).
     """
 
     N: int
     eps: float
     lam: float
-    xi: np.ndarray
+    xi: tuple
 
     def __post_init__(self):
         if self.N < 3:
@@ -110,10 +110,10 @@ class BubbleParams:
             raise ParameterError(f"eps must be positive, got {self.eps}")
         if not (self.lam > 0):
             raise ParameterError(f"lam must be positive, got {self.lam}")
-        xi = np.asarray(self.xi, dtype=float).reshape(-1)
-        if xi.size != self.N:
+        xi = tuple(np.asarray(self.xi, dtype=float).reshape(-1).tolist())
+        if len(xi) != self.N:
             raise ParameterError(
-                f"center xi must have length N={self.N}, got {xi.size}")
+                f"center xi must have length N={self.N}, got {len(xi)}")
         object.__setattr__(self, "xi", xi)
 
     @property
@@ -142,7 +142,7 @@ def bubble_profile(N: int, m: float, d2):
 # Exact projections
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectedBubbleExact:
     """Closed-form projection of an axis-centered bubble onto H^1_0 of a ball.
 
@@ -333,7 +333,7 @@ def projected_bubbles_of_config(
         raise ParameterError(
             f"dimension mismatch: domain N={N}, table N={table.N}")
     lam = [lambda_of_Lambda_quadratic(L, table) for L in cfg.Lambda]
-    t = np.array(cfg.t) - float(domain.center[0])
+    t = np.array(cfg.t) - domain.center[0]
     m = np.array(lam)[:, None] * eps ** (1.0 / (N - 2.0))
     return ProjectedBubbleExact(N=N, R=domain.radius, m=m, t=t[:, None])
 
@@ -687,7 +687,7 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
     return L
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _GridFactor:
     """What :meth:`AxisymGrid._factor` stores: per sine mode (columns) and
     radial node (rows) the reciprocal pivots; the flat rectangle indices of
@@ -739,13 +739,15 @@ class AxisymGrid:
     """
 
     def __init__(self, domain: BallDomain, nz: int = 513, nr: int = 257):
-        if nz < 5 or nr < 5:
-            raise ParameterError(f"grid too small: nz={nz}, nr={nr}")
+        if not (_is_number(nz, int) and _is_number(nr, int)
+                and nz >= 5 and nr >= 5):
+            raise ParameterError(
+                f"grid sizes must be integers >= 5, got nz={nz!r}, nr={nr!r}")
         self.domain = domain
-        self.nz = int(nz)
-        self.nr = int(nr)
+        self.nz = nz
+        self.nr = nr
         R = domain.radius
-        zc = float(domain.center[0])
+        zc = domain.center[0]
         self.hz = 2.0 * R / (self.nz - 1)
         self.hr = R / (self.nr - 1)
         self.zs = zc - R + self.hz * np.arange(self.nz)
@@ -963,7 +965,7 @@ class AxisymGrid:
                         0.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class Field:
     """Node values over an :class:`AxisymGrid` (finite everywhere).
 
@@ -985,10 +987,19 @@ class Field:
         self.values = v
 
 
-def _solve_field(grid: AxisymGrid, rhs: np.ndarray | None,
+def _solve_field(grid: AxisymGrid, source: Field | None,
                  boundary_data: Field | None) -> Field:
-    """Solve ``A x = rhs + lift(boundary_data)`` (either may be None for
-    zero); the data is kept on boundary nodes and the field is zero outside."""
+    """Solve ``-Δu = source`` with ``boundary_data`` (either may be None for
+    zero), each a field over ``grid``'s nodes and ball; the data is kept on
+    boundary nodes and the field is zero outside."""
+    for f in (source, boundary_data):
+        if f is not None and (f.values.shape != (grid.nz, grid.nr)
+                              or f.grid.domain != grid.domain):
+            raise ParameterError(
+                f"field of shape {f.values.shape} on {f.grid.domain} does "
+                f"not match the grid ({grid.nz}, {grid.nr}) on {grid.domain}")
+    rhs = (None if source is None else
+           source.values[grid.interior] * grid.cell_volumes[grid.interior])
     out = np.zeros((grid.nz, grid.nr))
     if boundary_data is not None:
         out[grid.boundary] = boundary_data.values[grid.boundary]
@@ -1014,8 +1025,7 @@ def solve_dirichlet_laplace(grid: AxisymGrid, boundary_data: Field) -> Field:
 def solve_poisson(grid: AxisymGrid, source: Field,
                   boundary_data: Field | None = None) -> Field:
     """Solve ``-Δu = source`` with Dirichlet data (default zero)."""
-    rhs = source.values[grid.interior] * grid.cell_volumes[grid.interior]
-    return _solve_field(grid, rhs, boundary_data)
+    return _solve_field(grid, source, boundary_data)
 
 
 def _require_axis_center(p: BubbleParams, grid: AxisymGrid) -> float:
@@ -1023,12 +1033,12 @@ def _require_axis_center(p: BubbleParams, grid: AxisymGrid) -> float:
     if p.N != grid.domain.N:
         raise ParameterError(
             f"bubble of dimension {p.N} on a grid of dimension {grid.domain.N}")
-    offset = p.xi[1:] - grid.domain.center[1:]
+    offset = np.subtract(p.xi[1:], grid.domain.center[1:])
     if np.max(np.abs(offset)) > 1e-12 * max(grid.domain.radius, 1.0):
         raise ParameterError(
             "bubble center must lie on the symmetry axis for the "
             f"half-section grid; got transverse offset {offset}")
-    return float(p.xi[0] - grid.domain.center[0])
+    return p.xi[0] - grid.domain.center[0]
 
 
 def _require_cells(grid: AxisymGrid, length: float, cells: int,
@@ -1064,7 +1074,7 @@ def _project(grid: AxisymGrid, signs, fam: ProjectedBubbleExact) -> Field:
         _require_cells(grid, fam.R - abs(t), 4, "boundary margin")
     grid._factor()      # its transients do not stack on the trace's
     trace = np.asarray(signs, dtype=float) @ fam.u(
-        (grid.z_nodes - float(grid.domain.center[0])).ravel(),
+        (grid.z_nodes - grid.domain.center[0]).ravel(),
         grid.r_nodes.ravel())
     trace = trace.reshape(grid.nz, grid.nr)
     w = solve_dirichlet_laplace(grid, Field(grid, trace))

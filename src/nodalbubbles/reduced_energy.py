@@ -490,7 +490,7 @@ def robin_min(kern: AxisKernels) -> float:
     """
     a, b = kern.section.a, kern.section.b
     m = 1e-3 * (b - a)
-    return float(kern.h(min(max(float(kern.domain.center[0]), a + m), b - m)))
+    return float(kern.h(min(max(kern.domain.center[0], a + m), b - m)))
 
 
 def bounds_report(domain: BallDomain, section: AxisSection | None,

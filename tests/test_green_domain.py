@@ -435,6 +435,23 @@ class TestDomainValidation:
         pytest.param(lambda: grad_x_G(BallDomain.unit(3), np.full(3, 0.2),
                                       np.full(3, 0.2)),
                      SingularityError, id="grad_x_G-diagonal"),
+        # Past the chord the kernels are not the ball's: h(1.5) would be
+        # negative on the unit ball.
+        pytest.param(lambda: axis_h(BallDomain.unit(3), AxisSection(-2.0, 2.0),
+                                    1.5),
+                     DomainError, id="section-beyond-chord"),
+        pytest.param(lambda: validate_A3(BallDomain.unit(3),
+                                         AxisSection(-2.0, 2.0)),
+                     DomainError, id="validate-section-beyond-chord"),
+        pytest.param(lambda: BallDomain(N=3, center=np.zeros(3),
+                                        radius=math.inf),
+                     ParameterError, id="radius-infinite"),
+        pytest.param(lambda: BallDomain(N=3, center=[0.0, math.nan, 0.0],
+                                        radius=1.0),
+                     ParameterError, id="center-nan"),
+        pytest.param(lambda: harmonic_defect_order(
+            BallDomain.unit(3), np.full(3, 0.1), np.full(3, -0.1), h0=0.0),
+                     ParameterError, id="defect-step-zero"),
     ])
     def test_input_guards(self, call, error):
         with pytest.raises(error):

@@ -1052,6 +1052,19 @@ _CONFIG3 = Configuration(k=1, signs=(1,), Lambda=(1.0,), t=(0.0,))
                  ParameterError, id="grid-nz"),
     pytest.param(lambda g: AxisymGrid.for_ball(g.domain, nz=5, nr=4),
                  ParameterError, id="grid-nr"),
+    pytest.param(lambda g: AxisymGrid.for_ball(g.domain, nz=64.9, nr=33),
+                 ParameterError, id="grid-nz-float"),
+    pytest.param(lambda g: AxisymGrid.for_ball(g.domain, nz="65", nr=33),
+                 ParameterError, id="grid-nz-string"),
+    pytest.param(lambda g: solve_dirichlet_laplace(g, Field(
+        AxisymGrid.for_ball(g.domain, nz=17, nr=9), np.zeros((17, 9)))),
+                 ParameterError, id="dirichlet-field-shape"),
+    pytest.param(lambda g: solve_poisson(g, Field(
+        AxisymGrid.for_ball(g.domain, nz=17, nr=9), np.zeros((17, 9)))),
+                 ParameterError, id="poisson-field-shape"),
+    pytest.param(lambda g: solve_poisson(g, Field(
+        AxisymGrid.for_ball(ball_at(0.0, 2.0), nz=9, nr=5), np.zeros((9, 5)))),
+                 ParameterError, id="poisson-field-domain"),
 ])
 def test_input_guards(domain, call, error):
     with pytest.raises(error):
