@@ -48,7 +48,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_int, _require_real
 
 __all__ = [
     "ConstantsTable",
@@ -65,15 +65,13 @@ __all__ = [
 
 def alpha_N(N: int) -> float:
     """The normalizing constant (N(N-2))^{(N-2)/4} of the bubble profile."""
-    if N < 3:
-        raise ParameterError(f"dimension N must be >= 3, got {N}")
+    N = _require_int("dimension N", N, 3)
     return float((N * (N - 2)) ** ((N - 2) / 4.0))
 
 
 def sigma_N(N: int) -> float:
     """Surface area 2 pi^{N/2} / Gamma(N/2) of the unit sphere in R^N."""
-    if N < 1:
-        raise ParameterError(f"dimension N must be >= 1, got {N}")
+    N = _require_int("dimension N", N, 1)
     try:
         return float(2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0))
     except OverflowError as exc:
@@ -82,8 +80,7 @@ def sigma_N(N: int) -> float:
 
 def two_star(N: int) -> float:
     """Critical Sobolev exponent 2N/(N-2)."""
-    if N < 3:
-        raise ParameterError(f"dimension N must be >= 3, got {N}")
+    N = _require_int("dimension N", N, 3)
     return 2.0 * N / (N - 2.0)
 
 
@@ -166,8 +163,7 @@ def bubble_integrals(N: int) -> BubbleIntegrals:
     the largest of the four (to the sum of the magnitudes of both terms for
     the log-weighted one).
     """
-    if N < 3:
-        raise ParameterError(f"dimension N must be >= 3, got {N}")
+    N = _require_int("dimension N", N, 3)
     a = alpha_N(N)
     s = sigma_N(N)
     ts = two_star(N)
@@ -213,6 +209,7 @@ def compute_constants(N: int) -> ConstantsTable:
     except OverflowError as exc:
         raise ParameterError(
             f"the bubble integrals overflow a double for N={N}") from exc
+    N = ints.N
     ts = two_star(N)
     omega = ints.int_U_2star / ts
     C = ints.int_grad_sq - ints.int_U_2star / ts
@@ -254,8 +251,7 @@ def lambda_of_Lambda_quadratic(Lambda: float, table: ConstantsTable) -> float:
     so matching the reduced energy's Lambda_i Lambda_j weights forces
     m_i^{N-2} = c_N Lambda_i^2 eps.
     """
-    if not (Lambda > 0):
-        raise ParameterError(f"Lambda must be positive, got {Lambda}")
+    Lambda = _require_real("Lambda", Lambda)
     return float((table.cN * Lambda * Lambda) ** (1.0 / (table.N - 2.0)))
 
 

@@ -4,13 +4,19 @@ The command-line front end maps these onto stable exit codes; library users
 can catch them individually.  Everything derives from ``NodalBubblesError``
 so a single ``except`` clause can fence off the whole package.
 
-The module also holds the one rule for what counts as a number in a JSON
-input (:func:`_is_number`), shared by the run configuration and the
-bubble configuration; it imports the standard library alone.
+It also holds the rules for scalar inputs, by the standard library alone:
+a JSON number of the run configuration is :func:`_is_number`.  A library
+argument that is a **count or dimension** is a Python or numpy integer
+(not ``bool``) at least its minimum, used and stored as ``int``
+(:func:`_require_int`); a **scale** is a Python or numpy integer or float
+(not ``bool``) that is finite and > 0, used and stored as ``float``, and a
+**position** is one without the sign bound (:func:`_require_real`).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import sys
 
 __all__ = ["NodalBubblesError", "ParameterError", "ConfigurationError",
@@ -82,3 +88,29 @@ class SolverDivergenceError(NodalBubblesError, RuntimeError):
     def __init__(self, message: str, trace: list | None = None):
         super().__init__(message)
         self.trace = trace if trace is not None else []
+
+
+def _require_int(name: str, v, least: int, error=ParameterError) -> int:
+    """The count or dimension ``name`` = ``v`` as an ``int``, or ``error``."""
+    try:
+        n = None if isinstance(v, bool) else operator.index(v)
+    except TypeError:                    # a float, a string, an array
+        n = None
+    if n is None or n < least:
+        raise error(f"{name} must be an integer >= {least}, got {v!r}")
+    return n
+
+
+def _require_real(name: str, v, positive: bool = True) -> float:
+    """The scale (or, not ``positive``, the position) ``name`` = ``v`` as a
+    ``float``, or :class:`ParameterError`."""
+    kind = getattr(getattr(v, "dtype", None), "kind", "")    # numpy's
+    try:
+        real = isinstance(v, (int, float)) or kind in ("i", "u", "f")
+        x = float(v) if real and not isinstance(v, bool) else math.nan
+    except (TypeError, OverflowError):   # an array; an int past a double
+        x = math.nan
+    if not (math.isfinite(x) and (x > 0 or not positive)):
+        raise ParameterError(f"{name} must be a {'positive ' * positive}"
+                             f"finite real, got {v!r}")
+    return x

@@ -39,7 +39,7 @@ import numpy as np
 
 from .bubble_core import sigma_N
 from .errors import (ConfigurationError, DomainError, ParameterError,
-                     SingularityError)
+                     SingularityError, _require_int, _require_real)
 
 __all__ = [
     "BallDomain",
@@ -70,11 +70,11 @@ class BallDomain:
     Attributes
     ----------
     N : int
-        Dimension, >= 3.
+        Dimension, an integer >= 3, stored as ``int``.
     center : tuple of float
         Center point, N finite floats (any sequence of length N is taken).
     radius : float
-        Radius R > 0, finite.
+        Radius R, a positive finite real, stored as ``float``.
 
     Two balls are equal, and hash alike, when N, radius and center are.
     """
@@ -84,15 +84,12 @@ class BallDomain:
     radius: float
 
     def __post_init__(self):
-        if self.N < 3:
-            raise ParameterError(f"dimension N must be >= 3, got {self.N}")
-        if not (0 < self.radius < math.inf):
-            raise ParameterError(
-                f"radius must be positive and finite, got {self.radius}")
+        N = _require_int("dimension N", self.N, 3)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "radius", _require_real("radius", self.radius))
         c = tuple(np.asarray(self.center, dtype=float).reshape(-1).tolist())
-        if len(c) != self.N:
-            raise ParameterError(
-                f"center must have length N={self.N}, got {len(c)}")
+        if len(c) != N:
+            raise ParameterError(f"center must have length N={N}, got {len(c)}")
         if not all(map(math.isfinite, c)):
             raise ParameterError(f"center must be finite, got {c}")
         object.__setattr__(self, "center", c)
@@ -100,6 +97,7 @@ class BallDomain:
     @classmethod
     def unit(cls, N: int = 3) -> "BallDomain":
         """The unit ball centered at the origin."""
+        N = _require_int("dimension N", N, 3)
         return cls(N=N, center=np.zeros(N), radius=1.0)
 
     # Cached in the instance __dict__, not as fields, so equality, hash and
@@ -117,12 +115,15 @@ class BallDomain:
 
 @dataclass(frozen=True)
 class AxisSection:
-    """Endpoints (a, b) of the x1-axis chord through the ball."""
+    """Endpoints (a, b) of the x1-axis chord, finite reals stored as float."""
 
     a: float
     b: float
 
     def __post_init__(self):
+        for name in ("a", "b"):
+            object.__setattr__(self, name, _require_real(
+                name, getattr(self, name), positive=False))
         if not (self.a < self.b):
             raise ParameterError(
                 f"section requires a < b, got a={self.a}, b={self.b}")
@@ -382,10 +383,8 @@ def validate_A3(d: BallDomain, sec: AxisSection, n_grid: int = 256,
     Returns two reports, in order: convexity (worst = min h'', passes iff
     positive) and monotonicity (worst = max (t-s) ∂g/∂t, passes iff negative).
     """
-    if n_grid < 16:
-        raise ConfigurationError(f"n_grid must be >= 16, got {n_grid}")
-    if n_pairs < 1:
-        raise ConfigurationError(f"n_pairs must be >= 1, got {n_pairs}")
+    n_grid = _require_int("n_grid", n_grid, 16, ConfigurationError)
+    n_pairs = _require_int("n_pairs", n_pairs, 1, ConfigurationError)
     width = sec.b - sec.a
     m = 0.02 * width
 
@@ -394,7 +393,7 @@ def validate_A3(d: BallDomain, sec: AxisSection, n_grid: int = 256,
     min_h2 = float(np.min(h2))
     conv = ValidationReport(
         check="axis_robin_convexity (min h'' > 0)",
-        sample_count=int(n_grid),
+        sample_count=n_grid,
         worst_value=min_h2,
         passed=bool(min_h2 > 0.0),
     )
@@ -511,9 +510,8 @@ def check_directional_monotonicity(d: BallDomain, n_samples: int = 1000,
     the report counts the pairs kept, and its worst value is their maximum
     (passes iff negative).
     """
-    if n_samples < 1:
-        raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
+    n_samples = _require_int("n_samples", n_samples, 1, ConfigurationError)
+    rng = np.random.default_rng(_require_int("seed", seed, 0))
     R, c = d.radius, d.center
 
     def draw():
@@ -547,8 +545,7 @@ def harmonic_defect_order(d: BallDomain, x: np.ndarray, y: np.ndarray,
     :func:`robin_H` call, and returns log2 of the defect ratio; H is
     harmonic, so the defect is O(h^2) and the measurement should sit near 2.
     """
-    if not (0 < h0 < math.inf):
-        raise ParameterError(f"step h0 must be positive and finite, got {h0}")
+    h0 = _require_real("step h0", h0)
     y = np.asarray(y, dtype=float)
     n = y.size
     steps = np.concatenate([np.zeros((1, n)), np.eye(n), -np.eye(n)])

@@ -53,7 +53,7 @@ import numpy as np
 from .bubble_core import (ConstantsTable, alpha_N, lambda_of_Lambda_quadratic,
                           sigma_N, single_bubble_energy_limit, two_star)
 from .errors import (DomainError, ParameterError, ResolutionError,
-                     SolverDivergenceError, _is_number)
+                     SolverDivergenceError, _require_int, _require_real)
 from .green_domain import BallDomain
 from .reduced_energy import AxisKernels, Configuration, psi_k
 
@@ -89,11 +89,10 @@ class BubbleParams:
     Attributes
     ----------
     N : int
-        Ambient dimension, >= 3.
-    eps : float
-        Subcriticality parameter, > 0.
-    lam : float
-        Scaling parameter, > 0.
+        Ambient dimension, an integer >= 3, stored as ``int``.
+    eps, lam : float
+        Subcriticality and scaling parameters, each a scale (positive
+        finite real), stored as ``float``.
     xi : tuple of float
         Center, N floats (any sequence of length N is taken).
     """
@@ -104,17 +103,14 @@ class BubbleParams:
     xi: tuple
 
     def __post_init__(self):
-        if self.N < 3:
-            raise ParameterError(f"dimension N must be >= 3, got {self.N}")
-        if not (self.eps > 0):
-            raise ParameterError(f"eps must be positive, got {self.eps}")
-        if not (self.lam > 0):
-            raise ParameterError(f"lam must be positive, got {self.lam}")
+        N = _require_int("dimension N", self.N, 3)
         xi = tuple(np.asarray(self.xi, dtype=float).reshape(-1).tolist())
-        if len(xi) != self.N:
+        if len(xi) != N:
             raise ParameterError(
-                f"center xi must have length N={self.N}, got {len(xi)}")
-        object.__setattr__(self, "xi", xi)
+                f"center xi must have length N={N}, got {len(xi)}")
+        for name, v in (("N", N), ("eps", _require_real("eps", self.eps)),
+                        ("lam", _require_real("lam", self.lam)), ("xi", xi)):
+            object.__setattr__(self, name, v)
 
     @property
     def core_width(self) -> float:
@@ -168,7 +164,8 @@ class ProjectedBubbleExact:
     ``m`` and ``t`` may also be arrays that broadcast against the points:
     with (k, 1) columns one object is the whole family of a configuration
     (see :func:`projected_bubbles_of_config`), and :meth:`u`, :meth:`w`
-    and :meth:`pu_tangents` return one row per bubble.
+    and :meth:`pu_tangents` return one row per bubble.  ``N`` is stored as
+    ``int`` and the radius ``R`` (a scale) as ``float``.
     """
 
     N: int
@@ -177,12 +174,11 @@ class ProjectedBubbleExact:
     t: float | np.ndarray
 
     def __post_init__(self):
-        if self.N < 3:
-            raise ParameterError(f"dimension N must be >= 3, got {self.N}")
-        if not (self.R > 0):
-            raise ParameterError(f"radius must be positive, got {self.R}")
-        if not np.all(self.m > 0):
-            raise ParameterError(f"core width must be positive, got {self.m}")
+        object.__setattr__(self, "N", _require_int("dimension N", self.N, 3))
+        object.__setattr__(self, "R", _require_real("radius R", self.R))
+        if not np.all((0 < self.m) & (self.m < np.inf)):
+            raise ParameterError(
+                f"core width must be positive and finite, got {self.m}")
         if not np.all(np.abs(self.t) < self.R):
             raise DomainError(
                 f"bubble center offset {self.t} not inside ball of radius {self.R}")
@@ -326,8 +322,7 @@ def projected_bubbles_of_config(
     :func:`assemble_V` reads too.  Axis positions are taken relative to the
     ball center.
     """
-    if not (eps > 0):
-        raise ParameterError(f"eps must be positive, got {eps}")
+    eps = _require_real("eps", eps)
     N = domain.N
     if N != table.N:
         raise ParameterError(
@@ -438,9 +433,7 @@ def _slab_sums(fam: ProjectedBubbleExact, refine: int, term) -> tuple:
     when it returns, so the next panel reuses their memory.  ``refine`` must
     be a positive integer (ParameterError before any node is built).
     """
-    if not isinstance(refine, (int, np.integer)) or refine < 1:
-        raise ParameterError(
-            f"refine must be a positive integer, got {refine!r}")
+    refine = _require_int("refine", refine, 1)
     ts = fam.t[:, 0].tolist()
     cuts = [None] + [0.5 * (a + b) for a, b in zip(ts, ts[1:])] + [None]
     coeffs, sums = (fam._coeffs, fam._coeff_tangents), None
@@ -578,7 +571,7 @@ def expansion_gap(cfg: Configuration, eps_list, table: ConstantsTable,
     """
     if domain is None:
         domain = BallDomain.unit(table.N)
-    eps_arr = [float(e) for e in eps_list]
+    eps_arr = [_require_real("eps_list entry", e) for e in eps_list]
     if len(eps_arr) < 2 or any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ParameterError(
             f"eps_list must be strictly decreasing with >= 2 entries, got {eps_arr}")
@@ -739,13 +732,9 @@ class AxisymGrid:
     """
 
     def __init__(self, domain: BallDomain, nz: int = 513, nr: int = 257):
-        if not (_is_number(nz, int) and _is_number(nr, int)
-                and nz >= 5 and nr >= 5):
-            raise ParameterError(
-                f"grid sizes must be integers >= 5, got nz={nz!r}, nr={nr!r}")
         self.domain = domain
-        self.nz = nz
-        self.nr = nr
+        self.nz = _require_int("grid size nz", nz, 5)
+        self.nr = _require_int("grid size nr", nr, 5)
         R = domain.radius
         zc = domain.center[0]
         self.hz = 2.0 * R / (self.nz - 1)
@@ -1121,12 +1110,11 @@ def residual_norm(V: Field, eps: float, *, relative: bool = False) -> float:
     by the same norm of the nonlinear term alone, making values comparable
     across eps (the absolute norm scales like an inverse core width).
     """
-    if not (eps > 0):
-        raise ParameterError(f"eps must be positive, got {eps}")
+    eps = _require_real("eps", eps)
     grid = V.grid
     mask = grid.interior
     vol = grid.cell_volumes[mask]
-    lap = grid.minus_laplacian(V.values)[mask]
+    lap = grid._flux(V.values)[mask] / vol
     u = V.values[mask]
     nl = np.abs(u) ** (two_star(grid.domain.N) - 2.0 - eps) * u
     num = math.sqrt(float(np.sum(vol * (lap - nl) ** 2)))
@@ -1145,8 +1133,7 @@ def energy_I(u: Field, eps: float) -> float:
     axisymmetric cell volumes over interior nodes.  Callers supply fields
     that vanish on boundary nodes.
     """
-    if not (eps > 0):
-        raise ParameterError(f"eps must be positive, got {eps}")
+    eps = _require_real("eps", eps)
     grid = u.grid
     v = u.values
     grad = float(np.vdot(v, grid._flux(v)))

@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError, SearchError, _is_number
+from .errors import ParameterError, SearchError, _require_int, _require_real
 from .green_domain import (AxisSection, BallDomain, axis_g, axis_g_dt,
                            axis_g_ts, axis_g_tt, axis_h, axis_h_d1, axis_h_d2)
 
@@ -80,13 +80,16 @@ class Configuration:
     Attributes
     ----------
     k : int
-        Number of bubbles, >= 1.
+        Number of bubbles, an integer >= 1.
     signs : tuple of int
-        Bubble signs, each −1 or +1.
+        Bubble signs, each the integer −1 or +1.
     Lambda : tuple of float
-        Dimensionless scalings, each > 0.
+        Dimensionless scalings, each a scale (positive finite real).
     t : tuple of float
-        Axis positions, strictly increasing.
+        Axis positions, finite reals, strictly increasing.
+
+    Integers are stored as ``int`` and reals as ``float``, and any
+    sequence of k entries is taken (see :mod:`~nodalbubbles.errors`).
 
     Containment of the positions in a particular chord is a property of the
     kernels the configuration is evaluated against, not of the configuration
@@ -99,32 +102,25 @@ class Configuration:
     t: tuple
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
-            raise ParameterError(f"k must be an integer >= 1, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
-        signs = tuple(int(a) for a in self.signs)
-        if len(signs) != self.k or any(a not in (-1, 1) for a in signs):
-            raise ParameterError(
-                f"signs must be {self.k} entries of ±1, got {self.signs}")
+        k = _require_int("k", self.k, 1)
         try:
-            lam = tuple(float(v) for v in self.Lambda)
-            tt = tuple(float(v) for v in self.t)
-        except (TypeError, ValueError, OverflowError) as exc:
+            signs = tuple(_require_int("sign", a, -1) for a in self.signs)
+            lam = tuple(_require_real("Lambda entry", v) for v in self.Lambda)
+            tt = tuple(_require_real("t entry", v, False) for v in self.t)
+        except TypeError as exc:
             raise ParameterError(
-                f"Lambda and t must hold reals, got {self.Lambda}, {self.t}"
-            ) from exc
-        if len(lam) != self.k or any(not (v > 0 and math.isfinite(v)) for v in lam):
+                "signs, Lambda and t must be sequences, got "
+                f"{self.signs!r}, {self.Lambda!r}, {self.t!r}") from exc
+        if not len(signs) == len(lam) == len(tt) == k or any(
+                a not in (-1, 1) for a in signs):
             raise ParameterError(
-                f"Lambda must be {self.k} positive finite reals, got {self.Lambda}")
-        if len(tt) != self.k or any(not math.isfinite(v) for v in tt):
-            raise ParameterError(
-                f"t must be {self.k} finite reals, got {self.t}")
-        if any(tt[i] >= tt[i + 1] for i in range(self.k - 1)):
+                f"k={k} needs k signs of ±1, k Lambda and k t entries, got "
+                f"{self.signs}, {self.Lambda}, {self.t}")
+        if any(tt[i] >= tt[i + 1] for i in range(k - 1)):
             raise ParameterError(
                 f"t must be strictly increasing, got {tt}")
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "Lambda", lam)
-        object.__setattr__(self, "t", tt)
+        for name, v in (("k", k), ("signs", signs), ("Lambda", lam), ("t", tt)):
+            object.__setattr__(self, name, v)
 
     def to_json_dict(self) -> dict:
         """The fields in order, tuples as lists."""
@@ -134,11 +130,9 @@ class Configuration:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Configuration":
         """Inverse of :meth:`to_json_dict`: ``data`` is an object holding
-        exactly the record's fields.  ``k`` and the ``signs`` entries must
-        be JSON integers and the ``Lambda`` and ``t`` entries JSON numbers
-        that fit a double (true/false and strings are neither); a non-object,
-        a missing or unknown key or an entry of the wrong type raises
-        ParameterError."""
+        exactly the record's fields, which the record checks as it does for
+        every caller (so true/false and strings are no numbers); a
+        non-object or a missing or unknown key raises ParameterError."""
         if not isinstance(data, dict):
             raise ParameterError("configuration must be a JSON object, "
                                  f"got {type(data).__name__}")
@@ -148,19 +142,10 @@ class Configuration:
             raise ParameterError(f"configuration has unknown keys {unknown}; "
                                  f"known keys: {keys}")
         try:
-            entries = {key: data[key] for key in keys}
+            return cls(**{key: data[key] for key in keys})
         except KeyError as exc:
             raise ParameterError(
                 f"configuration dict is missing key {exc}") from exc
-        for key, kind in (("k", int), ("signs", int), ("Lambda", (int, float)),
-                          ("t", (int, float))):
-            vals = [entries[key]] if key == "k" else entries[key]
-            if not isinstance(vals, (list, tuple)) or not all(
-                    _is_number(v, kind) for v in vals):
-                raise ParameterError(
-                    f"configuration {key} holds a value of the wrong JSON "
-                    f"type or beyond a double: {entries[key]!r}")
-        return cls(**entries)
 
     def with_params(self, Lambda=None, t=None) -> "Configuration":
         """Copy with replaced scalings and/or positions (signs fixed)."""
@@ -382,13 +367,10 @@ def mu_embed(mu1: float, mu: float, mu4: float, t) -> Configuration:
     Produces an alternating four-bubble configuration; the products of
     adjacent scalings recover (μ_1, μ, μ_4), see :func:`scaling_products`.
     """
-    for name, v in (("mu1", mu1), ("mu", mu), ("mu4", mu4)):
-        if not (v > 0 and math.isfinite(v)):
-            raise ParameterError(f"{name} must be positive and finite, got {v}")
+    mu1, mu, mu4 = map(_require_real, ("mu1", "mu", "mu4"), (mu1, mu, mu4))
     s = math.sqrt(mu)
-    return Configuration(
-        k=4, signs=ALTERNATING_SIGNS_4,
-        Lambda=(mu1 / s, s, s, mu4 / s), t=tuple(float(v) for v in t))
+    return Configuration(k=4, signs=ALTERNATING_SIGNS_4,
+                         Lambda=(mu1 / s, s, s, mu4 / s), t=t)
 
 
 def scaling_products(cfg: Configuration) -> tuple:
@@ -405,8 +387,7 @@ def scaling_products(cfg: Configuration) -> tuple:
 
 def base_spacing_points(t0: float, r0: float) -> tuple:
     """The equally spaced four-point start t⁰ = (t0, t0+r0, t0+2r0, t0+3r0)."""
-    if not (r0 > 0):
-        raise ParameterError(f"r0 must be positive, got {r0}")
+    t0, r0 = _require_real("t0", t0, positive=False), _require_real("r0", r0)
     return tuple(t0 + i * r0 for i in range(4))
 
 
@@ -424,11 +405,10 @@ def spacing_margin(kern: AxisKernels, t0, r0, n_check: int = 33):
     broadcast; then all candidates go through one kernel batch and one
     margin is returned per candidate (a float for scalar inputs).
     """
-    if n_check < 2:
-        raise ParameterError(f"n_check must be >= 2, got {n_check}")
+    n_check = _require_int("n_check", n_check, 2)
     t0, r0 = np.asarray(t0, dtype=float), np.asarray(r0, dtype=float)
-    if not np.all(r0 > 0):
-        raise ParameterError(f"r0 must be positive, got {r0}")
+    if not np.all((0 < r0) & (r0 < np.inf)):
+        raise ParameterError(f"r0 must be positive and finite, got {r0}")
     ts = np.linspace(t0 - 4.0 * r0, t0 + 4.0 * r0, n_check, axis=-1)
     i, j = np.triu_indices(n_check, 1)
     g = kern.g(ts[..., i], ts[..., j])

@@ -34,7 +34,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, SolverDivergenceError
+from .errors import (ParameterError, SolverDivergenceError, _require_int,
+                     _require_real)
 from .green_domain import AxisSection, BallDomain
 from .reduced_energy import (ALTERNATING_SIGNS_4, AxisKernels, BoundsReport,
                              Configuration, _psi_terms, _quadratic_form,
@@ -152,8 +153,8 @@ def solve_saddle(domain: BallDomain, section: AxisSection | None,
     the iteration cap is hit; on success returns the report with inertia
     counts (a zero count adds a degenerate-critical-point warning).
     """
-    if not (tol > 0):
-        raise ParameterError(f"tol must be positive, got {tol}")
+    tol = _require_real("tol", tol)
+    max_iter = _require_int("max_iter", max_iter, 1)
     sec = section or AxisSection.of_ball(domain)
     kern = AxisKernels(domain, sec)
     k = init.k
@@ -241,12 +242,13 @@ def solve_saddle_multistart(domain: BallDomain, section: AxisSection | None,
     point.  Results are sorted by energy.  Base positions outside the chord
     (shrunk by ``T_MARGIN``) or not strictly increasing raise ParameterError.
     """
-    t_base = tuple(float(v) for v in t_base)
+    n_starts = _require_int("n_starts", n_starts, 1)
+    rng = np.random.default_rng(_require_int("seed", seed, 0))
+    t_base = tuple(_require_real("t_base entry", v, False) for v in t_base)
     if not _positions_admissible(np.array(t_base),
                                  section or AxisSection.of_ball(domain)):
         raise ParameterError(
             f"t_base {t_base} must be strictly increasing inside the chord")
-    rng = np.random.default_rng(seed)
     reports: list[SaddleReport] = []
     for s in range(n_starts):
         mus = (1.0, 1.0, 1.0) if s == 0 else _draw_mus(rng)
@@ -391,6 +393,8 @@ def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
     draw nothing.  Minima must increase with M — the observable trace of
     penalty coercivity.
     """
+    n_samples = _require_int("n_samples", n_samples, 1)
+    rng = np.random.default_rng(_require_int("seed", seed, 0))
     sec = section or AxisSection.of_ball(domain)
     kern = AxisKernels(domain, sec)
     t0, r0 = find_t0_r0(domain, sec)
@@ -402,8 +406,6 @@ def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
 
     if list(M_list) != sorted(M_list) or len(set(M_list)) != len(M_list):
         raise ParameterError(f"M_list must be strictly increasing, got {M_list}")
-
-    rng = np.random.default_rng(seed)
 
     def draw_positions():
         for _ in range(200):

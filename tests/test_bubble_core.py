@@ -145,11 +145,34 @@ class TestBasicScalars:
         with pytest.raises(ParameterError, match="N=400"):
             sigma_N(400)
 
-    @pytest.mark.parametrize("fn, N", [(alpha_N, 2), (two_star, 2),
-                                       (sigma_N, 0)])
+    @pytest.mark.parametrize("fn, N", [
+        (alpha_N, 2), (two_star, 2), (sigma_N, 0),
+        # A dimension is an integer: no float, bool or string stands for one.
+        *((fn, N) for fn in (alpha_N, two_star, bubble_integrals, sigma_N,
+                             compute_constants)
+          for N in (3.0, 3.5, True, "3")),
+        (bubble_integrals, 2), (compute_constants, 2), (alpha_N, np.int64(2)),
+        pytest.param(lambda N: BubbleParams(N=N, eps=0.1, lam=1.0,
+                                            xi=np.zeros(3)), 3.0,
+                     id="BubbleParams-3.0"),
+        pytest.param(lambda N: BubbleParams(N=N, eps=0.1, lam=1.0,
+                                            xi=np.zeros(3)), True,
+                     id="BubbleParams-True"),
+        pytest.param(lambda N: BubbleParams(N=N, eps=0.1, lam=1.0,
+                                            xi=np.zeros(2)), 2,
+                     id="BubbleParams-2"),
+    ])
     def test_dimension_guards(self, fn, N):
         with pytest.raises(ParameterError, match="dimension"):
             fn(N)
+
+    @pytest.mark.parametrize("N", [np.int64(4), np.int32(4), np.array(4)])
+    def test_numpy_integer_dimensions_are_ints(self, N):
+        table = compute_constants(N)
+        assert type(table.N) is int and table == compute_constants(4)
+        assert alpha_N(N) == alpha_N(4) and sigma_N(N) == sigma_N(4)
+        p = BubbleParams(N=N, eps=np.float32(0.25), lam=1, xi=np.zeros(4))
+        assert (type(p.N), type(p.eps), type(p.lam)) == (int, float, float)
 
 
 class TestBubbleIntegralsN3:
@@ -233,6 +256,19 @@ class TestScaleMaps:
     def test_maps_reject_nonpositive(self, table3):
         with pytest.raises(ParameterError):
             lambda_of_Lambda_quadratic(-1.0, table3)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, "1.0", True, 0,
+                                       np.array([1.0]), 10 ** 400])
+    @pytest.mark.parametrize("scale", ["Lambda", "eps", "lam"])
+    def test_scales_are_positive_finite_reals(self, table3, scale, value):
+        # Before, inf and nan passed (lam inf, a NaN core width), a string
+        # raised TypeError and True counted as 1.
+        with pytest.raises(ParameterError, match=scale):
+            if scale == "Lambda":
+                lambda_of_Lambda_quadratic(value, table3)
+            else:
+                BubbleParams(N=3, xi=np.zeros(3),
+                             **{"eps": 0.1, "lam": 1.0, scale: value})
 
     def test_single_bubble_energy_limit(self, table3):
         # E_N = (1/2 - 1/2*) int U^{2*} = (2/(N-2)) omega_N.

@@ -366,6 +366,12 @@ class TestHypothesisChecks:
         ("validate_A3", {"n_pairs": 0}),
         ("validate_A3", {"n_pairs": -1}),
         ("directional", {"n_samples": 0}),
+        # A sample size is an integer: no float, bool or string stands for
+        # one (n_pairs=True and n_samples=10.0 ran before).
+        *(("validate_A3", {key: v}) for key, v in (
+            ("n_grid", 16.0), ("n_grid", True), ("n_grid", "256"),
+            ("n_pairs", 100.0), ("n_pairs", True), ("n_pairs", "100"))),
+        *(("directional", {"n_samples": v}) for v in (10.0, True, "10")),
     ])
     def test_sample_counts_without_evidence_rejected(self, domain, check,
                                                      kwargs):
@@ -452,10 +458,45 @@ class TestDomainValidation:
         pytest.param(lambda: harmonic_defect_order(
             BallDomain.unit(3), np.full(3, 0.1), np.full(3, -0.1), h0=0.0),
                      ParameterError, id="defect-step-zero"),
+        # The dimension is an integer >= 3 (N=4.0 was kept as a float, a
+        # string raised TypeError), the radius a positive finite real.
+        *(pytest.param(lambda N=N: BallDomain(N=N, center=np.zeros(4),
+                                              radius=1.0),
+                       ParameterError, id=f"N-{N!r}")
+          for N in (4.0, True, "4", 2)),
+        *(pytest.param(lambda N=N: BallDomain.unit(N), ParameterError,
+                       id=f"unit-N-{N!r}") for N in (4.0, True, "4", 2)),
+        *(pytest.param(lambda r=r: BallDomain(N=3, center=np.zeros(3),
+                                              radius=r),
+                       ParameterError, id=f"radius-{r!r}")
+          for r in (math.nan, "1", True, 0)),
+        *(pytest.param(lambda a=a: AxisSection(a, 1.0), ParameterError,
+                       id=f"section-a-{a!r}")
+          for a in (-math.inf, math.nan, "-1")),
+        *(pytest.param(lambda b=b: AxisSection(-1.0, b), ParameterError,
+                       id=f"section-b-{b!r}") for b in (math.inf, "1")),
+        *(pytest.param(lambda h=h: harmonic_defect_order(
+            BallDomain.unit(3), np.full(3, 0.1), np.full(3, -0.1), h0=h),
+                       ParameterError, id=f"defect-step-{h!r}")
+          for h in (math.inf, math.nan, "0.01")),
+        # The seed is an integer >= 0 (-1 raised numpy's ValueError).
+        *(pytest.param(lambda s=s: check_directional_monotonicity(
+            BallDomain.unit(3), n_samples=10, seed=s),
+                       ParameterError, id=f"directional-seed-{s!r}")
+          for s in (-1, 1.0, True, "0")),
     ])
     def test_input_guards(self, call, error):
         with pytest.raises(error):
             call()
+
+    def test_numpy_numbers_are_stored_as_python_numbers(self):
+        d = BallDomain(N=np.int64(3), center=np.zeros(3),
+                       radius=np.float32(2.0))
+        sec = AxisSection(np.float32(-0.5), np.int64(1))
+        assert (type(d.N), type(d.radius)) == (int, float)
+        assert (type(sec.a), type(sec.b)) == (float, float)
+        assert d == BallDomain(N=3, center=np.zeros(3), radius=2.0)
+        assert BallDomain.unit(np.int64(3)) == BallDomain.unit(3)
 
     def test_sphere_area_computed_once_per_domain(self, monkeypatch):
         # sigma and kappa are cached on the domain: 100 kernel calls on one

@@ -270,7 +270,7 @@ class TestEnergyQuadrature:
 
     @pytest.mark.parametrize("quadrature", [
         energy_quadrature, energy_gradient_quadrature, residual_quadrature])
-    @pytest.mark.parametrize("refine", [0, 1.5])
+    @pytest.mark.parametrize("refine", [0, 1.5, True, "2", 2.0])
     def test_refine_must_be_a_positive_integer(self, domain, table3,
                                                quadrature, refine):
         with pytest.raises(ParameterError, match="refine"):
@@ -1065,7 +1065,54 @@ _CONFIG3 = Configuration(k=1, signs=(1,), Lambda=(1.0,), t=(0.0,))
     pytest.param(lambda g: solve_poisson(g, Field(
         AxisymGrid.for_ball(ball_at(0.0, 2.0), nz=9, nr=5), np.zeros((9, 5)))),
                  ParameterError, id="poisson-field-domain"),
+    # Counts are integers >= their minimum, scales positive finite reals:
+    # eps = inf gave a NaN energy, a string eps raised TypeError and a
+    # string in eps_list was parsed.
+    *(pytest.param(lambda g, n=n: AxisymGrid.for_ball(g.domain, nz=n, nr=33),
+                   ParameterError, id=f"grid-nz-{n!r}") for n in (True, 65.0)),
+    *(pytest.param(lambda g, n=n: AxisymGrid.for_ball(g.domain, nz=65, nr=n),
+                   ParameterError, id=f"grid-nr-{n!r}")
+      for n in (33.0, True, "33")),
+    *(pytest.param(lambda g, N=N: ProjectedBubbleExact(N=N, R=1.0, m=0.1,
+                                                       t=0.0),
+                   ParameterError, id=f"exact-N-{N!r}")
+      for N in (3.0, True, "3")),
+    *(pytest.param(lambda g, R=R: ProjectedBubbleExact(N=3, R=R, m=0.1, t=0.0),
+                   ParameterError, id=f"exact-R-{R!r}")
+      for R in (math.inf, math.nan, "1")),
+    *(pytest.param(lambda g, m=m: ProjectedBubbleExact(N=3, R=1.0, m=m, t=0.0),
+                   ParameterError, id=f"exact-m-{m!r}")
+      for m in (math.inf, math.nan)),
+    *(pytest.param(lambda g, e=e: projected_bubbles_of_config(
+        g.domain, _CONFIG3, compute_constants(3), e),
+                   ParameterError, id=f"family-eps-{e!r}")
+      for e in (math.inf, math.nan, "0.1")),
+    *(pytest.param(lambda g, e=e: energy_quadrature(
+        g.domain, _CONFIG3, compute_constants(3), e),
+                   ParameterError, id=f"quadrature-eps-{e!r}")
+      for e in (math.inf, True)),
+    *(pytest.param(lambda g, e=e: residual_norm(
+        Field(g, np.zeros((g.nz, g.nr))), e),
+                   ParameterError, id=f"residual-eps-{e!r}")
+      for e in (math.inf, math.nan, "0.1")),
+    *(pytest.param(lambda g, e=e: energy_I(Field(g, np.zeros((g.nz, g.nr))), e),
+                   ParameterError, id=f"energy-eps-{e!r}")
+      for e in (math.inf, math.nan, "0.1")),
+    *(pytest.param(lambda g, eps=eps: expansion_gap(
+        _CONFIG3, eps, compute_constants(3)),
+                   ParameterError, id=f"gap-eps-{label}")
+      for label, eps in (("strings", ["0.1", "0.05"]), ("inf", [0.1, math.inf]),
+                         ("nan", [math.nan, 0.05]), ("bool", [0.1, True]))),
 ])
 def test_input_guards(domain, call, error):
     with pytest.raises(error):
         call(AxisymGrid.for_ball(domain, nz=9, nr=5))
+
+
+def test_numpy_integer_grid_sizes(domain):
+    # nz and nr are counts: numpy integers are taken (np.int64(65) raised
+    # before) and stored as int, so the grid is the int-sized grid.
+    g = AxisymGrid(domain, np.int64(65), np.int32(33))
+    assert (type(g.nz), type(g.nr)) == (int, int)
+    ref = AxisymGrid(domain, 65, 33)
+    assert np.array_equal(g.interior, ref.interior) and g.hz == ref.hz

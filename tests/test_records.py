@@ -86,3 +86,19 @@ def test_coordinates_are_tuples_of_floats(seq):
     for v in (center, xi):
         assert type(v) is tuple and [type(x) for x in v] == [float] * 3
         assert v == (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("seq", [np.array, list, tuple])
+def test_numbers_are_python_numbers(seq):
+    # Counts are stored as int and reals as float, numpy scalars included,
+    # so the records compare and hash equal to the ones built from floats.
+    ball = BallDomain(N=seq([3])[0], center=np.zeros(3), radius=seq([2])[0])
+    cfg = Configuration(k=seq([2])[0], signs=seq([1, -1]),
+                        Lambda=seq([1, 2]), t=seq([-1, 1]))
+    numbers = (ball.N, ball.radius, cfg.k, *cfg.signs, *cfg.Lambda, *cfg.t)
+    assert [type(v) for v in numbers] == [int, float] + [int] * 3 + [float] * 4
+    for record, ref in (
+            (ball, BallDomain(N=3, center=(0.0,) * 3, radius=2.0)),
+            (cfg, Configuration(k=2, signs=(1, -1), Lambda=(1.0, 2.0),
+                                t=(-1.0, 1.0)))):
+        assert record == ref and hash(record) == hash(ref)

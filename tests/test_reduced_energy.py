@@ -260,7 +260,7 @@ class TestSearchAndBounds:
     def test_spacing_margin_positive(self, kern):
         assert spacing_margin(kern, 0.0, 0.06) > 0.0
 
-    @pytest.mark.parametrize("n_check", [0, 1])
+    @pytest.mark.parametrize("n_check", [0, 1, 33.0, True, "33"])
     def test_margin_of_no_pairs_rejected(self, kern, n_check):
         # Fewer than two lattice points leave no off-diagonal pair, so no
         # window may count as admissible.
@@ -313,7 +313,7 @@ class TestSearchAndBounds:
                      + kern.g(t3, t4) + kern.g(t1, t4))
             assert bounds_report(d, None, *expected).upper == upper
 
-    @pytest.mark.parametrize("r0", [0.0, -0.1, math.nan])
+    @pytest.mark.parametrize("r0", [0.0, -0.1, math.nan, math.inf])
     def test_spacing_of_no_width_rejected(self, kern, r0):
         # r0 = 0 collapses the window to one point, which left no pair and
         # a margin of +inf: a pass on no evidence.
@@ -413,6 +413,33 @@ class TestConfigurationType:
                      id="mu_embed-nan"),
         pytest.param(lambda: scaling_products(config1(1.0)),
                      id="scaling_products-k1"),
+        # k and the signs are integers (a sign of 1.5 became 1, k=True
+        # counted as 1), Lambda entries scales, t entries positions; a
+        # non-sequence is refused.
+        *(pytest.param(lambda k=k: Configuration(k=k, signs=(1,),
+                                                 Lambda=(1.0,), t=(0.0,)),
+                       id=f"k-{k!r}") for k in (1.0, True, "1")),
+        *(pytest.param(lambda a=a: Configuration(
+            k=2, signs=(a, -1), Lambda=(1.0, 1.0), t=(-0.1, 0.1)),
+                       id=f"sign-{a!r}") for a in (1.5, 1.0, True, "1", 0)),
+        *(pytest.param(lambda L=L: config1(L), id=f"Lambda-{L!r}")
+          for L in (math.inf, math.nan, "1.0", True)),
+        *(pytest.param(lambda t=t: config1(1.0, t=t), id=f"t-{t!r}")
+          for t in ("0.0", False)),
+        *(pytest.param(lambda f=f: Configuration(**{
+            **dict(k=1, signs=(1,), Lambda=(1.0,), t=(0.0,)), f: 1}),
+                       id=f"{f}-not-a-sequence")
+          for f in ("signs", "Lambda", "t")),
+        *(pytest.param(lambda i=i: mu_embed(*(["1.0" if j == i else 1.0
+                                                for j in range(3)]),
+                                            (0.0, 0.1, 0.2, 0.3)),
+                       id=f"mu_embed-string-{i}") for i in range(3)),
+        pytest.param(lambda: mu_embed(1.0, 1.0, 1.0, ("0", 0.1, 0.2, 0.3)),
+                     id="mu_embed-t-string"),
+        *(pytest.param(lambda r=r: base_spacing_points(0.0, r),
+                       id=f"base-r0-{r!r}") for r in (math.inf, math.nan, "0.1")),
+        *(pytest.param(lambda t=t: base_spacing_points(t, 0.1),
+                       id=f"base-t0-{t!r}") for t in (math.inf, math.nan, "0")),
     ])
     def test_input_guards(self, call):
         with pytest.raises(ParameterError):

@@ -311,11 +311,31 @@ class TestSolverBehavior:
             solve_saddle(domain, None, init, max_iter=1)
         assert exc_info.value.trace
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf, "1e-8"])
     def test_tolerance_guard(self, domain, tol):
         init = mu_embed(1.0, 1.0, 1.0, base_spacing_points(0.0, 0.06))
         with pytest.raises(ParameterError, match="tol"):
             solve_saddle(domain, None, init, tol=tol)
+
+    @pytest.mark.parametrize("solver, name, value", [
+        *(("newton", "max_iter", v) for v in (0, 2.5, 50.0, True, "50")),
+        *(("multistart", "n_starts", v) for v in (0, 2.0, True, "8")),
+        *(("multistart", "seed", v) for v in (-1, 0.0, True, "0")),
+        *(("coercivity", "n_samples", v) for v in (0, 64.0, True, "64")),
+        *(("coercivity", "seed", v) for v in (-1, 1.5, True, "0")),
+    ])
+    def test_count_and_seed_guards(self, domain, solver, name, value):
+        # Counts and seeds are integers >= their minimum, checked before any
+        # work: max_iter=2.5 ran, and seed=-1 raised numpy's ValueError.
+        with pytest.raises(ParameterError, match=name):
+            if solver == "newton":
+                init = mu_embed(1.0, 1.0, 1.0, base_spacing_points(0.0, 0.06))
+                solve_saddle(domain, None, init, **{name: value})
+            elif solver == "multistart":
+                solve_saddle_multistart(domain, None, (-0.1, 0.0, 0.1, 0.2),
+                                        **{name: value})
+            else:
+                coercivity_scan(domain, **{name: value})
 
     def test_singular_hessian_is_regularized(self, domain, monkeypatch):
         # A quadratic model F = x − x* with a Hessian that is singular in
