@@ -51,7 +51,9 @@ from .errors import (
     ResolutionError,
     SearchError,
     SolverDivergenceError,
-    _is_number,
+    _require_int,
+    _require_real,
+    _require_reals,
 )
 
 __all__ = ["RunConfig", "main", "cmd_constants", "cmd_assumptions",
@@ -83,52 +85,28 @@ class RunConfig:
     configuration: dict | None = None
 
     def __post_init__(self):
-        if not _is_number(self.dim, int) or self.dim < 3:
-            raise ConfigurationError(
-                f"N >= 3 required (an integer that fits a double), "
-                f"got dim={self.dim!r}")
+        # The library's rules, so every number is finite and fits a double;
+        # radius and tol are checked, not converted: an integer stays one.
+        _require_int("dimension N", self.dim, 3, ConfigurationError)
         from .bubble_core import compute_constants
         try:    # one dimension range for every subcommand
             compute_constants(self.dim)
         except ParameterError as e:
             raise ConfigurationError(f"dim={self.dim} is too large: {e}") from e
-        if not (_is_number(self.radius) and self.radius > 0):
-            raise ConfigurationError(
-                f"radius must be a positive double, got {self.radius!r}")
-        if self.center is not None and not (
-                isinstance(self.center, (list, tuple))
-                and all(map(_is_number, self.center))):
-            raise ConfigurationError(
-                f"center must be a list of doubles, got {self.center!r}")
-        center = ((0.0,) * self.dim if self.center is None
-                  else tuple(float(c) for c in self.center))
-        if len(center) != self.dim:
-            raise ConfigurationError(
-                f"center must have dim={self.dim} entries, got {len(center)}")
-        object.__setattr__(self, "center", center)
-        if not (isinstance(self.eps, (list, tuple))
-                and all(map(_is_number, self.eps))):
-            raise ConfigurationError(
-                f"eps must be a list of doubles, got {self.eps!r}")
-        eps = tuple(float(e) for e in self.eps)
-        if not eps or any(not (0.0 < e < 1.0) for e in eps):
+        for name, least in (("max_iter", 1), ("grid_nz", 5), ("grid_nr", 5),
+                            ("seed", 0)):
+            _require_int(name, getattr(self, name), least, ConfigurationError)
+        for name in ("radius", "tol"):
+            _require_real(name, getattr(self, name), error=ConfigurationError)
+        object.__setattr__(self, "center", (0.0,) * self.dim
+                           if self.center is None else _require_reals(
+                               "center", self.center, self.dim, False,
+                               ConfigurationError))
+        eps = _require_reals("eps", self.eps, error=ConfigurationError)
+        if not eps or any(e >= 1.0 for e in eps):
             raise ConfigurationError(
                 f"eps values must lie in (0, 1), got {self.eps!r}")
-        eps = tuple(sorted(set(eps), reverse=True))
-        object.__setattr__(self, "eps", eps)
-        if not (_is_number(self.tol) and self.tol > 0):
-            raise ConfigurationError(
-                f"tol must be a positive double, got {self.tol!r}")
-        if not _is_number(self.max_iter, int) or self.max_iter < 1:
-            raise ConfigurationError(
-                f"max_iter must be a positive integer, got {self.max_iter!r}")
-        for name, v in (("grid_nz", self.grid_nz), ("grid_nr", self.grid_nr)):
-            if not _is_number(v, int) or v < 5:
-                raise ConfigurationError(
-                    f"{name} must be an integer >= 5, got {v!r}")
-        if not _is_number(self.seed, int) or self.seed < 0:
-            raise ConfigurationError(
-                f"seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "eps", tuple(sorted(set(eps), reverse=True)))
         if not isinstance(self.out, str):
             raise ConfigurationError(f"out must be a string, got {self.out!r}")
         if self.format not in ("json", "csv"):

@@ -4,13 +4,15 @@ The command-line front end maps these onto stable exit codes; library users
 can catch them individually.  Everything derives from ``NodalBubblesError``
 so a single ``except`` clause can fence off the whole package.
 
-It also holds the rules for scalar inputs, by the standard library alone:
-a JSON number of the run configuration is :func:`_is_number`.  A library
-argument that is a **count or dimension** is a Python or numpy integer
-(not ``bool``) at least its minimum, used and stored as ``int``
-(:func:`_require_int`); a **scale** is a Python or numpy integer or float
-(not ``bool``) that is finite and > 0, used and stored as ``float``, and a
-**position** is one without the sign bound (:func:`_require_real`).
+It also holds every input rule, by the standard library alone, for the
+library and the run configuration alike.  A **count or dimension** is a
+Python or numpy integer (not ``bool``) at least its minimum and within a
+double's range, used and stored as ``int`` (:func:`_require_int`); a
+**scale** is a Python or numpy integer or float (not ``bool``) that is
+finite and > 0, used and stored as ``float``, and a **position** is one
+without the sign bound (:func:`_require_real`).  A **sequence** of them is
+a list, a tuple or a 1-D numpy array, never a string or a scalar
+(:func:`_require_sequence`, :func:`_require_reals`).
 """
 
 from __future__ import annotations
@@ -22,13 +24,6 @@ import sys
 __all__ = ["NodalBubblesError", "ParameterError", "ConfigurationError",
            "DomainError", "SingularityError", "QuadratureError",
            "SearchError", "ResolutionError", "SolverDivergenceError"]
-
-
-def _is_number(v, kind=(int, float)) -> bool:
-    """``v`` is a JSON number of ``kind``, not true/false, and a finite
-    double (``json`` reads ``Infinity`` and long integers exactly)."""
-    return (isinstance(v, kind) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
 
 
 class NodalBubblesError(Exception):
@@ -96,14 +91,16 @@ def _require_int(name: str, v, least: int, error=ParameterError) -> int:
         n = None if isinstance(v, bool) else operator.index(v)
     except TypeError:                    # a float, a string, an array
         n = None
-    if n is None or n < least:
-        raise error(f"{name} must be an integer >= {least}, got {v!r}")
+    if n is None or not least <= n <= sys.float_info.max:
+        raise error(f"expected an integer {name} >= {least} that fits a "
+                    f"double, got {v!r}")
     return n
 
 
-def _require_real(name: str, v, positive: bool = True) -> float:
+def _require_real(name: str, v, positive: bool = True,
+                  error=ParameterError) -> float:
     """The scale (or, not ``positive``, the position) ``name`` = ``v`` as a
-    ``float``, or :class:`ParameterError`."""
+    ``float``, or ``error``."""
     kind = getattr(getattr(v, "dtype", None), "kind", "")    # numpy's
     try:
         real = isinstance(v, (int, float)) or kind in ("i", "u", "f")
@@ -111,6 +108,29 @@ def _require_real(name: str, v, positive: bool = True) -> float:
     except (TypeError, OverflowError):   # an array; an int past a double
         x = math.nan
     if not (math.isfinite(x) and (x > 0 or not positive)):
-        raise ParameterError(f"{name} must be a {'positive ' * positive}"
-                             f"finite real, got {v!r}")
+        raise error(f"{name} must be a {'positive ' * positive}"
+                    f"finite real, got {v!r}")
     return x
+
+
+def _require_sequence(name: str, values, n: int | None = None,
+                      error=ParameterError):
+    """``values`` itself if it is a list, a tuple or a 1-D numpy array, of
+    exactly ``n`` entries when ``n`` is given; else ``error``."""
+    if not (isinstance(values, (list, tuple))
+            or getattr(values, "ndim", None) == 1):
+        raise error(f"{name} must be a list, tuple or 1-D array, "
+                    f"got {values!r}")
+    if n is not None and len(values) != n:
+        raise error(f"{name} must have {n} entries, got {len(values)}")
+    return values
+
+
+def _require_reals(name: str, values, n: int | None = None,
+                   positive: bool = True, error=ParameterError) -> tuple:
+    """The sequence ``name`` = ``values`` of scales (or, not ``positive``,
+    of positions) as a tuple of floats, or ``error`` naming the entry or
+    the length at fault."""
+    return tuple(_require_real(f"{name}[{i}]", v, positive, error)
+                 for i, v in enumerate(_require_sequence(name, values, n,
+                                                         error)))

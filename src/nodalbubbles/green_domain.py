@@ -39,7 +39,8 @@ import numpy as np
 
 from .bubble_core import sigma_N
 from .errors import (ConfigurationError, DomainError, ParameterError,
-                     SingularityError, _require_int, _require_real)
+                     SingularityError, _require_int, _require_real,
+                     _require_reals)
 
 __all__ = [
     "BallDomain",
@@ -72,7 +73,7 @@ class BallDomain:
     N : int
         Dimension, an integer >= 3, stored as ``int``.
     center : tuple of float
-        Center point, N finite floats (any sequence of length N is taken).
+        Center, N finite reals (a list, tuple or 1-D array) stored as floats.
     radius : float
         Radius R, a positive finite real, stored as ``float``.
 
@@ -87,12 +88,8 @@ class BallDomain:
         N = _require_int("dimension N", self.N, 3)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "radius", _require_real("radius", self.radius))
-        c = tuple(np.asarray(self.center, dtype=float).reshape(-1).tolist())
-        if len(c) != N:
-            raise ParameterError(f"center must have length N={N}, got {len(c)}")
-        if not all(map(math.isfinite, c)):
-            raise ParameterError(f"center must be finite, got {c}")
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", _require_reals(
+            "center", self.center, N, positive=False))
 
     @classmethod
     def unit(cls, N: int = 3) -> "BallDomain":

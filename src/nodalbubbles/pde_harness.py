@@ -53,7 +53,8 @@ import numpy as np
 from .bubble_core import (ConstantsTable, alpha_N, lambda_of_Lambda_quadratic,
                           sigma_N, single_bubble_energy_limit, two_star)
 from .errors import (DomainError, ParameterError, ResolutionError,
-                     SolverDivergenceError, _require_int, _require_real)
+                     SolverDivergenceError, _require_int, _require_real,
+                     _require_reals)
 from .green_domain import BallDomain
 from .reduced_energy import AxisKernels, Configuration, psi_k
 
@@ -94,7 +95,7 @@ class BubbleParams:
         Subcriticality and scaling parameters, each a scale (positive
         finite real), stored as ``float``.
     xi : tuple of float
-        Center, N floats (any sequence of length N is taken).
+        Center, N finite reals (a list, tuple or 1-D array) stored as floats.
     """
 
     N: int
@@ -104,10 +105,7 @@ class BubbleParams:
 
     def __post_init__(self):
         N = _require_int("dimension N", self.N, 3)
-        xi = tuple(np.asarray(self.xi, dtype=float).reshape(-1).tolist())
-        if len(xi) != N:
-            raise ParameterError(
-                f"center xi must have length N={N}, got {len(xi)}")
+        xi = _require_reals("xi", self.xi, N, positive=False)
         for name, v in (("N", N), ("eps", _require_real("eps", self.eps)),
                         ("lam", _require_real("lam", self.lam)), ("xi", xi)):
             object.__setattr__(self, name, v)
@@ -118,14 +116,23 @@ class BubbleParams:
         return self.lam * self.eps ** (1.0 / (self.N - 2.0))
 
 
+def _require_widths(m) -> None:
+    """Raise ParameterError unless every core width in ``m`` is > 0, finite."""
+    if not np.all((0 < m) & (m < np.inf)):
+        raise ParameterError(
+            f"core width must be positive and finite, got {m}")
+
+
 def bubble_profile(N: int, m: float, d2):
     """The bubble alpha_N (m / (m^2 + d2))^{(N-2)/2} of core width ``m``.
 
-    ``d2`` is the squared distance to the center (a float or an array).
+    ``m`` (positive and finite) and the squared distance ``d2`` to the
+    center are each a float or an array.
     Every pointwise bubble evaluation in the package uses this formula; the
     quadratures' panel kernel (:class:`_SlabFrame`) spells it over
     ``alpha_N`` in the frame of each slab, equal to it up to rounding.
     """
+    _require_widths(m)
     # One buffer, worked in place (a 0-d array for scalar arguments).
     q = np.asarray(m * m + d2, dtype=float)
     np.divide(m, q, out=q)
@@ -176,9 +183,7 @@ class ProjectedBubbleExact:
     def __post_init__(self):
         object.__setattr__(self, "N", _require_int("dimension N", self.N, 3))
         object.__setattr__(self, "R", _require_real("radius R", self.R))
-        if not np.all((0 < self.m) & (self.m < np.inf)):
-            raise ParameterError(
-                f"core width must be positive and finite, got {self.m}")
+        _require_widths(self.m)
         if not np.all(np.abs(self.t) < self.R):
             raise DomainError(
                 f"bubble center offset {self.t} not inside ball of radius {self.R}")
@@ -571,7 +576,7 @@ def expansion_gap(cfg: Configuration, eps_list, table: ConstantsTable,
     """
     if domain is None:
         domain = BallDomain.unit(table.N)
-    eps_arr = [_require_real("eps_list entry", e) for e in eps_list]
+    eps_arr = _require_reals("eps_list", eps_list)
     if len(eps_arr) < 2 or any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ParameterError(
             f"eps_list must be strictly decreasing with >= 2 entries, got {eps_arr}")

@@ -46,7 +46,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError, SearchError, _require_int, _require_real
+from .errors import (ParameterError, SearchError, _require_int, _require_real,
+                     _require_reals, _require_sequence)
 from .green_domain import (AxisSection, BallDomain, axis_g, axis_g_dt,
                            axis_g_ts, axis_g_tt, axis_h, axis_h_d1, axis_h_d2)
 
@@ -88,8 +89,9 @@ class Configuration:
     t : tuple of float
         Axis positions, finite reals, strictly increasing.
 
-    Integers are stored as ``int`` and reals as ``float``, and any
-    sequence of k entries is taken (see :mod:`~nodalbubbles.errors`).
+    Integers are stored as ``int`` and reals as ``float``; each of signs,
+    Lambda and t is a list, a tuple or a 1-D array of k entries (see
+    :mod:`~nodalbubbles.errors`).
 
     Containment of the positions in a particular chord is a property of the
     kernels the configuration is evaluated against, not of the configuration
@@ -103,19 +105,12 @@ class Configuration:
 
     def __post_init__(self):
         k = _require_int("k", self.k, 1)
-        try:
-            signs = tuple(_require_int("sign", a, -1) for a in self.signs)
-            lam = tuple(_require_real("Lambda entry", v) for v in self.Lambda)
-            tt = tuple(_require_real("t entry", v, False) for v in self.t)
-        except TypeError as exc:
-            raise ParameterError(
-                "signs, Lambda and t must be sequences, got "
-                f"{self.signs!r}, {self.Lambda!r}, {self.t!r}") from exc
-        if not len(signs) == len(lam) == len(tt) == k or any(
-                a not in (-1, 1) for a in signs):
-            raise ParameterError(
-                f"k={k} needs k signs of ±1, k Lambda and k t entries, got "
-                f"{self.signs}, {self.Lambda}, {self.t}")
+        signs = tuple(_require_int(f"signs[{i}]", a, -1) for i, a in
+                      enumerate(_require_sequence("signs", self.signs, k)))
+        if any(a not in (-1, 1) for a in signs):
+            raise ParameterError(f"signs must be ±1, got {signs}")
+        lam = _require_reals("Lambda", self.Lambda, k)
+        tt = _require_reals("t", self.t, k, positive=False)
         if any(tt[i] >= tt[i + 1] for i in range(k - 1)):
             raise ParameterError(
                 f"t must be strictly increasing, got {tt}")

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import (ParameterError, SolverDivergenceError, _require_int,
-                     _require_real)
+                     _require_real, _require_reals)
 from .green_domain import AxisSection, BallDomain
 from .reduced_energy import (ALTERNATING_SIGNS_4, AxisKernels, BoundsReport,
                              Configuration, _psi_terms, _quadratic_form,
@@ -239,12 +239,13 @@ def solve_saddle_multistart(domain: BallDomain, section: AxisSection | None,
     (the first start is the unperturbed (1,1,1)) and the given base
     positions.  Failed starts are dropped; converged configurations closer
     than 1e-4 (max-norm over scalings and positions) count as the same
-    point.  Results are sorted by energy.  Base positions outside the chord
-    (shrunk by ``T_MARGIN``) or not strictly increasing raise ParameterError.
+    point.  Results are sorted by energy.  Base positions that are not four
+    reals strictly increasing inside the chord (shrunk by ``T_MARGIN``)
+    raise ParameterError.
     """
     n_starts = _require_int("n_starts", n_starts, 1)
     rng = np.random.default_rng(_require_int("seed", seed, 0))
-    t_base = tuple(_require_real("t_base entry", v, False) for v in t_base)
+    t_base = _require_reals("t_base", t_base, 4, positive=False)
     if not _positions_admissible(np.array(t_base),
                                  section or AxisSection.of_ball(domain)):
         raise ParameterError(
@@ -390,11 +391,14 @@ def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
     smallest Ψ̃ at a kept crossing is recorded; a Nelder-Mead polish of the
     level-set parametrization around the best sample then tightens the
     minimum.  Levels the anchor cannot reach are skipped with a note and
-    draw nothing.  Minima must increase with M — the observable trace of
-    penalty coercivity.
+    draw nothing.  The levels M are scales, strictly increasing; minima
+    must increase with M — the observable trace of penalty coercivity.
     """
     n_samples = _require_int("n_samples", n_samples, 1)
     rng = np.random.default_rng(_require_int("seed", seed, 0))
+    M_list = _require_reals("M_list", M_list)
+    if any(b <= a for a, b in zip(M_list, M_list[1:])):
+        raise ParameterError(f"M_list must be strictly increasing, got {M_list}")
     sec = section or AxisSection.of_ball(domain)
     kern = AxisKernels(domain, sec)
     t0, r0 = find_t0_r0(domain, sec)
@@ -403,9 +407,6 @@ def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
     anchor_phi = phi_penalty(anchor, kern)
     window = (t0 - 4.0 * r0, t0 + 4.0 * r0)
     min_gap = r0 / 8.0
-
-    if list(M_list) != sorted(M_list) or len(set(M_list)) != len(M_list):
-        raise ParameterError(f"M_list must be strictly increasing, got {M_list}")
 
     def draw_positions():
         for _ in range(200):
@@ -416,10 +417,10 @@ def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
 
     results = []
     for M in M_list:
-        level = 0.5 * float(M)
+        level = 0.5 * M
         if anchor_phi >= level:
             results.append({
-                "M": float(M), "min_psi_tilde": None, "n_certified": 0,
+                "M": M, "min_psi_tilde": None, "n_certified": 0,
                 "note": (f"level set skipped: anchor penalty "
                          f"{anchor_phi:.6g} >= M/2 = {level:.6g}")})
             continue
@@ -431,7 +432,7 @@ def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
         n_cert = int(np.count_nonzero(ok))
         if n_cert == 0:
             results.append({
-                "M": float(M), "min_psi_tilde": None, "n_certified": 0,
+                "M": M, "min_psi_tilde": None, "n_certified": 0,
                 "note": "no certified sample reached the level"})
             continue
 
@@ -442,7 +443,7 @@ def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
             window, min_gap)
 
         results.append({
-            "M": float(M), "min_psi_tilde": float(best_val),
+            "M": M, "min_psi_tilde": float(best_val),
             "n_certified": n_cert, "note": note})
     return results
 

@@ -161,6 +161,10 @@ class TestBasicScalars:
         pytest.param(lambda N: BubbleParams(N=N, eps=0.1, lam=1.0,
                                             xi=np.zeros(2)), 2,
                      id="BubbleParams-2"),
+        # A dimension fits a double: 10**400 ended in OverflowError.
+        *(pytest.param(fn, 10 ** 400, id=f"{fn.__name__}-401digits")
+          for fn in (alpha_N, two_star, bubble_integrals, sigma_N,
+                     compute_constants)),
     ])
     def test_dimension_guards(self, fn, N):
         with pytest.raises(ParameterError, match="dimension"):

@@ -127,6 +127,10 @@ class TestConfigFileValues:
         ("constants", {"center": [math.inf, 0, 0]}),
         # An unknown configuration key is refused, not ignored.
         ("verify", {"configuration": dict(_SADDLE_CONFIG, extra=1)}),
+        ("saddle", {"trace": True, "max_iter": _HUGE}),
+        ("saddle", {"trace": True, "grid_nz": _HUGE}),
+        ("saddle", {"trace": True, "grid_nr": _HUGE}),
+        ("saddle", {"trace": True, "seed": _HUGE}),
     ])
     def test_rejected(self, tmp_path, capsys, command, data):
         cfg_file = tmp_path / "run.json"
@@ -164,6 +168,19 @@ class TestConfigFileValues:
         assert capsys.readouterr().err.startswith("error:")
         assert sorted(p.name for p in tmp_path.iterdir()) == (
             [] if data is None else ["run.json"])
+
+    def test_integer_radius_is_written_as_given(self, tmp_path):
+        # The radius is checked, not converted: the effective configuration
+        # keeps the file's integer.
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"dim": 4, "radius": 2}))
+        rc = main(["constants", "--config", str(cfg_file),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        text = (tmp_path / "constants.json").read_text()
+        assert '"radius": 2,' in text
+        assert read_json(tmp_path / "constants.json")["meta"][
+            "effective_config"]["radius"] == 2
 
     def test_out_must_be_a_string(self, tmp_path):
         cfg_file = tmp_path / "run.json"

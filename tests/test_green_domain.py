@@ -484,6 +484,17 @@ class TestDomainValidation:
             BallDomain.unit(3), n_samples=10, seed=s),
                        ParameterError, id=f"directional-seed-{s!r}")
           for s in (-1, 1.0, True, "0")),
+        # The center is a list, tuple or 1-D array of N finite reals: a
+        # string raised numpy's ValueError, a nested list was flattened and
+        # an integer past a double raised OverflowError.
+        *(pytest.param(lambda c=c: BallDomain(N=3, center=c, radius=1.0),
+                       ParameterError, id=f"center-{label}")
+          for label, c in (("string", "abc"), ("string-entry", ["a", 0, 0]),
+                           ("nested", [[0.0, 0.0, 0.0]]),
+                           ("nested-array", np.zeros((1, 3))),
+                           ("short-scalar", 0.0),
+                           ("infinite", [math.inf, 0.0, 0.0]),
+                           ("past-a-double", [10 ** 400, 0, 0]))),
     ])
     def test_input_guards(self, call, error):
         with pytest.raises(error):

@@ -29,6 +29,7 @@ from nodalbubbles import (
     SolverDivergenceError,
     alpha_N,
     assemble_V,
+    bubble_profile,
     compute_constants,
     energy_I,
     energy_gradient_quadrature,
@@ -1103,6 +1104,19 @@ _CONFIG3 = Configuration(k=1, signs=(1,), Lambda=(1.0,), t=(0.0,))
                    ParameterError, id=f"gap-eps-{label}")
       for label, eps in (("strings", ["0.1", "0.05"]), ("inf", [0.1, math.inf]),
                          ("nan", [math.nan, 0.05]), ("bool", [0.1, True]))),
+    # Sequences are lists, tuples or 1-D arrays of finite reals, and a core
+    # width is positive and finite: a string xi raised numpy's ValueError,
+    # an infinite xi was kept, bubble_profile returned NaN with a
+    # RuntimeWarning and a scalar eps_list raised TypeError.
+    *(pytest.param(lambda g, xi=xi: BubbleParams(N=3, eps=0.1, lam=1.0, xi=xi),
+                   ParameterError, id=f"xi-{label}")
+      for label, xi in (("string", "abc"), ("string-entry", ["a", 0, 0]),
+                        ("infinite", [math.inf, 0.0, 0.0]))),
+    *(pytest.param(lambda g, m=m: bubble_profile(3, m, 0.0),
+                   ParameterError, id=f"profile-m-{m!r}")
+      for m in (0.0, -1.0, math.inf)),
+    pytest.param(lambda g: expansion_gap(_CONFIG3, 0.1, compute_constants(3)),
+                 ParameterError, id="gap-eps-scalar"),
 ])
 def test_input_guards(domain, call, error):
     with pytest.raises(error):

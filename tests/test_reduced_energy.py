@@ -440,6 +440,17 @@ class TestConfigurationType:
                        id=f"base-r0-{r!r}") for r in (math.inf, math.nan, "0.1")),
         *(pytest.param(lambda t=t: base_spacing_points(t, 0.1),
                        id=f"base-t0-{t!r}") for t in (math.inf, math.nan, "0")),
+        # signs, Lambda and t are lists, tuples or 1-D arrays of k entries:
+        # a byte string t was read as its byte values.
+        *(pytest.param(lambda t=t: Configuration(k=1, signs=(1,),
+                                                 Lambda=(1.0,), t=t),
+                       id=f"t-{label}")
+          for label, t in (("string", "0"), ("bytes", b"\x00"))),
+        *(pytest.param(lambda L=L: Configuration(k=1, signs=(1,), Lambda=L,
+                                                 t=(0.0,)),
+                       id=f"Lambda-{label}")
+          for label, L in (("nested", [[1.0]]),
+                           ("nested-array", np.ones((1, 1))))),
     ])
     def test_input_guards(self, call):
         with pytest.raises(ParameterError):

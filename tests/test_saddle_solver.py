@@ -323,10 +323,13 @@ class TestSolverBehavior:
         *(("multistart", "seed", v) for v in (-1, 0.0, True, "0")),
         *(("coercivity", "n_samples", v) for v in (0, 64.0, True, "64")),
         *(("coercivity", "seed", v) for v in (-1, 1.5, True, "0")),
+        *(("coercivity", "M_list", v) for v in (["10", "20"], 10.0)),
     ])
     def test_count_and_seed_guards(self, domain, solver, name, value):
-        # Counts and seeds are integers >= their minimum, checked before any
-        # work: max_iter=2.5 ran, and seed=-1 raised numpy's ValueError.
+        # Counts and seeds are integers >= their minimum, and the levels a
+        # list, tuple or 1-D array of scales, checked before any work:
+        # max_iter=2.5 ran, seed=-1 raised numpy's ValueError, string
+        # levels were parsed and a scalar M_list raised TypeError.
         with pytest.raises(ParameterError, match=name):
             if solver == "newton":
                 init = mu_embed(1.0, 1.0, 1.0, base_spacing_points(0.0, 0.06))
@@ -399,7 +402,11 @@ class TestSolverBehavior:
 
     @pytest.mark.parametrize("t_base", [(2.0, 3.0, 4.0, 5.0),
                                         (0.0, 0.2, 0.1, 0.3),
-                                        (-1.0, 0.0, 0.1, 0.2)])
+                                        (-1.0, 0.0, 0.1, 0.2),
+                                        # Three positions made every
+                                        # start fail and returned [], and
+                                        # a scalar raised TypeError.
+                                        (-0.1, 0.0, 0.1), 0.1])
     def test_multistart_rejects_bad_base_positions(self, domain, t_base):
         with pytest.raises(ParameterError, match="t_base"):
             solve_saddle_multistart(domain, None, t_base, n_starts=3)
