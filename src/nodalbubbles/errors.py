@@ -4,15 +4,18 @@ The command-line front end maps these onto stable exit codes; library users
 can catch them individually.  Everything derives from ``NodalBubblesError``
 so a single ``except`` clause can fence off the whole package.
 
-It also holds every input rule, by the standard library alone, for the
-library and the run configuration alike.  A **count or dimension** is a
+It also holds every input rule, importing the standard library alone, for
+the library and the run configuration alike.  A **count or dimension** is a
 Python or numpy integer (not ``bool``) at least its minimum and within a
 double's range, used and stored as ``int`` (:func:`_require_int`); a
 **scale** is a Python or numpy integer or float (not ``bool``) that is
 finite and > 0, used and stored as ``float``, and a **position** is one
 without the sign bound (:func:`_require_real`).  A **sequence** of them is
 a list, a tuple or a 1-D numpy array, never a string or a scalar
-(:func:`_require_sequence`, :func:`_require_reals`).
+(:func:`_require_sequence`, :func:`_require_reals`).  An **array** of them
+is an integer or float scalar, array or nesting, never ``bool``, complex,
+ragged or of strings, used as a float ndarray (:func:`_require_array`; it
+imports numpy inside itself, so this module loads none).
 """
 
 from __future__ import annotations
@@ -134,3 +137,19 @@ def _require_reals(name: str, values, n: int | None = None,
     return tuple(_require_real(f"{name}[{i}]", v, positive, error)
                  for i, v in enumerate(_require_sequence(name, values, n,
                                                          error)))
+
+
+def _require_array(name: str, values, positive: bool = False,
+                   error=ParameterError):
+    """The array ``name`` = ``values`` of positions (or, ``positive``, of
+    scales) as a float ndarray, a float64 array as itself; else ``error``."""
+    import numpy as np
+    try:
+        a = np.asarray(values)
+    except (TypeError, ValueError):      # ragged
+        a = np.asarray(None)
+    if not (a.dtype.kind in "iuf" and np.all(
+            (0 < a) & (a < np.inf) if positive else np.isfinite(a))):
+        raise error(f"{name} must be an array of {'positive ' * positive}"
+                    f"finite reals, got {values!r}")
+    return a.astype(float, copy=False)

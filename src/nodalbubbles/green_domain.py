@@ -39,8 +39,8 @@ import numpy as np
 
 from .bubble_core import sigma_N
 from .errors import (ConfigurationError, DomainError, ParameterError,
-                     SingularityError, _require_int, _require_real,
-                     _require_reals)
+                     SingularityError, _require_array, _require_int,
+                     _require_real, _require_reals)
 
 __all__ = [
     "BallDomain",
@@ -158,7 +158,10 @@ class ValidationReport:
 def _inside(d: BallDomain, x, *, closed: bool, what: str) -> tuple:
     """Centered points x - center, a single point as a batch of one, and
     their squared norms; raises outside the closed or open ball."""
-    xc = np.atleast_2d(np.asarray(x, dtype=float) - d.center)
+    x = _require_array(what, x)
+    if x.shape[-1:] != (d.N,):
+        raise ParameterError(f"{what} has shape {x.shape}, not (..., {d.N})")
+    xc = np.atleast_2d(x - d.center)
     n2 = np.sum(xc * xc, axis=-1)
     r = np.sqrt(n2)
     if closed:
@@ -251,7 +254,7 @@ def grad_x_H(d: BallDomain, x, y) -> np.ndarray:
 # axis restrictions
 # ---------------------------------------------------------------------------
 
-def _axis_point(d: BallDomain, sec: AxisSection, t) -> np.ndarray:
+def _axis_point(d: BallDomain, sec: AxisSection, t, what="t") -> np.ndarray:
     """Centered axis coordinates t - c1, a scalar as a batch of one; raises
     for a section beyond the ball's chord and outside the open section."""
     c1, reach = d.center[0], d.radius * (1.0 + 1e-12)   # _inside's slack
@@ -259,7 +262,7 @@ def _axis_point(d: BallDomain, sec: AxisSection, t) -> np.ndarray:
         raise DomainError(
             f"section ({sec.a}, {sec.b}) exceeds the chord of the ball "
             f"of radius {d.radius} about {c1}")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t = np.atleast_1d(_require_array(what, t))
     if np.any(t <= sec.a) or np.any(t >= sec.b):
         raise DomainError(
             f"axis coordinate outside the open chord ({sec.a}, {sec.b})")
@@ -270,7 +273,7 @@ def _axis_pair(d: BallDomain, sec: AxisSection, t, s, who: str) -> tuple:
     """Centered, broadcast 1-d (t, s) of a pair kernel and whether both were
     scalars; raises outside the chord and at t == s."""
     tc, sc = np.broadcast_arrays(_axis_point(d, sec, t),
-                                 _axis_point(d, sec, s))
+                                 _axis_point(d, sec, s, "s"))
     if np.any(tc == sc):
         raise SingularityError(f"{who} evaluated at t == s")
     return tc, sc, np.ndim(t) == np.ndim(s) == 0
@@ -543,7 +546,7 @@ def harmonic_defect_order(d: BallDomain, x: np.ndarray, y: np.ndarray,
     harmonic, so the defect is O(h^2) and the measurement should sit near 2.
     """
     h0 = _require_real("step h0", h0)
-    y = np.asarray(y, dtype=float)
+    y = _require_array("y", y)
     n = y.size
     steps = np.concatenate([np.zeros((1, n)), np.eye(n), -np.eye(n)])
 

@@ -53,8 +53,8 @@ import numpy as np
 from .bubble_core import (ConstantsTable, alpha_N, lambda_of_Lambda_quadratic,
                           sigma_N, single_bubble_energy_limit, two_star)
 from .errors import (DomainError, ParameterError, ResolutionError,
-                     SolverDivergenceError, _require_int, _require_real,
-                     _require_reals)
+                     SolverDivergenceError, _require_array, _require_int,
+                     _require_real, _require_reals)
 from .green_domain import BallDomain
 from .reduced_energy import AxisKernels, Configuration, psi_k
 
@@ -116,13 +116,6 @@ class BubbleParams:
         return self.lam * self.eps ** (1.0 / (self.N - 2.0))
 
 
-def _require_widths(m) -> None:
-    """Raise ParameterError unless every core width in ``m`` is > 0, finite."""
-    if not np.all((0 < m) & (m < np.inf)):
-        raise ParameterError(
-            f"core width must be positive and finite, got {m}")
-
-
 def bubble_profile(N: int, m: float, d2):
     """The bubble alpha_N (m / (m^2 + d2))^{(N-2)/2} of core width ``m``.
 
@@ -132,9 +125,9 @@ def bubble_profile(N: int, m: float, d2):
     quadratures' panel kernel (:class:`_SlabFrame`) spells it over
     ``alpha_N`` in the frame of each slab, equal to it up to rounding.
     """
-    _require_widths(m)
+    m = _require_array("core width m", m, positive=True)
     # One buffer, worked in place (a 0-d array for scalar arguments).
-    q = np.asarray(m * m + d2, dtype=float)
+    q = np.asarray(m * m + _require_array("d2", d2), dtype=float)
     np.divide(m, q, out=q)
     q **= (N - 2) / 2.0
     q *= alpha_N(N)
@@ -172,7 +165,7 @@ class ProjectedBubbleExact:
     with (k, 1) columns one object is the whole family of a configuration
     (see :func:`projected_bubbles_of_config`), and :meth:`u`, :meth:`w`
     and :meth:`pu_tangents` return one row per bubble.  ``N`` is stored as
-    ``int`` and the radius ``R`` (a scale) as ``float``.
+    ``int``, the radius ``R`` as ``float`` and ``m`` and ``t`` as arrays.
     """
 
     N: int
@@ -181,9 +174,11 @@ class ProjectedBubbleExact:
     t: float | np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "N", _require_int("dimension N", self.N, 3))
-        object.__setattr__(self, "R", _require_real("radius R", self.R))
-        _require_widths(self.m)
+        for name, v in (("N", _require_int("dimension N", self.N, 3)),
+                        ("R", _require_real("radius R", self.R)),
+                        ("m", _require_array("core width m", self.m, True)),
+                        ("t", _require_array("t", self.t))):
+            object.__setattr__(self, name, v)
         if not np.all(np.abs(self.t) < self.R):
             raise DomainError(
                 f"bubble center offset {self.t} not inside ball of radius {self.R}")
@@ -217,6 +212,7 @@ class ProjectedBubbleExact:
     def pu_tangents(self, z, r, u, w):
         """``∂PU/∂m`` and ``∂PU/∂t`` at (z, r), given ``u`` and ``w`` there,
         by :meth:`_SlabFrame.tangents` about each bubble's own center."""
+        z, r = _require_array("z", z), _require_array("r", r)
         f = _SlabFrame(self, self.t, self._coeffs, self._coeff_tangents)
         zeta = z - self.t
         rho2 = zeta * zeta + r * r
@@ -226,14 +222,12 @@ class ProjectedBubbleExact:
 
     def u(self, z, r):
         """The bubble itself at half-section points (z, r)."""
-        z = np.asarray(z, dtype=float)
-        r = np.asarray(r, dtype=float)
+        z, r = _require_array("z", z), _require_array("r", r)
         return bubble_profile(self.N, self.m, (z - self.t) ** 2 + r * r)
 
     def w(self, z, r):
         """The harmonic correction (boundary trace of ``u``, extended)."""
-        z = np.asarray(z, dtype=float)
-        r = np.asarray(r, dtype=float)
+        z, r = _require_array("z", z), _require_array("r", r)
         c, q0 = self._coeffs
         # alpha_N (m/q)^h: q in the frame of the ball's center, in place.
         q = np.asarray(_in_frame(c, -2.0 * self.t, q0, z * z + r * r, z))
@@ -971,13 +965,11 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _require_array("field values", self.values)
         if v.shape != (self.grid.nz, self.grid.nr):
             raise ParameterError(
                 f"field shape {v.shape} does not match grid "
                 f"({self.grid.nz}, {self.grid.nr})")
-        if not np.all(np.isfinite(v)):
-            raise ParameterError("field contains non-finite values")
         self.values = v
 
 

@@ -46,8 +46,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (ParameterError, SearchError, _require_int, _require_real,
-                     _require_reals, _require_sequence)
+from .errors import (ParameterError, SearchError, _require_array,
+                     _require_int, _require_real, _require_reals,
+                     _require_sequence)
 from .green_domain import (AxisSection, BallDomain, axis_g, axis_g_dt,
                            axis_g_ts, axis_g_tt, axis_h, axis_h_d1, axis_h_d2)
 
@@ -345,10 +346,7 @@ def phi_penalty(cfg: Configuration, kern: AxisKernels) -> float:
 
 def log_plus(x):
     """The positive part of the logarithm, max(log x, 0); requires x > 0."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ParameterError(f"log_plus requires positive input, got {x}")
-    val = np.maximum(np.log(arr), 0.0)
+    val = np.maximum(np.log(_require_array("log_plus x", x, True)), 0.0)
     return float(val) if np.ndim(x) == 0 else val
 
 
@@ -401,9 +399,7 @@ def spacing_margin(kern: AxisKernels, t0, r0, n_check: int = 33):
     margin is returned per candidate (a float for scalar inputs).
     """
     n_check = _require_int("n_check", n_check, 2)
-    t0, r0 = np.asarray(t0, dtype=float), np.asarray(r0, dtype=float)
-    if not np.all((0 < r0) & (r0 < np.inf)):
-        raise ParameterError(f"r0 must be positive and finite, got {r0}")
+    t0, r0 = _require_array("t0", t0), _require_array("r0", r0, positive=True)
     ts = np.linspace(t0 - 4.0 * r0, t0 + 4.0 * r0, n_check, axis=-1)
     i, j = np.triu_indices(n_check, 1)
     g = kern.g(ts[..., i], ts[..., j])

@@ -495,6 +495,35 @@ class TestDomainValidation:
                            ("short-scalar", 0.0),
                            ("infinite", [math.inf, 0.0, 0.0]),
                            ("past-a-double", [10 ** 400, 0, 0]))),
+        # Kernel points are arrays of finite reals with N coordinates on
+        # the last axis: a short or scalar point was broadcast, NaN gave
+        # NaN, a string or ragged point raised numpy's ValueError and a
+        # bool point was read as numbers.
+        *(pytest.param(lambda f=f, x=x: f(BallDomain.unit(3), x,
+                                          np.full(3, -0.1)),
+                       ParameterError, id=f"{f.__name__}-point-{label}")
+          for f in (green_G, robin_H, grad_x_G)
+          for label, x in (("short", [0.3]), ("scalar", 0.3),
+                           ("nan", [math.nan, 0.0, 0.0]),
+                           ("string", ["a", 0.0, 0.0]),
+                           ("bool", [True, False, False]),
+                           ("ragged", [[0.1, 0.0, 0.0], [0.1, 0.0]]))),
+        # Axis coordinates are arrays of finite reals: NaN gave NaN and a
+        # string raised numpy's ValueError.
+        *(pytest.param(lambda f=f, args=args: f(
+            BallDomain.unit(3), AxisSection(-1.0, 1.0), *args),
+                       ParameterError, id=f"{f.__name__}-{label}")
+          for f, label, args in (
+              (axis_g, "t-nan", (math.nan, 0.1)),
+              (axis_g, "s-nan", (0.1, math.nan)),
+              (axis_g, "t-string", ("a", 0.1)),
+              (axis_g, "s-string", (0.1, "a")),
+              (axis_h, "t-nan", (math.nan,)),
+              (axis_h, "t-string", ("a",)))),
+        pytest.param(lambda: harmonic_defect_order(
+            BallDomain.unit(3), np.full(3, 0.1), [math.nan, 0.0, 0.0],
+            h0=0.01),
+                     ParameterError, id="defect-y-nan"),
     ])
     def test_input_guards(self, call, error):
         with pytest.raises(error):

@@ -43,6 +43,7 @@ from nodalbubbles import (
     solve_dirichlet_laplace,
     solve_poisson,
 )
+from nodalbubbles.errors import _require_array
 from conftest import SADDLE_LAMBDA, SADDLE_T, SADDLE_VALUE
 
 # Exact-projection energies of a single centered bubble at the reduced-energy
@@ -1117,10 +1118,41 @@ _CONFIG3 = Configuration(k=1, signs=(1,), Lambda=(1.0,), t=(0.0,))
       for m in (0.0, -1.0, math.inf)),
     pytest.param(lambda g: expansion_gap(_CONFIG3, 0.1, compute_constants(3)),
                  ParameterError, id="gap-eps-scalar"),
+    # Array arguments are arrays of finite reals, core widths positive: a
+    # NaN d2 or coordinate gave NaN, a string raised numpy's ValueError or
+    # UFuncTypeError, and bools were read as numbers.
+    pytest.param(lambda g: bubble_profile(3, 0.1, math.nan),
+                 ParameterError, id="profile-d2-nan"),
+    pytest.param(lambda g: bubble_profile(3, True, 0.0),
+                 ParameterError, id="profile-m-True"),
+    pytest.param(lambda g: ProjectedBubbleExact(N=3, R=1.0, m=0.1, t="a"),
+                 ParameterError, id="exact-t-string"),
+    pytest.param(lambda g: ProjectedBubbleExact(N=3, R=1.0, m=True, t=0.0),
+                 ParameterError, id="exact-m-True"),
+    *(pytest.param(lambda g, f=f, zr=zr: getattr(ProjectedBubbleExact(
+        N=3, R=1.0, m=0.1, t=0.0), f)(*zr),
+                   ParameterError, id=f"exact-{f}-{label}")
+      for f in ("u", "w")
+      for label, zr in (("z-nan", (math.nan, 0.0)), ("r-nan", (0.0, math.nan)),
+                        ("z-string", ("a", 0.0)), ("r-string", (0.0, "a")))),
+    *(pytest.param(lambda g, v=v: Field(g, np.full((g.nz, g.nr), v)),
+                   ParameterError, id=f"field-{label}")
+      for label, v in (("string", "a"), ("bool", True))),
 ])
 def test_input_guards(domain, call, error):
     with pytest.raises(error):
         call(AxisymGrid.for_ball(domain, nz=9, nr=5))
+
+
+def test_array_rule_keeps_float64_arrays():
+    # A float64 array comes back as itself, so the grid traces of
+    # project_bubble (131,841 nodes at 513x257) gain no copy; an integer
+    # list comes back as equal floats.
+    nodes = np.linspace(0.0, 1.0, 513 * 257)
+    assert _require_array("z", nodes) is nodes
+    ints = _require_array("z", [[1, 2], [3, 4]])
+    assert ints.dtype == np.float64
+    assert np.array_equal(ints, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_numpy_integer_grid_sizes(domain):

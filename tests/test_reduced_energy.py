@@ -322,6 +322,16 @@ class TestSearchAndBounds:
         with pytest.raises(ParameterError, match="r0"):
             spacing_margin(kern, [0.0, 0.1], [0.06, r0])
 
+    @pytest.mark.parametrize("t0", [
+        pytest.param(math.inf, id="t0-inf"),
+        pytest.param(math.nan, id="t0-nan"),
+    ])
+    def test_spacing_off_the_reals_rejected(self, kern, t0):
+        # An infinite base point raised numpy's RuntimeWarning and a NaN
+        # one returned a NaN margin.
+        with pytest.raises(ParameterError, match="t0"):
+            spacing_margin(kern, t0, 0.06)
+
     def test_search_without_admissible_candidate(self, domain, monkeypatch):
         monkeypatch.setattr(
             reduced_energy, "spacing_margin",
@@ -405,6 +415,11 @@ class TestConfigurationType:
         pytest.param(lambda: config1(1.0, t=math.inf), id="t-inf"),
         pytest.param(lambda: log_plus(0.0), id="log_plus-0"),
         pytest.param(lambda: log_plus([1.0, -2.0]), id="log_plus-negative"),
+        # log_plus takes an array of positive finite reals: NaN gave NaN
+        # and a string raised numpy's ValueError.
+        pytest.param(lambda: log_plus(math.nan), id="log_plus-nan"),
+        pytest.param(lambda: log_plus("a"), id="log_plus-string"),
+        pytest.param(lambda: log_plus([1.0, math.nan]), id="log_plus-nan-entry"),
         pytest.param(lambda: mu_embed(math.inf, 1.0, 1.0, (0.0, 0.1, 0.2,
                                                             0.3)),
                      id="mu_embed-inf"),
