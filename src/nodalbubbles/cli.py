@@ -324,17 +324,18 @@ def cmd_verify(config: RunConfig) -> int:
     import numpy as np
 
     from .bubble_core import compute_constants
-    from .pde_harness import (AxisymGrid, BubbleParams, bubble_profile,
-                              expansion_gap, project_bubble,
+    from .pde_harness import (AxisymGrid, BubbleParams, _require_eps,
+                              bubble_profile, expansion_gap, project_bubble,
                               require_core_resolution, residual_norm,
                               residual_quadrature)
     domain = config.domain()
     grid = AxisymGrid.for_ball(domain, nz=config.grid_nz, nr=config.grid_nr)
-    # Every guard before any solve: the grid resolves the probe's core at
-    # each eps, and the expansion gap has at least two eps.  The probe is
-    # lam = R, the dilation image of the unit ball's lam = 1 bubble.
-    params = [BubbleParams(N=domain.N, eps=eps, lam=domain.radius,
-                           xi=domain.center) for eps in config.eps]
+    # Every guard before any solve: each eps lies below 2* - 2 and the grid
+    # resolves the probe's core at it; the gap has at least two eps.  The
+    # probe is lam = R, the dilation image of the unit ball's lam = 1 bubble.
+    params = [BubbleParams(N=domain.N, eps=_require_eps(eps, domain.N),
+                           lam=domain.radius, xi=domain.center)
+              for eps in config.eps]
     for p in params:
         require_core_resolution(grid, p.core_width)
     if len(params) < 2:

@@ -21,12 +21,13 @@ restrictions used by the reduced energies:
     g(t,s)  = G((t,0,..),(s,0,..)) = kappa ( |t-s|^{2-N} - (R - ts/R)^{2-N} ),
     h(t)    = H((t,0,..),(t,0,..)) = kappa ( R - t^2/R )^{2-N},
 
-together with their closed-form derivatives.  The validators sample the two
-structural hypotheses behind the four-bubble construction — convexity of the
-diagonal Robin function t -> h(t,t) and the radial monotonicity
-(t-s) ∂g/∂t < 0 — as well as the near-boundary reflection expansions of H and
-the directional monotonicity (x-y)·∇_x G < 0.  Validation is sampled
-evidence, not a certificate: reports carry worst observed values and counts.
+and their derivatives, each in one jet that the ``axis_*`` kernels view.
+The validators sample the two structural hypotheses behind the four-bubble
+construction — convexity of the diagonal Robin function t -> h(t,t) and the
+radial monotonicity (t-s) ∂g/∂t < 0 — as well as the near-boundary
+reflection expansions of H and the directional monotonicity
+(x-y)·∇_x G < 0.  Validation is sampled evidence, not a certificate:
+reports carry worst observed values and counts.
 """
 
 from __future__ import annotations
@@ -254,102 +255,104 @@ def grad_x_H(d: BallDomain, x, y) -> np.ndarray:
 # axis restrictions
 # ---------------------------------------------------------------------------
 
-def _axis_point(d: BallDomain, sec: AxisSection, t, what="t") -> np.ndarray:
-    """Centered axis coordinates t - c1, a scalar as a batch of one; raises
-    for a section beyond the ball's chord and outside the open section."""
+def _axis_points(d: BallDomain, sec: AxisSection, **points) -> list:
+    """Centered axis coordinates p - c1 of the named points, a scalar as a
+    batch of one; raises for a section beyond the chord and outside it."""
     c1, reach = d.center[0], d.radius * (1.0 + 1e-12)   # _inside's slack
     if sec.a < c1 - reach or sec.b > c1 + reach:
         raise DomainError(
             f"section ({sec.a}, {sec.b}) exceeds the chord of the ball "
             f"of radius {d.radius} about {c1}")
-    t = np.atleast_1d(_require_array(what, t))
-    if np.any(t <= sec.a) or np.any(t >= sec.b):
+    ps = [np.atleast_1d(_require_array(k, p)) for k, p in points.items()]
+    if any(np.any(p <= sec.a) or np.any(p >= sec.b) for p in ps):
         raise DomainError(
             f"axis coordinate outside the open chord ({sec.a}, {sec.b})")
-    return t - c1
+    return [p - c1 for p in ps]
 
 
-def _axis_pair(d: BallDomain, sec: AxisSection, t, s, who: str) -> tuple:
-    """Centered, broadcast 1-d (t, s) of a pair kernel and whether both were
-    scalars; raises outside the chord and at t == s."""
-    tc, sc = np.broadcast_arrays(_axis_point(d, sec, t),
-                                 _axis_point(d, sec, s, "s"))
+def _g_jet(d: BallDomain, sec: AxisSection, t, s, order: int = 0) -> tuple:
+    """(g,), (g, ∂g/∂t, ∂g/∂s) or those plus (∂²g/∂t², ∂²g/∂s², ∂²g/∂t∂s)
+    as arrays, for order 0, 1 or 2; each ∂/∂s has the bits of ∂/∂t at (s, t).
+    Raises outside the chord and at t == s."""
+    tc, sc = np.broadcast_arrays(*_axis_points(d, sec, t=t, s=s))
     if np.any(tc == sc):
-        raise SingularityError(f"{who} evaluated at t == s")
-    return tc, sc, np.ndim(t) == np.ndim(s) == 0
+        raise SingularityError("axis g evaluated at t == s")
+    R, N = d.radius, d.N
+    diff, ts = tc - sc, tc * sc
+    dist, w = np.abs(diff), R - ts / R
+    jet = (d.kappa * (dist ** (2.0 - N) - w ** (2.0 - N)),)
+    if order == 0:
+        return jet
+    c1 = -d.kappa * (N - 2)
+    sign, dist1, w1 = np.sign(diff), dist ** (1.0 - N), w ** (1.0 - N)
+    jet += (c1 * (sign * dist1 + (sc / R) * w1),
+            c1 * (-sign * dist1 + (tc / R) * w1))
+    if order == 1:
+        return jet
+    c2 = d.kappa * (N - 2) * (N - 1)
+    distN, wN = dist ** (-float(N)), w ** (-float(N))
+    return jet + (c2 * (distN - (sc / R) ** 2 * wN),
+                  c2 * (distN - (tc / R) ** 2 * wN),
+                  c1 * ((N - 1) * distN + w1 / R
+                        + (N - 1) * (ts / R ** 2) * wN))
+
+
+def _h_jet(d: BallDomain, sec: AxisSection, t, order: int = 0) -> tuple:
+    """(h,), (h, h′) or (h, h′, h″) as arrays, for order 0, 1 or 2."""
+    tc, = _axis_points(d, sec, t=t)
+    R, N = d.radius, d.N
+    w = R - tc * tc / R
+    jet = (d.kappa * w ** (2.0 - N),)
+    if order == 0:
+        return jet
+    w1 = w ** (1.0 - N)
+    jet += (2.0 * d.kappa * (N - 2) * (tc / R) * w1,)
+    if order == 1:
+        return jet
+    return jet + (2.0 * d.kappa * (N - 2) / R * w1
+                  + 4.0 * d.kappa * (N - 2) * (N - 1) * (tc / R) ** 2
+                  * w ** (-float(N)),)
+
+
+def _view(jet, order: int, entry: int, *args) -> float | np.ndarray:
+    """``jet(*args, order)[entry]``, a float when every point is a scalar."""
+    val = jet(*args, order=order)[entry]
+    return float(val[0]) if all(np.ndim(a) == 0 for a in args[2:]) else val
 
 
 def axis_g(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
     """Green's function restricted to the axis chord: g(t,s) = G(te1, se1)."""
-    tc, sc, scalar = _axis_pair(d, sec, t, s, "axis_g")
-    R = d.radius
-    e = 2.0 - d.N
-    val = d.kappa * (np.abs(tc - sc) ** e - (R - tc * sc / R) ** e)
-    return float(val[0]) if scalar else val
+    return _view(_g_jet, 0, 0, d, sec, t, s)
 
 
 def axis_h(d: BallDomain, sec: AxisSection, t) -> float | np.ndarray:
     """Diagonal Robin function on the axis: h(t) = H(te1, te1)."""
-    tc = _axis_point(d, sec, t)
-    R = d.radius
-    val = d.kappa * (R - tc * tc / R) ** (2.0 - d.N)
-    return float(val[0]) if np.ndim(t) == 0 else val
+    return _view(_h_jet, 0, 0, d, sec, t)
 
 
 def axis_g_dt(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
     """∂g/∂t of the axis Green's function (first-argument derivative)."""
-    tc, sc, scalar = _axis_pair(d, sec, t, s, "axis_g_dt")
-    R = d.radius
-    val = -d.kappa * (d.N - 2) * (
-        np.sign(tc - sc) * np.abs(tc - sc) ** (1.0 - d.N)
-        + (sc / R) * (R - tc * sc / R) ** (1.0 - d.N))
-    return float(val[0]) if scalar else val
+    return _view(_g_jet, 1, 1, d, sec, t, s)
 
 
 def axis_g_tt(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
-    """∂²g/∂t² = κ(N−2)(N−1) (|t−s|^{−N} − (s/R)² (R − ts/R)^{−N}), centered."""
-    tc, sc, scalar = _axis_pair(d, sec, t, s, "axis_g_tt")
-    R = d.radius
-    val = d.kappa * (d.N - 2) * (d.N - 1) * (
-        np.abs(tc - sc) ** (-float(d.N))
-        - (sc / R) ** 2 * (R - tc * sc / R) ** (-float(d.N)))
-    return float(val[0]) if scalar else val
+    """∂²g/∂t² of the axis Green's function."""
+    return _view(_g_jet, 2, 3, d, sec, t, s)
 
 
 def axis_g_ts(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
-    """∂²g/∂t∂s, symmetric in (t, s); centered, with w = R − ts/R it is
-    −κ(N−2) ((N−1)|t−s|^{−N} + w^{1−N}/R + (N−1)(ts/R²) w^{−N})."""
-    tc, sc, scalar = _axis_pair(d, sec, t, s, "axis_g_ts")
-    R = d.radius
-    w = R - tc * sc / R
-    val = -d.kappa * (d.N - 2) * (
-        (d.N - 1) * np.abs(tc - sc) ** (-float(d.N))
-        + w ** (1.0 - d.N) / R
-        + (d.N - 1) * (tc * sc / R ** 2) * w ** (-float(d.N)))
-    return float(val[0]) if scalar else val
+    """∂²g/∂t∂s of the axis Green's function, symmetric in (t, s)."""
+    return _view(_g_jet, 2, 5, d, sec, t, s)
 
 
 def axis_h_d1(d: BallDomain, sec: AxisSection, t) -> float | np.ndarray:
     """First derivative of the diagonal Robin function h(t,t)."""
-    tc = _axis_point(d, sec, t)
-    R = d.radius
-    val = 2.0 * d.kappa * (d.N - 2) * (tc / R) * (R - tc * tc / R) ** (1.0 - d.N)
-    return float(val[0]) if np.ndim(t) == 0 else val
+    return _view(_h_jet, 1, 1, d, sec, t)
 
 
 def axis_h_d2(d: BallDomain, sec: AxisSection, t) -> float | np.ndarray:
-    """Second derivative of the diagonal Robin function h(t,t).
-
-    For the unit ball in R^3 this reduces to
-    (1/(4 pi)) (2 (1-t^2)^{-2} + 8 t^2 (1-t^2)^{-3}),
-    strictly positive on (-1, 1).
-    """
-    tc = _axis_point(d, sec, t)
-    R = d.radius
-    w = R - tc * tc / R
-    val = (2.0 * d.kappa * (d.N - 2) / R * w ** (1.0 - d.N)
-           + 4.0 * d.kappa * (d.N - 2) * (d.N - 1) * (tc / R) ** 2 * w ** (-float(d.N)))
-    return float(val[0]) if np.ndim(t) == 0 else val
+    """Second derivative of the diagonal Robin function h(t,t)."""
+    return _view(_h_jet, 2, 2, d, sec, t)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +392,7 @@ def validate_A3(d: BallDomain, sec: AxisSection, n_grid: int = 256,
     m = 0.02 * width
 
     ts = np.linspace(sec.a + m, sec.b - m, n_grid)
-    h2 = axis_h_d2(d, sec, ts)
-    min_h2 = float(np.min(h2))
+    min_h2 = float(np.min(axis_h_d2(d, sec, ts)))
     conv = ValidationReport(
         check="axis_robin_convexity (min h'' > 0)",
         sample_count=n_grid,

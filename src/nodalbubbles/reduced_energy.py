@@ -49,8 +49,8 @@ import numpy as np
 from .errors import (ParameterError, SearchError, _require_array,
                      _require_int, _require_real, _require_reals,
                      _require_sequence)
-from .green_domain import (AxisSection, BallDomain, axis_g, axis_g_dt,
-                           axis_g_ts, axis_g_tt, axis_h, axis_h_d1, axis_h_d2)
+from .green_domain import (AxisSection, BallDomain, _g_jet, _h_jet, axis_g,
+                           axis_h)
 
 __all__ = [
     "ALTERNATING_SIGNS_4",
@@ -156,7 +156,8 @@ class AxisKernels:
     """The axis Green/Robin kernels of one ball, bundled for evaluation.
 
     Thin, immutable adapter so that energy code can say ``kern.g(t, s)``
-    instead of threading (domain, section) everywhere.
+    instead of threading (domain, section) everywhere.  ``g_jet(t, s, order)``
+    and ``h_jet(t, order)`` add the derivatives up to ``order`` as arrays.
     """
 
     domain: BallDomain
@@ -169,23 +170,14 @@ class AxisKernels:
     def g(self, t, s):
         return axis_g(self.domain, self.section, t, s)
 
-    def g_dt(self, t, s):
-        return axis_g_dt(self.domain, self.section, t, s)
-
-    def g_tt(self, t, s):
-        return axis_g_tt(self.domain, self.section, t, s)
-
-    def g_ts(self, t, s):
-        return axis_g_ts(self.domain, self.section, t, s)
-
     def h(self, t):
         return axis_h(self.domain, self.section, t)
 
-    def h_d1(self, t):
-        return axis_h_d1(self.domain, self.section, t)
+    def g_jet(self, t, s, order: int = 0) -> tuple:
+        return _g_jet(self.domain, self.section, t, s, order)
 
-    def h_d2(self, t):
-        return axis_h_d2(self.domain, self.section, t)
+    def h_jet(self, t, order: int = 0) -> tuple:
+        return _h_jet(self.domain, self.section, t, order)
 
 
 @dataclass(frozen=True)
@@ -237,16 +229,16 @@ def _quadratic_form(kern: AxisKernels, C: np.ndarray, L: np.ndarray,
                       + δ_ij (½ Λ_i² h''(t_i) + Λ_i (DΛ)_i),
 
     with B_ij = C_ij ∂g/∂t(t_i, t_j), D_ij = C_ij ∂²g/∂t²(t_i, t_j) off the
-    diagonal and zero on it.  Each kernel is called once, on the pairs
-    i < j (in both orders for ∂g/∂t and ∂²g/∂t²); every matrix is filled
-    from those pair values, so the Hessian is exactly symmetric.
+    diagonal and zero on it.  One g jet on the pairs i < j (its ∂g/∂s and
+    ∂²g/∂s² are the lower triangles of B and D) and one h jet give every
+    matrix, so the Hessian is exactly symmetric.
     """
     L, t = np.asarray(L, dtype=float), np.asarray(t, dtype=float)
     k = L.shape[-1]
     i, j = _pairs(k)
     d = np.arange(k)
     c = C[i, j]
-    ti, tj = t[..., i], t[..., j]
+    g, h = kern.g_jet(t[..., i], t[..., j], order), kern.h_jet(t, order)
 
     def pair_matrix(upper, lower, diag):
         M = np.zeros(t.shape + (k,))
@@ -258,36 +250,31 @@ def _quadratic_form(kern: AxisKernels, C: np.ndarray, L: np.ndarray,
     def times_L(M):
         return np.einsum("...ij,...j->...i", M, L)
 
-    gp = c * kern.g(ti, tj)
-    A = pair_matrix(gp, gp, kern.h(t))
+    gp = c * g[0]
+    A = pair_matrix(gp, gp, h[0])
     AL = times_L(A)
     value = 0.5 * np.sum(L * AL, axis=-1) - np.sum(np.log(L), axis=-1)
     if order == 0:
         return (value,)
 
-    n = i.size
-    both = (np.concatenate([ti, tj], axis=-1),
-            np.concatenate([tj, ti], axis=-1))
-    gt = kern.g_dt(*both)
-    B = pair_matrix(c * gt[..., :n], c * gt[..., n:], 0.0)
+    B = pair_matrix(c * g[1], c * g[2], 0.0)
     BL = times_L(B)
-    h1 = kern.h_d1(t)
-    grad = np.concatenate([AL - 1.0 / L, 0.5 * L * L * h1 + L * BL], axis=-1)
+    grad = np.concatenate([AL - 1.0 / L, 0.5 * L * L * h[1] + L * BL],
+                          axis=-1)
     if order == 1:
         return value, grad
 
-    gtt = kern.g_tt(*both)
-    D = pair_matrix(c * gtt[..., :n], c * gtt[..., n:], 0.0)
+    D = pair_matrix(c * g[3], c * g[4], 0.0)
     Lt = np.swapaxes(B, -1, -2) * L[..., None, :]
-    Lt[..., d, d] = L * h1 + BL
-    tt = c * L[..., i] * L[..., j] * kern.g_ts(ti, tj)
+    Lt[..., d, d] = L * h[1] + BL
+    tt = c * L[..., i] * L[..., j] * g[5]
     H = np.empty(t.shape[:-1] + (2 * k, 2 * k))
     H[..., :k, :k] = A
     H[..., d, d] += 1.0 / (L * L)
     H[..., :k, k:] = Lt
     H[..., k:, :k] = np.swapaxes(Lt, -1, -2)
     H[..., k:, k:] = pair_matrix(
-        tt, tt, 0.5 * L * L * kern.h_d2(t) + L * times_L(D))
+        tt, tt, 0.5 * L * L * h[2] + L * times_L(D))
     return value, grad, H
 
 

@@ -404,10 +404,14 @@ class TestVerifyCommand:
         rows = read_json(tmp_path / "verify.json")["report"]["residuals"]
         assert [r["eps"] for r in rows] == [0.1, 0.05]
 
-    @pytest.mark.parametrize("eps", [["0.05"], ["0.05", "0.05"]],
-                             ids=["one", "repeated"])
+    @pytest.mark.parametrize("flags", [
+        ["--eps", "0.05"], ["--eps", "0.05", "--eps", "0.05"],
+        # eps must stay below 2* - 2 = 4/(N - 2), 0.5 at N = 10: the
+        # exponent 2* - 2 - eps was -0.4 and verify wrote a report.
+        ["--dim", "10", "--eps", "0.9", "--eps", "0.8"],
+    ], ids=["one", "repeated", "beyond-2*-2"])
     def test_single_eps_rejected_before_any_work(self, tmp_path, monkeypatch,
-                                                 capsys, eps):
+                                                 capsys, flags):
         import nodalbubbles.pde_harness as pde_harness
         calls = []
         monkeypatch.setattr(pde_harness, "project_bubble",
@@ -417,7 +421,6 @@ class TestVerifyCommand:
             "configuration": {"k": 1, "signs": [1],
                               "Lambda": [math.sqrt(4 * math.pi)], "t": [0.0]},
         }))
-        flags = [f for e in eps for f in ("--eps", e)]
         rc = main(["verify", "--config", str(cfg_file), "--out",
                    str(tmp_path / "out"), *flags])
         assert rc == EXIT_CONFIG

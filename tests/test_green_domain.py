@@ -13,6 +13,7 @@ from nodalbubbles import (
     ConfigurationError,
     DomainError,
     ParameterError,
+    ProjectedBubbleExact,
     SingularityError,
     axis_g,
     axis_g_dt,
@@ -29,7 +30,8 @@ from nodalbubbles import (
     robin_H,
     validate_A3,
 )
-from nodalbubbles.green_domain import _boundary_samples, grad_x_H
+from nodalbubbles.green_domain import (_boundary_samples, _g_jet, _h_jet,
+                                       grad_x_H)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -236,20 +238,43 @@ class TestAxisSecondDerivatives:
             assert axis_g_ts(d, sec, t, s) == pytest.approx(
                 axis_g_ts(d, sec, s, t), rel=1e-14)
 
-    def test_vectorized_and_kernel_methods(self, domain, kern):
-        sec = AxisSection.of_ball(domain)
-        t = np.array([-0.4, 0.1, 0.6])
-        s = np.array([0.2, -0.3, 0.0])
-        for f, m in ((axis_g, kern.g), (axis_g_dt, kern.g_dt),
-                     (axis_g_tt, kern.g_tt), (axis_g_ts, kern.g_ts)):
-            vec = f(domain, sec, t, s)
-            assert vec.shape == (3,)
-            assert np.array_equal(m(t, s), vec)
-        for f, m in ((axis_h, kern.h), (axis_h_d1, kern.h_d1),
-                     (axis_h_d2, kern.h_d2)):
-            vec = f(domain, sec, t)
-            assert vec.shape == (3,)
-            assert np.array_equal(m(t), vec)
+    @pytest.mark.parametrize("N", range(3, 9))
+    @pytest.mark.parametrize("R", (0.5, 1.0, 3.0))
+    def test_vectorized_and_kernel_methods(self, N, R):
+        # Each public kernel is one entry of a jet, bit for bit, and the
+        # AxisKernels jets are the module's.
+        center = np.zeros(N)
+        center[0], center[1] = 0.37 * R, -0.8 * R   # shifted off the origin
+        d = BallDomain(N=N, center=center, radius=R)
+        sec, kern = AxisSection.of_ball(d), AxisKernels.for_ball(d)
+        t = center[0] + R * np.array([-0.4, 0.1, 0.6, 0.85])
+        s = center[0] + R * np.array([0.2, -0.3, 0.0, -0.7])
+        g_jet = _g_jet(d, sec, t, s, order=2)
+        h_jet = _h_jet(d, sec, t, order=2)
+        for f, entry in ((axis_g, 0), (axis_g_dt, 1), (axis_g_tt, 3),
+                         (axis_g_ts, 5)):
+            vec = f(d, sec, t, s)
+            assert vec.shape == (4,)
+            assert np.array_equal(vec, g_jet[entry]), f.__name__
+        for f, entry in ((axis_h, 0), (axis_h_d1, 1), (axis_h_d2, 2)):
+            vec = f(d, sec, t)
+            assert vec.shape == (4,)
+            assert np.array_equal(vec, h_jet[entry]), f.__name__
+        # ∂g/∂s and ∂²g/∂s² are the t-derivatives with t and s swapped.
+        assert np.array_equal(g_jet[2], axis_g_dt(d, sec, s, t))
+        assert np.array_equal(g_jet[4], axis_g_tt(d, sec, s, t))
+        assert np.array_equal(kern.g(t, s), g_jet[0])
+        assert np.array_equal(kern.h(t), h_jet[0])
+        for order in (0, 1, 2):
+            for mine, module, full, n in (
+                    (kern.g_jet(t, s, order), _g_jet(d, sec, t, s, order),
+                     g_jet, (1, 3, 6)[order]),
+                    (kern.h_jet(t, order), _h_jet(d, sec, t, order),
+                     h_jet, order + 1)):
+                # each order is a prefix of the order-2 jet, bit for bit
+                assert len(mine) == len(module) == n
+                assert all(np.array_equal(a, b) and np.array_equal(a, c)
+                           for a, b, c in zip(mine, module, full))
 
     @pytest.mark.parametrize("N", range(3, 9))
     @pytest.mark.parametrize("R", (0.5, 1.0, 3.0))
@@ -265,12 +290,16 @@ class TestAxisSecondDerivatives:
         t, s = center[0] + R * rng.uniform(-0.95, 0.95, (2, 64))
         # inside the cube of half-width 0.95 R/sqrt(N), so |x - center| < R
         x, y = center + R / math.sqrt(N) * rng.uniform(-0.95, 0.95, (2, 64, N))
+        # a bubble about 0.3 R on the axis, at half-section points (z, r)
+        bubble = ProjectedBubbleExact(N=N, R=R, m=0.05 * R, t=0.3 * R)
+        z, r = t - center[0], 0.3 * np.abs(s - center[0])
         calls = ([(f, (d, sec), (t, s)) for f in (axis_g, axis_g_dt,
                                                   axis_g_tt, axis_g_ts)]
                  + [(f, (d, sec), (t,)) for f in (axis_h, axis_h_d1,
                                                   axis_h_d2)]
                  + [(f, (d,), (x, y)) for f in (green_G, robin_H,
-                                                grad_x_G, grad_x_H)])
+                                                grad_x_G, grad_x_H)]
+                 + [(f, (), (z, r)) for f in (bubble.u, bubble.w, bubble.pu)])
         for f, fixed, batch in calls:
             vec = f(*fixed, *batch)
             for n in range(64):
@@ -280,7 +309,9 @@ class TestAxisSecondDerivatives:
                     assert one.shape == (N,)
                     assert np.array_equal(one, vec[n]), (f.__name__, n)
                 else:
-                    assert type(one) is float
+                    # the bubble evaluators return numpy floats, as
+                    # bubble_profile does
+                    assert type(one) is (np.float64 if fixed == () else float)
                     assert one == vec[n], (f.__name__, n)
 
     def test_coincident_and_outside_rejected(self, domain):

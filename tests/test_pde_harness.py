@@ -1100,6 +1100,17 @@ _CONFIG3 = Configuration(k=1, signs=(1,), Lambda=(1.0,), t=(0.0,))
     *(pytest.param(lambda g, e=e: energy_I(Field(g, np.zeros((g.nz, g.nr))), e),
                    ParameterError, id=f"energy-eps-{e!r}")
       for e in (math.inf, math.nan, "0.1")),
+    # eps lies below 2* - 2 = 4 at N = 3, where the exponent 2* - 2 - eps
+    # is positive: energy_I raised ZeroDivisionError at eps = 6 and
+    # residual_norm returned a number.
+    pytest.param(lambda g: projected_bubbles_of_config(
+        g.domain, _CONFIG3, compute_constants(3), 4.0),
+                 ParameterError, id="family-eps-2*-2"),
+    pytest.param(lambda g: residual_norm(
+        Field(g, np.zeros((g.nz, g.nr))), 6.0),
+                 ParameterError, id="residual-eps-6.0"),
+    pytest.param(lambda g: energy_I(Field(g, np.zeros((g.nz, g.nr))), 6.0),
+                 ParameterError, id="energy-eps-6.0"),
     *(pytest.param(lambda g, eps=eps: expansion_gap(
         _CONFIG3, eps, compute_constants(3)),
                    ParameterError, id=f"gap-eps-{label}")

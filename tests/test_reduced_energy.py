@@ -151,18 +151,19 @@ class TestPsiTilde:
         base = psi_tilde(saddle_config, kern)
         delta = 1e-3
         t2, t3 = saddle_config.t[1], saddle_config.t[2]
-        orig_g = kern.g
+        orig_jet = kern.g_jet
 
         class Bumped:
             def __init__(self, inner):
                 self._inner = inner
 
-            def g(self, t, s):
-                # Elementwise: bump every pair whose {t, s} is {t2, t3}.
+            def g_jet(self, t, s, order=0):
+                # Elementwise: bump g of every pair whose {t, s} is {t2, t3}.
                 rt, rs = np.round(t, 12), np.round(s, 12)
                 r2, r3 = round(t2, 12), round(t3, 12)
                 hit = ((rt == r2) & (rs == r3)) | ((rt == r3) & (rs == r2))
-                return orig_g(t, s) + delta * hit
+                g, *derivatives = orig_jet(t, s, order)
+                return (g + delta * hit, *derivatives)
 
             def __getattr__(self, name):
                 return getattr(self._inner, name)
@@ -173,6 +174,28 @@ class TestPsiTilde:
 
 
 class TestGradients:
+    @pytest.mark.parametrize("order", (0, 1, 2))
+    def test_one_jet_call_each_per_evaluation(self, kern, saddle_config,
+                                              order, monkeypatch):
+        # Value, gradient and Hessian come from one g jet on the pairs and
+        # one h jet on the positions; no public kernel is called.
+        calls = []
+
+        def counted(name, real):
+            def f(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return f
+
+        for name in ("_g_jet", "_h_jet", "axis_g", "axis_h"):
+            monkeypatch.setattr(reduced_energy, name,
+                                counted(name, getattr(reduced_energy, name)))
+        out = reduced_energy._quadratic_form(
+            kern, np.ones((4, 4)), saddle_config.Lambda, saddle_config.t,
+            order)
+        assert len(out) == order + 1
+        assert sorted(calls) == ["_g_jet", "_h_jet"]
+
     def test_grad_psi_k_matches_fd(self, kern):
         cfg = Configuration(k=2, signs=(1, -1), Lambda=(1.3, 2.1),
                             t=(-0.25, 0.2))
