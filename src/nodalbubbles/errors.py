@@ -15,7 +15,11 @@ a list, a tuple or a 1-D numpy array, never a string or a scalar
 (:func:`_require_sequence`, :func:`_require_reals`).  An **array** of them
 is an integer or float scalar, array or nesting, never ``bool``, complex,
 ragged or of strings, used as a float ndarray (:func:`_require_array`; it
-imports numpy inside itself, so this module loads none).
+imports numpy inside itself, so this module loads none).  **Arrays taken
+together** (a kernel's points x and y, the axis coordinates t and s, the
+half-section points z and r, a projection's m and t, a bubble's m and d2,
+a spacing's t0 and r0) must broadcast against each other
+(:func:`_require_broadcast`, which reads their shapes alone).
 """
 
 from __future__ import annotations
@@ -153,3 +157,15 @@ def _require_array(name: str, values, positive: bool = False,
         raise error(f"{name} must be an array of {'positive ' * positive}"
                     f"finite reals, got {values!r}")
     return a.astype(float, copy=False)
+
+
+def _require_broadcast(**arrays) -> None:
+    """Nothing if the named arrays broadcast together, read from their
+    shapes alone; else :class:`ParameterError` naming each and its shape."""
+    import numpy as np
+    shapes = {name: np.shape(a) for name, a in arrays.items()}
+    try:
+        np.broadcast_shapes(*shapes.values())
+    except ValueError:
+        raise ParameterError("cannot broadcast together: " + ", ".join(
+            f"{name} of shape {s}" for name, s in shapes.items())) from None

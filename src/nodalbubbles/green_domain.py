@@ -40,8 +40,8 @@ import numpy as np
 
 from .bubble_core import sigma_N
 from .errors import (ConfigurationError, DomainError, ParameterError,
-                     SingularityError, _require_array, _require_int,
-                     _require_real, _require_reals)
+                     SingularityError, _require_array, _require_broadcast,
+                     _require_int, _require_real, _require_reals)
 
 __all__ = [
     "BallDomain",
@@ -156,30 +156,30 @@ class ValidationReport:
 # kernel evaluation
 # ---------------------------------------------------------------------------
 
-def _inside(d: BallDomain, x, *, closed: bool, what: str) -> tuple:
-    """Centered points x - center, a single point as a batch of one, and
-    their squared norms; raises outside the closed or open ball."""
-    x = _require_array(what, x)
-    if x.shape[-1:] != (d.N,):
-        raise ParameterError(f"{what} has shape {x.shape}, not (..., {d.N})")
-    xc = np.atleast_2d(x - d.center)
-    n2 = np.sum(xc * xc, axis=-1)
-    r = np.sqrt(n2)
-    if closed:
-        bad = r > d.radius * (1.0 + 1e-12)
-    else:
-        bad = r >= d.radius * (1.0 - 1e-14)
-    if np.any(bad):
-        raise DomainError(
-            f"{what} lies outside the {'closed' if closed else 'open'} "
-            f"ball of radius {d.radius} (max |x-center| = {float(np.max(r)):.6g})")
-    return xc, n2
-
-
-def _rho_sq(d: BallDomain, xc: np.ndarray, yc: np.ndarray, nx2: np.ndarray,
-            ny2: np.ndarray) -> np.ndarray:
-    R = d.radius
-    return nx2 * ny2 / R ** 2 - 2.0 * np.sum(xc * yc, axis=-1) + R ** 2
+def _pair(d: BallDomain, x, y, *, closed: bool) -> tuple:
+    """(xc, yc, |xc|², |yc|², ρ², single): the points centered, a single
+    point as a batch of one, and whether both were single points; raises
+    unless each has N coordinates on its last axis and lies inside the
+    closed or open ball, and unless the two broadcast."""
+    R, out = d.radius, []
+    for what, p in (("x", x), ("y", y)):
+        p = _require_array(what, p)
+        if p.shape[-1:] != (d.N,):
+            raise ParameterError(
+                f"{what} has shape {p.shape}, not (..., {d.N})")
+        pc = np.atleast_2d(p - d.center)
+        n2 = np.sum(pc * pc, axis=-1)
+        r = np.sqrt(n2)
+        if np.any(r > R * (1.0 + 1e-12) if closed else r >= R * (1.0 - 1e-14)):
+            raise DomainError(
+                f"{what} lies outside the {'closed' if closed else 'open'} "
+                f"ball of radius {R} "
+                f"(max |x-center| = {float(np.max(r)):.6g})")
+        out.append((p, pc, n2))
+    (x, xc, nx2), (y, yc, ny2) = out
+    _require_broadcast(x=x, y=y)
+    rho2 = nx2 * ny2 / R ** 2 - 2.0 * np.sum(xc * yc, axis=-1) + R ** 2
+    return xc, yc, nx2, ny2, rho2, x.ndim == y.ndim == 1
 
 
 def green_G(d: BallDomain, x, y) -> float | np.ndarray:
@@ -189,20 +189,19 @@ def green_G(d: BallDomain, x, y) -> float | np.ndarray:
     symmetric in (x, y).  Accepts broadcastable batches of points with
     trailing dimension N.
     """
-    xc, nx2 = _inside(d, x, closed=True, what="x")
-    yc, ny2 = _inside(d, y, closed=True, what="y")
+    xc, yc, nx2, ny2, rho2, single = _pair(d, x, y, closed=True)
     diff2 = np.sum((xc - yc) ** 2, axis=-1)
     if np.any(diff2 < (1e-14 * d.radius) ** 2):
         raise SingularityError("green_G evaluated on the diagonal x == y")
     e = (2.0 - d.N) / 2.0
-    val = d.kappa * (diff2 ** e - _rho_sq(d, xc, yc, nx2, ny2) ** e)
+    val = d.kappa * (diff2 ** e - rho2 ** e)
     # Dirichlet condition: an argument on the sphere gives an exact zero
     # (analytically |x-y| == rho there; enforce it against rounding).
     R2 = d.radius ** 2
     on_bnd = ((np.abs(nx2 - R2) <= 4e-15 * R2)
               | (np.abs(ny2 - R2) <= 4e-15 * R2))
     val = np.where(on_bnd, 0.0, val)
-    return float(val[0]) if np.ndim(x) == np.ndim(y) == 1 else val
+    return float(val[0]) if single else val
 
 
 def robin_H(d: BallDomain, x, y) -> float | np.ndarray:
@@ -211,11 +210,9 @@ def robin_H(d: BallDomain, x, y) -> float | np.ndarray:
     On the diagonal of a centered ball, H(x,x) = kappa (R - |x|^2/R)^{2-N};
     for the unit ball in R^3 this is 1/(4 pi (1-|x|^2)).
     """
-    xc, nx2 = _inside(d, x, closed=False, what="x")
-    yc, ny2 = _inside(d, y, closed=False, what="y")
-    e = (2.0 - d.N) / 2.0
-    val = d.kappa * _rho_sq(d, xc, yc, nx2, ny2) ** e
-    return float(val[0]) if np.ndim(x) == np.ndim(y) == 1 else val
+    *_, rho2, single = _pair(d, x, y, closed=False)
+    val = d.kappa * rho2 ** ((2.0 - d.N) / 2.0)
+    return float(val[0]) if single else val
 
 
 def grad_x_G(d: BallDomain, x, y) -> np.ndarray:
@@ -224,18 +221,16 @@ def grad_x_G(d: BallDomain, x, y) -> np.ndarray:
     ∇_x G = -kappa (N-2) [ (x-y)|x-y|^{-N} - (|y|^2/R^2 x - y) rho^{-N} ]
     in centered coordinates (the shift drops out of the gradient).
     """
-    xc, nx2 = _inside(d, x, closed=True, what="x")
-    yc, ny2 = _inside(d, y, closed=True, what="y")
+    xc, yc, _, ny2, rho2, single = _pair(d, x, y, closed=True)
     diff = xc - yc
     diff2 = np.sum(diff * diff, axis=-1)
     if np.any(diff2 < (1e-14 * d.radius) ** 2):
         raise SingularityError("grad_x_G evaluated on the diagonal x == y")
-    rho2 = _rho_sq(d, xc, yc, nx2, ny2)
     img = ny2[..., None] / d.radius ** 2 * xc - yc
     val = -d.kappa * (d.N - 2) * (
         diff * diff2[..., None] ** (-d.N / 2.0)
         - img * rho2[..., None] ** (-d.N / 2.0))
-    return val[0] if np.ndim(x) == np.ndim(y) == 1 else val
+    return val[0] if single else val
 
 
 def grad_x_H(d: BallDomain, x, y) -> np.ndarray:
@@ -243,38 +238,38 @@ def grad_x_H(d: BallDomain, x, y) -> np.ndarray:
 
     ∇_x H = -kappa (N-2) (|y|^2/R^2 x - y) rho^{-N}.
     """
-    xc, nx2 = _inside(d, x, closed=False, what="x")
-    yc, ny2 = _inside(d, y, closed=False, what="y")
-    rho2 = _rho_sq(d, xc, yc, nx2, ny2)
+    xc, yc, _, ny2, rho2, single = _pair(d, x, y, closed=False)
     img = ny2[..., None] / d.radius ** 2 * xc - yc
     val = -d.kappa * (d.N - 2) * img * rho2[..., None] ** (-d.N / 2.0)
-    return val[0] if np.ndim(x) == np.ndim(y) == 1 else val
+    return val[0] if single else val
 
 
 # ---------------------------------------------------------------------------
 # axis restrictions
 # ---------------------------------------------------------------------------
 
-def _axis_points(d: BallDomain, sec: AxisSection, **points) -> list:
+def _axis_points(d: BallDomain, sec: AxisSection, **points) -> tuple:
     """Centered axis coordinates p - c1 of the named points, a scalar as a
-    batch of one; raises for a section beyond the chord and outside it."""
-    c1, reach = d.center[0], d.radius * (1.0 + 1e-12)   # _inside's slack
+    batch of one, broadcast together; raises for a section beyond the
+    chord, outside it and for points that do not broadcast."""
+    c1, reach = d.center[0], d.radius * (1.0 + 1e-12)   # _pair's slack
     if sec.a < c1 - reach or sec.b > c1 + reach:
         raise DomainError(
             f"section ({sec.a}, {sec.b}) exceeds the chord of the ball "
             f"of radius {d.radius} about {c1}")
-    ps = [np.atleast_1d(_require_array(k, p)) for k, p in points.items()]
-    if any(np.any(p <= sec.a) or np.any(p >= sec.b) for p in ps):
+    ps = {k: np.atleast_1d(_require_array(k, p)) for k, p in points.items()}
+    _require_broadcast(**ps)
+    if any(np.any(p <= sec.a) or np.any(p >= sec.b) for p in ps.values()):
         raise DomainError(
             f"axis coordinate outside the open chord ({sec.a}, {sec.b})")
-    return [p - c1 for p in ps]
+    return np.broadcast_arrays(*(p - c1 for p in ps.values()))
 
 
 def _g_jet(d: BallDomain, sec: AxisSection, t, s, order: int = 0) -> tuple:
     """(g,), (g, ∂g/∂t, ∂g/∂s) or those plus (∂²g/∂t², ∂²g/∂s², ∂²g/∂t∂s)
     as arrays, for order 0, 1 or 2; each ∂/∂s has the bits of ∂/∂t at (s, t).
     Raises outside the chord and at t == s."""
-    tc, sc = np.broadcast_arrays(*_axis_points(d, sec, t=t, s=s))
+    tc, sc = _axis_points(d, sec, t=t, s=s)
     if np.any(tc == sc):
         raise SingularityError("axis g evaluated at t == s")
     R, N = d.radius, d.N

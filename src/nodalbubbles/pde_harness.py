@@ -53,8 +53,9 @@ import numpy as np
 from .bubble_core import (ConstantsTable, alpha_N, lambda_of_Lambda_quadratic,
                           sigma_N, single_bubble_energy_limit, two_star)
 from .errors import (DomainError, ParameterError, ResolutionError,
-                     SolverDivergenceError, _require_array, _require_int,
-                     _require_real, _require_reals)
+                     SolverDivergenceError, _require_array,
+                     _require_broadcast, _require_int, _require_real,
+                     _require_reals)
 from .green_domain import BallDomain
 from .reduced_energy import AxisKernels, Configuration, psi_k
 
@@ -134,9 +135,10 @@ def bubble_profile(N: int, m: float, d2):
     quadratures' panel kernel (:class:`_SlabFrame`) spells it over
     ``alpha_N`` in the frame of each slab, equal to it up to rounding.
     """
-    m = _require_array("core width m", m, positive=True)
+    m, d2 = _require_array("core width m", m, True), _require_array("d2", d2)
+    _require_broadcast(m=m, d2=d2)
     # One buffer, worked in place (a 0-d array for scalar arguments).
-    q = np.asarray(m * m + _require_array("d2", d2), dtype=float)
+    q = np.asarray(m * m + d2, dtype=float)
     np.divide(m, q, out=q)
     q **= (N - 2) / 2.0
     q *= alpha_N(N)
@@ -188,6 +190,7 @@ class ProjectedBubbleExact:
                         ("m", _require_array("core width m", self.m, True)),
                         ("t", _require_array("t", self.t))):
             object.__setattr__(self, name, v)
+        _require_broadcast(m=self.m, t=self.t)
         if not np.all(np.abs(self.t) < self.R):
             raise DomainError(
                 f"bubble center offset {self.t} not inside ball of radius {self.R}")
@@ -222,6 +225,7 @@ class ProjectedBubbleExact:
         """``∂PU/∂m`` and ``∂PU/∂t`` at (z, r), given ``u`` and ``w`` there,
         by :meth:`_SlabFrame.tangents` about each bubble's own center."""
         z, r = _require_array("z", z), _require_array("r", r)
+        _require_broadcast(z=z, r=r, m=self.m, t=self.t)
         f = _SlabFrame(self, self.t, self._coeffs, self._coeff_tangents)
         zeta = z - self.t
         rho2 = zeta * zeta + r * r
@@ -232,11 +236,13 @@ class ProjectedBubbleExact:
     def u(self, z, r):
         """The bubble itself at half-section points (z, r)."""
         z, r = _require_array("z", z), _require_array("r", r)
+        _require_broadcast(z=z, r=r, m=self.m, t=self.t)
         return bubble_profile(self.N, self.m, (z - self.t) ** 2 + r * r)
 
     def w(self, z, r):
         """The harmonic correction (boundary trace of ``u``, extended)."""
         z, r = _require_array("z", z), _require_array("r", r)
+        _require_broadcast(z=z, r=r, m=self.m, t=self.t)
         c, q0 = self._coeffs
         # alpha_N (m/q)^h: q in the frame of the ball's center, in place.
         q = np.asarray(_in_frame(c, -2.0 * self.t, q0, z * z + r * r, z))

@@ -47,8 +47,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (ParameterError, SearchError, _require_array,
-                     _require_int, _require_real, _require_reals,
-                     _require_sequence)
+                     _require_broadcast, _require_int, _require_real,
+                     _require_reals, _require_sequence)
 from .green_domain import (AxisSection, BallDomain, _g_jet, _h_jet, axis_g,
                            axis_h)
 
@@ -387,6 +387,7 @@ def spacing_margin(kern: AxisKernels, t0, r0, n_check: int = 33):
     """
     n_check = _require_int("n_check", n_check, 2)
     t0, r0 = _require_array("t0", t0), _require_array("r0", r0, positive=True)
+    _require_broadcast(t0=t0, r0=r0)
     ts = np.linspace(t0 - 4.0 * r0, t0 + 4.0 * r0, n_check, axis=-1)
     i, j = np.triu_indices(n_check, 1)
     g = kern.g(ts[..., i], ts[..., j])

@@ -127,6 +127,25 @@ class TestGreenFunction:
             fd = (green_G(domain, x + e, y) - green_G(domain, x - e, y)) / (2 * h)
             assert g[i] == pytest.approx(fd, rel=2e-8, abs=1e-11)
 
+    @pytest.mark.parametrize("kernel", (green_G, robin_H, grad_x_G, grad_x_H),
+                             ids=lambda f: f.__name__)
+    def test_one_point_check_per_call(self, domain, kernel, monkeypatch):
+        # Each kernel checks, centers and pairs its two points in one call,
+        # on the closed ball for G and on the open one for H.
+        from nodalbubbles import green_domain
+        calls = []
+        real = green_domain._pair
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["closed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(green_domain, "_pair", counted)
+        x, y = np.full((4, 3), 0.2), np.array([-0.1, 0.3, 0.0])
+        kernel(domain, x, y)
+        kernel(domain, x[0], y)
+        assert calls == [kernel in (green_G, grad_x_G)] * 2
+
 
 class TestRobinFunction:
     def test_center_diagonal(self, domain):
@@ -555,9 +574,22 @@ class TestDomainValidation:
             BallDomain.unit(3), np.full(3, 0.1), [math.nan, 0.0, 0.0],
             h0=0.01),
                      ParameterError, id="defect-y-nan"),
+        # Arrays taken together broadcast: points or coordinates of shapes
+        # that do not raised numpy's ValueError.
+        *(pytest.param(lambda f=f: f(BallDomain.unit(3), np.full((2, 3), 0.1),
+                                     np.full((3, 3), -0.1)),
+                       (ParameterError, r"x of shape \(2, 3\), y of shape"),
+                       id=f"{f.__name__}-pair-shapes")
+          for f in (green_G, robin_H, grad_x_G, grad_x_H)),
+        pytest.param(lambda: axis_g(BallDomain.unit(3), AxisSection(-1.0, 1.0),
+                                    [0.1, 0.2], [0.3, 0.4, 0.5]),
+                     (ParameterError, r"t of shape \(2,\), s of shape"),
+                     id="axis_g-t-s-shapes"),
     ])
     def test_input_guards(self, call, error):
-        with pytest.raises(error):
+        # an error class, or one with the pattern its message matches
+        error, match = error if isinstance(error, tuple) else (error, None)
+        with pytest.raises(error, match=match):
             call()
 
     def test_numpy_numbers_are_stored_as_python_numbers(self):

@@ -1149,9 +1149,26 @@ _CONFIG3 = Configuration(k=1, signs=(1,), Lambda=(1.0,), t=(0.0,))
     *(pytest.param(lambda g, v=v: Field(g, np.full((g.nz, g.nr), v)),
                    ParameterError, id=f"field-{label}")
       for label, v in (("string", "a"), ("bool", True))),
+    # Arrays taken together broadcast: arrays of shapes that do not raised
+    # numpy's ValueError (m and t were accepted and failed at the first
+    # evaluation).
+    *(pytest.param(lambda g, f=f, uw=uw: getattr(ProjectedBubbleExact(
+        N=3, R=1.0, m=0.1, t=0.0), f)([0.1, 0.2, 0.3], [0.1, 0.2], *uw),
+                   (ParameterError, r"z of shape \(3,\), r of shape \(2,\)"),
+                   id=f"exact-{f}-z-r-shapes")
+      for f, uw in (("u", ()), ("w", ()), ("pu_tangents", (1.0, 1.0)))),
+    pytest.param(lambda g: ProjectedBubbleExact(N=3, R=1.0, m=[0.1, 0.2],
+                                                t=[0.0, 0.1, 0.2]),
+                 (ParameterError, r"m of shape \(2,\), t of shape \(3,\)"),
+                 id="exact-m-t-shapes"),
+    pytest.param(lambda g: bubble_profile(3, [0.1, 0.2], [0.1, 0.2, 0.3]),
+                 (ParameterError, r"m of shape \(2,\), d2 of shape \(3,\)"),
+                 id="profile-m-d2-shapes"),
 ])
 def test_input_guards(domain, call, error):
-    with pytest.raises(error):
+    # an error class, or one with the pattern its message matches
+    error, match = error if isinstance(error, tuple) else (error, None)
+    with pytest.raises(error, match=match):
         call(AxisymGrid.for_ball(domain, nz=9, nr=5))
 
 

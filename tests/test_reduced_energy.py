@@ -345,15 +345,19 @@ class TestSearchAndBounds:
         with pytest.raises(ParameterError, match="r0"):
             spacing_margin(kern, [0.0, 0.1], [0.06, r0])
 
-    @pytest.mark.parametrize("t0", [
-        pytest.param(math.inf, id="t0-inf"),
-        pytest.param(math.nan, id="t0-nan"),
+    @pytest.mark.parametrize("t0, r0, match", [
+        pytest.param(math.inf, 0.06, "t0", id="t0-inf"),
+        pytest.param(math.nan, 0.06, "t0", id="t0-nan"),
+        pytest.param([0.0, 0.01], [0.01, 0.02, 0.03],
+                     r"t0 of shape \(2,\), r0 of shape \(3,\)",
+                     id="t0-r0-shapes"),
     ])
-    def test_spacing_off_the_reals_rejected(self, kern, t0):
-        # An infinite base point raised numpy's RuntimeWarning and a NaN
-        # one returned a NaN margin.
-        with pytest.raises(ParameterError, match="t0"):
-            spacing_margin(kern, t0, 0.06)
+    def test_spacing_off_the_reals_rejected(self, kern, t0, r0, match):
+        # An infinite base point raised numpy's RuntimeWarning, a NaN one
+        # returned a NaN margin, and arrays that do not broadcast raised
+        # numpy's ValueError.
+        with pytest.raises(ParameterError, match=match):
+            spacing_margin(kern, t0, r0)
 
     def test_search_without_admissible_candidate(self, domain, monkeypatch):
         monkeypatch.setattr(
