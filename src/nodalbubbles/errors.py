@@ -159,13 +159,13 @@ def _require_array(name: str, values, positive: bool = False,
     return a.astype(float, copy=False)
 
 
-def _require_broadcast(**arrays) -> None:
-    """Nothing if the named arrays broadcast together, read from their
-    shapes alone; else :class:`ParameterError` naming each and its shape."""
+def _require_broadcast(**arrays) -> tuple:
+    """The shape the named arrays broadcast to, read from their shapes
+    alone; else :class:`ParameterError` naming each and its shape."""
     import numpy as np
     shapes = {name: np.shape(a) for name, a in arrays.items()}
     try:
-        np.broadcast_shapes(*shapes.values())
+        return np.broadcast_shapes(*shapes.values())
     except ValueError:
         raise ParameterError("cannot broadcast together: " + ", ".join(
             f"{name} of shape {s}" for name, s in shapes.items())) from None

@@ -44,6 +44,7 @@ energy (see the package notes on conventions in the README).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -137,8 +138,14 @@ def bubble_profile(N: int, m: float, d2):
     """
     m, d2 = _require_array("core width m", m, True), _require_array("d2", d2)
     _require_broadcast(m=m, d2=d2)
-    # One buffer, worked in place (a 0-d array for scalar arguments).
-    q = np.asarray(m * m + d2, dtype=float)
+    if (low := np.min(d2, initial=0.0)) < 0.0:
+        raise ParameterError(f"squared distance d2 must be >= 0, got {low:g}")
+    return _over_q(N, m, m * m + d2)
+
+
+def _over_q(N: int, m, q):
+    """alpha_N (m/q)^{(N-2)/2}, in place in the buffer q (0-d if scalar)."""
+    q = np.asarray(q, dtype=float)
     np.divide(m, q, out=q)
     q **= (N - 2) / 2.0
     q *= alpha_N(N)
@@ -164,13 +171,16 @@ class ProjectedBubbleExact:
     ``R^2 c^2 - s c + t^2 = 0`` (the root choice is exactly the condition
     that ``q^{-(N-2)/2}`` is harmonic),
 
-        c = 2 t^2 / (s + sqrt((m^2 + (R-t)^2)(m^2 + (R+t)^2))).
+        c = 2 t^2 / (s + sqrt(disc)), disc = (m^2 + (R-t)^2)(m^2 + (R+t)^2).
 
     On the sphere ``z^2 + r^2 = R^2`` one has ``q = m^2 + |x - xi|^2``
     identically, so ``w`` equals the bubble there and ``pu = u - w``
     vanishes on the boundary *exactly*.  The quadratic ``q`` has its zero
     set outside the closed ball (the pole of the Kelvin image), so all three
-    evaluators are smooth inside.
+    evaluators are smooth inside.  ``(c, q0 = s - c R^2)`` and their tangents
+    along ``m`` and ``t`` are one jet, :attr:`_kelvin`, from one root
+    ``sqrt(disc)``, formed on first use and cached with the object; :meth:`w`,
+    :meth:`pu_tangents` and the panel kernel :class:`_SlabFrame` all read it.
 
     ``m`` and ``t`` may also be arrays that broadcast against the points:
     with (k, 1) columns one object is the whole family of a configuration
@@ -195,43 +205,35 @@ class ProjectedBubbleExact:
             raise DomainError(
                 f"bubble center offset {self.t} not inside ball of radius {self.R}")
 
-    @property
-    def _coeffs(self) -> tuple[float, float]:
-        m2 = self.m * self.m
-        s = m2 + self.R * self.R + self.t * self.t
-        disc = (m2 + (self.R - self.t) ** 2) * (m2 + (self.R + self.t) ** 2)
-        # np.sqrt, not math.sqrt: the same bits for floats, and it also takes
-        # a family's columns and a complex step in m or t.
-        c = 2.0 * self.t * self.t / (s + np.sqrt(disc))
-        return c, s - c * self.R * self.R
+    @functools.cached_property
+    def _kelvin(self) -> tuple:
+        """The jet ``((c, q0), (∂c, ∂q0) along m, (∂c, ∂q0) along t)``.
 
-    @property
-    def _coeff_tangents(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """``(∂c, ∂q0)`` along ``m`` and along ``t``.
-
-        Differentiating ``R^2 c^2 - s c + t^2 = 0`` gives
-        ``dc = (c ds - 2t dt) / (2 R^2 c - s)``, where ``2 R^2 c - s =
-        -sqrt(disc)`` for the smaller root; ``ds = 2m dm + 2t dt`` and
-        ``dq0 = ds - R^2 dc``.
+        Differentiating ``R^2 c^2 - s c + t^2 = 0`` gives ``dc = (c ds - 2t
+        dt) / (2 R^2 c - s)``, where ``2 R^2 c - s = -sqrt(disc)`` for the
+        smaller root; ``ds = 2m dm + 2t dt`` and ``dq0 = ds - R^2 dc``.
         """
         m, R, t = self.m, self.R, self.t
-        c, _ = self._coeffs
+        s = m * m + R * R + t * t
+        # np.sqrt, not math.sqrt: the same bits for floats, and it also takes
+        # a family's columns and a complex step in m or t.
         root = np.sqrt((m * m + (R - t) ** 2) * (m * m + (R + t) ** 2))
-        dc_m = -2.0 * m * c / root
-        dc_t = 2.0 * t * (1.0 - c) / root
-        return (dc_m, 2.0 * m - R * R * dc_m), (dc_t, 2.0 * t - R * R * dc_t)
+        c = 2.0 * t * t / (s + root)
+        dc_m, dc_t = -2.0 * m * c / root, 2.0 * t * (1.0 - c) / root
+        return ((c, s - c * R * R), (dc_m, 2.0 * m - R * R * dc_m),
+                (dc_t, 2.0 * t - R * R * dc_t))
 
-    def pu_tangents(self, z, r, u, w):
-        """``∂PU/∂m`` and ``∂PU/∂t`` at (z, r), given ``u`` and ``w`` there,
-        by :meth:`_SlabFrame.tangents` about each bubble's own center."""
+    def pu_tangents(self, z, r):
+        """``∂PU/∂m`` and ``∂PU/∂t`` at (z, r): :meth:`_SlabFrame.tangents`
+        of its own :meth:`_SlabFrame.fields` about each bubble's center, on
+        arrays of the full shape (1-d at least: the kernel works in place)."""
         z, r = _require_array("z", z), _require_array("r", r)
-        _require_broadcast(z=z, r=r, m=self.m, t=self.t)
-        f = _SlabFrame(self, self.t, self._coeffs, self._coeff_tangents)
-        zeta = z - self.t
-        rho2 = zeta * zeta + r * r
-        su, mw = (v * self.m / _in_frame(*p, rho2, zeta)
-                  for v, p in ((u, f.D), (w, f.q)))
-        return tuple(f.h * d for d in f.tangents(rho2, zeta, u - w, su, mw))
+        shape = _require_broadcast(z=z, r=r, m=self.m, t=self.t)
+        zeta, r = (np.broadcast_to(v, shape or (1,)) for v in (z - self.t, r))
+        rho2, f = zeta * zeta + r * r, _SlabFrame(self, self.t)
+        _, *fields = f.fields(rho2, zeta)
+        return tuple((f.h * alpha_N(self.N) * d).reshape(shape)[()]
+                     for d in f.tangents(rho2, zeta, *fields))
 
     def u(self, z, r):
         """The bubble itself at half-section points (z, r)."""
@@ -243,13 +245,9 @@ class ProjectedBubbleExact:
         """The harmonic correction (boundary trace of ``u``, extended)."""
         z, r = _require_array("z", z), _require_array("r", r)
         _require_broadcast(z=z, r=r, m=self.m, t=self.t)
-        c, q0 = self._coeffs
-        # alpha_N (m/q)^h: q in the frame of the ball's center, in place.
-        q = np.asarray(_in_frame(c, -2.0 * self.t, q0, z * z + r * r, z))
-        np.divide(self.m, q, out=q)
-        q **= (self.N - 2) / 2.0
-        q *= alpha_N(self.N)
-        return q[()]
+        (c, q0), _, _ = self._kelvin      # q about the ball's center
+        return _over_q(self.N, self.m,
+                       _in_frame(c, -2.0 * self.t, q0, z * z + r * r, z))
 
     def pu(self, z, r):
         """The projection ``u - w``; zero on the sphere, positive inside."""
@@ -267,7 +265,7 @@ def _in_frame(c2, c1, c0, rho2, zeta):
 
 class _SlabFrame:
     """The panel kernel: a family's bubbles about a slab center ``(t, 0)``,
-    built once per slab from the family's :attr:`_coeffs` and tangents.
+    built once per slab from the family's Kelvin jet (its ``_kelvin``).
 
     A node is ``ζ = z - t``, ``ρ² = ζ² + r²``; with ``dt = t - t_j``,
     ``D_j = m² + |x - ξ_j|² = ρ² + 2 dt ζ + dt² + m²`` and ``q_j = c ρ² +
@@ -276,8 +274,8 @@ class _SlabFrame:
     the slab's own core ``D = ρ² + m²`` without the rounding of ``z``.
     """
 
-    def __init__(self, fam, t, coeffs, coeff_tangents):
-        (c, q0), ((dc_m, dq0_m), (dc_t, dq0_t)) = coeffs, coeff_tangents
+    def __init__(self, fam, t):
+        (c, q0), (dc_m, dq0_m), (dc_t, dq0_t) = fam._kelvin
         m, tj, dt = fam.m, fam.t, t - fam.t
         self.h, self.m, self.inv_m = (fam.N - 2) / 2.0, m, 1.0 / m
         self.D = (1.0, 2.0 * dt, dt * dt + m * m)
@@ -450,9 +448,9 @@ def _slab_sums(fam: ProjectedBubbleExact, refine: int, term) -> tuple:
     refine = _require_int("refine", refine, 1)
     ts = fam.t[:, 0].tolist()
     cuts = [None] + [0.5 * (a + b) for a, b in zip(ts, ts[1:])] + [None]
-    coeffs, sums = (fam._coeffs, fam._coeff_tangents), None
+    sums = None
     for t, m, zlo, zhi in zip(ts, fam.m[:, 0].tolist(), cuts, cuts[1:]):
-        frame = _SlabFrame(fam, t, *coeffs)
+        frame = _SlabFrame(fam, t)
         for rho2, zeta, wd in _section_nodes(fam.N, fam.R, t, m, zlo, zhi,
                                              refine):
             part = term(frame, rho2, zeta, wd, *frame.fields(rho2, zeta))

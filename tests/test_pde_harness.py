@@ -172,6 +172,27 @@ class TestExactProjection:
         assert fam.m[:, 0] == pytest.approx(
             [table3.cN * L * L * 0.05 for L in saddle_config.Lambda], rel=1e-12)
 
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    @pytest.mark.parametrize("m, t", [(0.03, 0.0), (0.03, 0.4), (0.2, -0.7),
+                                      (0.01, 0.9)])
+    def test_tangents_match_central_differences(self, N, m, t):
+        # pu_tangents against central differences of pu in m and in t, on
+        # random points inside 0.98 R: the worst error over these cases is
+        # 2.1e-9 of the largest tangent.
+        R, h = 1.3, 1e-6 * max(m, 1e-3)
+        rng = np.random.default_rng(N)
+        rho = 0.98 * R * np.sqrt(rng.uniform(0.0, 1.0, 200))
+        th = rng.uniform(0.0, math.pi, 200)
+        z, r = rho * np.cos(th), rho * np.sin(th)
+        b = ProjectedBubbleExact(N=N, R=R, m=m, t=t)
+        d_m, d_t = b.pu_tangents(z, r)
+        assert b.pu_tangents(z[0], r[0]) == (d_m[0], d_t[0])    # scalars
+        scale = max(np.max(np.abs(d_m)), np.max(np.abs(d_t)))
+        for got, dm, dt in ((d_m, h, 0.0), (d_t, 0.0, h)):
+            fd = (ProjectedBubbleExact(N=N, R=R, m=m + dm, t=t + dt).pu(z, r)
+                  - ProjectedBubbleExact(N=N, R=R, m=m - dm, t=t - dt).pu(z, r))
+            assert np.max(np.abs(got - fd / (2.0 * h))) <= 1e-6 * scale
+
 
 class TestEnergyQuadrature:
     def test_centered_oracle(self, domain, table3):
@@ -334,14 +355,14 @@ class TestConfigFamily:
         z = rng.uniform(-0.95, 0.95, 300)
         r = rng.uniform(0.0, 0.3, 300)
         us, ws = fam.u(z, r), fam.w(z, r)
-        tangents = fam.pu_tangents(z, r, us, ws)
+        tangents = fam.pu_tangents(z, r)
         assert us.shape == ws.shape == tangents[0].shape == (cfg.k, z.size)
         for i in range(cfg.k):
             b = ProjectedBubbleExact(N=N, R=1.0, m=float(fam.m[i, 0]),
                                      t=float(fam.t[i, 0]))
             u, w = b.u(z, r), b.w(z, r)
             assert np.array_equal(us[i], u) and np.array_equal(ws[i], w)
-            for rows, single in zip(tangents, b.pu_tangents(z, r, u, w)):
+            for rows, single in zip(tangents, b.pu_tangents(z, r)):
                 assert np.array_equal(rows[i], single)
 
     @pytest.mark.parametrize("N", [3, 4, 5])
@@ -356,10 +377,8 @@ class TestConfigFamily:
         singles = [ProjectedBubbleExact(N=N, R=1.0, m=float(m), t=t)
                    for m, t in zip(fam.m[:, 0], ts)]
         for t, m in zip(ts, fam.m[:, 0]):
-            frame = pde_harness._SlabFrame(fam, t, fam._coeffs,
-                                           fam._coeff_tangents)
-            alone = [pde_harness._SlabFrame(b, t, b._coeffs, b._coeff_tangents)
-                     for b in singles]
+            frame = pde_harness._SlabFrame(fam, t)
+            alone = [pde_harness._SlabFrame(b, t) for b in singles]
             panels = list(pde_harness._section_nodes(N, 1.0, t, m, None, None,
                                                      1))
             for rho2, zeta, _ in panels[::7]:
@@ -386,8 +405,7 @@ class TestConfigFamily:
         ts = fam.t[:, 0].tolist()
         cuts = [(None, 0.0625), (0.0625, None)]    # the midpoint of the ts
         for t, m, cut in zip(ts, fam.m[:, 0], cuts):
-            frame = pde_harness._SlabFrame(fam, t, fam._coeffs,
-                                           fam._coeff_tangents)
+            frame = pde_harness._SlabFrame(fam, t)
             for rho2, zeta, _ in pde_harness._section_nodes(N, 1.0, t, m,
                                                             *cut, 1):
                 zeta = np.round(zeta * 2.0 ** 20) / 2.0 ** 20
@@ -487,10 +505,10 @@ class TestEnergyGradient:
     def test_coefficient_tangents_complex_step(self, m, t):
         R, hs = 1.3, 1e-30
         b = ProjectedBubbleExact(N=3, R=R, m=m, t=t)
-        coeffs = ProjectedBubbleExact._coeffs.fget
-        along_m = coeffs(SimpleNamespace(R=R, m=m + 1j * hs, t=t))
-        along_t = coeffs(SimpleNamespace(R=R, m=m, t=t + 1j * hs))
-        for exact, stepped in zip(b._coeff_tangents, (along_m, along_t)):
+        jet = ProjectedBubbleExact._kelvin.func
+        along_m = jet(SimpleNamespace(R=R, m=m + 1j * hs, t=t))[0]
+        along_t = jet(SimpleNamespace(R=R, m=m, t=t + 1j * hs))[0]
+        for exact, stepped in zip(b._kelvin[1:], (along_m, along_t)):
             cs = [v.imag / hs for v in stepped]
             assert exact == pytest.approx(cs, rel=1e-13, abs=1e-15)
 
@@ -1152,11 +1170,11 @@ _CONFIG3 = Configuration(k=1, signs=(1,), Lambda=(1.0,), t=(0.0,))
     # Arrays taken together broadcast: arrays of shapes that do not raised
     # numpy's ValueError (m and t were accepted and failed at the first
     # evaluation).
-    *(pytest.param(lambda g, f=f, uw=uw: getattr(ProjectedBubbleExact(
-        N=3, R=1.0, m=0.1, t=0.0), f)([0.1, 0.2, 0.3], [0.1, 0.2], *uw),
+    *(pytest.param(lambda g, f=f: getattr(ProjectedBubbleExact(
+        N=3, R=1.0, m=0.1, t=0.0), f)([0.1, 0.2, 0.3], [0.1, 0.2]),
                    (ParameterError, r"z of shape \(3,\), r of shape \(2,\)"),
                    id=f"exact-{f}-z-r-shapes")
-      for f, uw in (("u", ()), ("w", ()), ("pu_tangents", (1.0, 1.0)))),
+      for f in ("u", "w", "pu_tangents")),
     pytest.param(lambda g: ProjectedBubbleExact(N=3, R=1.0, m=[0.1, 0.2],
                                                 t=[0.0, 0.1, 0.2]),
                  (ParameterError, r"m of shape \(2,\), t of shape \(3,\)"),
@@ -1164,6 +1182,11 @@ _CONFIG3 = Configuration(k=1, signs=(1,), Lambda=(1.0,), t=(0.0,))
     pytest.param(lambda g: bubble_profile(3, [0.1, 0.2], [0.1, 0.2, 0.3]),
                  (ParameterError, r"m of shape \(2,\), d2 of shape \(3,\)"),
                  id="profile-m-d2-shapes"),
+    # A squared distance is not negative: at N = 3 d2 = -0.02 gave NaN with
+    # a RuntimeWarning and -0.01 gave 3.16e8, at N = 4 -0.02 gave -28.28.
+    *(pytest.param(lambda g, N=N: bubble_profile(N, 0.1, [0.0, -0.02]),
+                   (ParameterError, "d2"), id=f"profile-d2-negative-N{N}")
+      for N in (3, 4)),
 ])
 def test_input_guards(domain, call, error):
     # an error class, or one with the pattern its message matches
