@@ -245,6 +245,7 @@ class ProjectedBubbleExact:
         """The harmonic correction (boundary trace of ``u``, extended)."""
         z, r = _require_array("z", z), _require_array("r", r)
         _require_broadcast(z=z, r=r, m=self.m, t=self.t)
+        z, r = np.broadcast_arrays(z, r)  # _in_frame's buffer starts from z
         (c, q0), _, _ = self._kelvin      # q about the ball's center
         return _over_q(self.N, self.m,
                        _in_frame(c, -2.0 * self.t, q0, z * z + r * r, z))
@@ -350,8 +351,8 @@ def projected_bubbles_of_config(
 # --------------------------------------------------------------------------
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-# Angular panels over u in [-1, 1] at refine 1.
-_N_U = 12
+# Angular panels over theta in [0, pi] at refine 1.
+_N_U = 6
 
 
 def _panel_nodes(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,31 +389,34 @@ def _section_nodes(N: int, R: float, t: float, core_scale: float,
 
     The region is ``{z^2 + r^2 < R^2} ∩ {zlo < z < zhi}`` (either bound may
     be None); coordinates are centered at the ball center.  Spherical
-    coordinates about the axis point ``(t, 0)`` reduce the integral to
+    coordinates about the axis point ``(t, 0)``, with ``θ`` the angle from
+    the +z axis, reduce the integral to
 
-        |S^{N-2}| ∫_{-1}^{1} ∫_0^{rho_max(u)} f rho^{N-1} (1-u^2)^{(N-3)/2} drho du,
+        |S^{N-2}| ∫_0^π ∫_0^{rho_max(θ)} f rho^{N-1} sin^{N-2}θ drho dθ,
 
     where ``rho_max`` is the exit radius through the sphere or a slab plane.
-    Angular panels are split where the active exit constraint switches (the
-    only non-smooth points of ``rho_max``); radial panels are geometrically
-    graded from ``core_scale/8`` so the bubble core is fully resolved.
-    ``refine`` doubles the angular panel count and halves the geometric
-    ratio, giving an independent accuracy column.
+    The weight ``sin^{N-2}θ`` is smooth for every N, so Gauss-Legendre in
+    ``θ`` converges as fast for even N as for odd N.  Angular panels have
+    equal ``θ`` width between the angles where the active exit constraint
+    switches (the only non-smooth points of ``rho_max``); radial panels are
+    geometrically graded from ``core_scale/8`` so the bubble core is fully
+    resolved.  ``refine`` doubles the angular panel count and halves the
+    geometric ratio, giving an independent accuracy column.
 
     Yields ``(ρ², ζ, wd)`` about ``(t, 0)`` (:class:`_SlabFrame`) one
     angular panel at a time (its ``_GL_X.size`` directions times every
     radial node), ``wd`` the weight times the density: the integral of
     ``f`` is ``sigma_N(N-1)`` times the sum over panels of ``sum(wd * f)``.
     """
-    pw = (N - 3) / 2.0
     planes = [zc for zc in (zlo, zhi) if zc is not None]
-    u_edges = sorted({-1.0, 1.0} | {
-        (zc - t) / math.sqrt((zc - t) ** 2 + R * R - zc * zc)
+    th_edges = sorted({0.0, math.pi} | {
+        math.acos((zc - t) / math.sqrt((zc - t) ** 2 + R * R - zc * zc))
         for zc in planes if abs(zc) < R})
 
-    for a, b in zip(u_edges[:-1], u_edges[1:]):
-        npan = max(1, math.ceil(_N_U * refine * (b - a) / 2.0))
-        u, wu = _panel_nodes(np.linspace(a, b, npan + 1))
+    for a, b in zip(th_edges[:-1], th_edges[1:]):
+        npan = max(1, math.ceil(_N_U * refine * (b - a) / math.pi))
+        th, wth = _panel_nodes(np.linspace(a, b, npan + 1))
+        u, sin = np.cos(th), np.sin(th)
 
         rmax = -t * u + np.sqrt(t * t * u * u + R * R - t * t)
         for zc in planes:       # zlo < t < zhi: exits along u of its sign
@@ -426,9 +430,9 @@ def _section_nodes(N: int, R: float, t: float, core_scale: float,
         s_nodes, s_w = _panel_nodes(sig)
         s_w = s_w * s_nodes ** (N - 1)
 
-        # rho = rmax(u) * s, so rho^2, zeta = rho u and the weight times the
+        # rho = rmax(θ) * s, so rho^2, zeta = rho u and the weight times the
         # density are outer products of an angular and a radial factor.
-        angular = (rmax * rmax, rmax * u, wu * rmax ** N * (1.0 - u * u) ** pw)
+        angular = (rmax * rmax, rmax * u, wth * rmax ** N * sin ** (N - 2))
         radial = (s_nodes * s_nodes, s_nodes, s_w)
         for panel in zip(*(f.reshape(npan, _GL_X.size, 1) for f in angular)):
             yield tuple((a * b).ravel() for a, b in zip(panel, radial))

@@ -29,12 +29,15 @@ from nodalbubbles import (
     SolverDivergenceError,
     alpha_N,
     assemble_V,
+    base_spacing_points,
     bubble_profile,
     compute_constants,
     energy_I,
     energy_gradient_quadrature,
     energy_quadrature,
     expansion_gap,
+    find_t0_r0,
+    mu_embed,
     project_bubble,
     projected_bubbles_of_config,
     residual_norm,
@@ -42,6 +45,7 @@ from nodalbubbles import (
     robin_H,
     solve_dirichlet_laplace,
     solve_poisson,
+    solve_saddle,
 )
 from nodalbubbles.errors import _require_array
 from conftest import SADDLE_LAMBDA, SADDLE_T, SADDLE_VALUE
@@ -193,6 +197,17 @@ class TestExactProjection:
                   - ProjectedBubbleExact(N=N, R=R, m=m - dm, t=t - dt).pu(z, r))
             assert np.max(np.abs(got - fd / (2.0 * h))) <= 1e-6 * scale
 
+    def test_w_and_pu_broadcast_the_points(self):
+        # z of shape (2, 1) against r of shape (1, 3) evaluates as the six
+        # points one by one, as u does.
+        b = ProjectedBubbleExact(N=3, R=1.0, m=0.1, t=0.5)
+        z, r = np.array([[0.1], [0.2]]), np.array([[0.1, 0.2, 0.3]])
+        for f in (b.u, b.w, b.pu):
+            grid = f(z, r)
+            assert grid.shape == (2, 3)
+            for i, j in np.ndindex(2, 3):
+                assert grid[i, j] == f(z[i, 0], r[0, j])
+
 
 class TestEnergyQuadrature:
     def test_centered_oracle(self, domain, table3):
@@ -279,7 +294,7 @@ class TestEnergyQuadrature:
         assert grads[0] == pytest.approx(grads[1], rel=1e-13)
 
     def test_streams_one_panel_at_a_time(self, domain, table3, saddle_config):
-        # The largest refine-2 slab holds 213k nodes, its largest angular
+        # The largest refine-2 slab holds 115k nodes, its largest angular
         # panel 8192; only one panel of fields may be alive at a time.
         for quadrature in (energy_quadrature, energy_gradient_quadrature,
                            residual_quadrature):
@@ -336,6 +351,15 @@ def perturbed(cfg):
     """The 5% perturbation: scalings times 1.05, positions moved by 0.05."""
     return cfg.with_params(Lambda=[1.05 * v for v in cfg.Lambda],
                            t=[v + 0.05 for v in cfg.t])
+
+
+def newton_point(N):
+    """Newton's critical point of Ψ_4 from the canonical start on the unit
+    ball of R^N (the configuration ``saddle`` reports, before its check of
+    the inertia)."""
+    d = BallDomain.unit(N)
+    init = mu_embed(1.0, 1.0, 1.0, base_spacing_points(*find_t0_r0(d)))
+    return solve_saddle(d, None, init).config
 
 
 _SADDLE4 = Configuration(k=4, signs=(1, -1, 1, -1), Lambda=SADDLE_LAMBDA,
@@ -481,17 +505,35 @@ class TestEnergyGradient:
         assert np.max(np.abs(g - o1)) <= tol
 
     def test_even_N_within_its_refinement_delta(self):
-        # For N = 4 the t-components move by up to 3.2e-4 between refine 1
-        # and 2 (the angular weight (1-u^2)^{1/2} is not a polynomial in u);
-        # the oracle agrees with refine 1 only within that delta.
+        # The angular weight sin^{N-2}θ is smooth for even N too, so for
+        # N = 4 refine 1 and 2 agree as closely as for N = 3 (3.8e-13 of
+        # max|g| here), and the oracle agrees with refine 1 to 4.3e-11.
         d, table = BallDomain.unit(4), compute_constants(4)
         eps = 0.025
         g1 = energy_gradient_quadrature(d, _K2, table, eps)
         g2 = energy_gradient_quadrature(d, _K2, table, eps, refine=2)
         o1 = richardson_gradient(d, _K2, table, eps, refine=1)
         delta = np.max(np.abs(g1 - g2))
-        assert 1e-5 <= delta <= 1e-3
+        assert delta <= 1e-9 * np.max(np.abs(g2))
         assert np.max(np.abs(g1 - o1)) <= delta + 1e-6 * np.max(np.abs(g1))
+
+    @pytest.mark.parametrize("N, energy_tol, grad_tol", [(4, 1e-12, 1e-7),
+                                                         (6, 1e-10, 1e-5)])
+    def test_even_N_refinements_agree_at_the_newton_point(self, N, energy_tol,
+                                                          grad_tol):
+        # At the Newton point of the k = 4 start (a saddle for N = 4, the
+        # local minimum for N = 6) the worst relative refine 1/2 deltas over
+        # the default triple read 2.3e-14 and 5.1e-9 (N = 4), 2.2e-11 and
+        # 1.7e-6 (N = 6).
+        cfg = newton_point(N)
+        d, table = BallDomain.unit(N), compute_constants(N)
+        for eps in (0.1, 0.05, 0.025):
+            I1, I2 = (energy_quadrature(d, cfg, table, eps, refine=n)[0]
+                      for n in (1, 2))
+            g1, g2 = (energy_gradient_quadrature(d, cfg, table, eps, refine=n)
+                      for n in (1, 2))
+            assert abs(I1 - I2) <= energy_tol * abs(I2)
+            assert np.max(np.abs(g1 - g2)) <= grad_tol * np.max(np.abs(g2))
 
     @pytest.mark.parametrize("cfg", [perturbed(_SADDLE4), perturbed(_K2)],
                              ids=["k4-perturbed", "k2-perturbed"])
