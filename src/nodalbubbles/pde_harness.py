@@ -95,7 +95,7 @@ class BubbleParams:
         Ambient dimension, an integer >= 3, stored as ``int``.
     eps, lam : float
         Subcriticality and scaling parameters, each a scale (positive
-        finite real), stored as ``float``.
+        finite real), stored as ``float``; eps lies below 2* - 2 = 4/(N - 2).
     xi : tuple of float
         Center, N finite reals (a list, tuple or 1-D array) stored as floats.
     """
@@ -108,7 +108,7 @@ class BubbleParams:
     def __post_init__(self):
         N = _require_int("dimension N", self.N, 3)
         xi = _require_reals("xi", self.xi, N, positive=False)
-        for name, v in (("N", N), ("eps", _require_real("eps", self.eps)),
+        for name, v in (("N", N), ("eps", _require_eps(self.eps, N)),
                         ("lam", _require_real("lam", self.lam)), ("xi", xi)):
             object.__setattr__(self, name, v)
 

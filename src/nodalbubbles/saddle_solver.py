@@ -219,7 +219,7 @@ def solve_saddle(domain: BallDomain, section: AxisSection | None,
             f"degenerate critical point: {inertia[2]} Hessian eigenvalue(s) "
             "below the zero threshold")
     return SaddleReport(
-        config=cfg, value=psi_k(cfg, kern), grad_norm=gnorm,
+        config=cfg, value=trace[-1][1], grad_norm=gnorm,
         inertia=inertia, bounds_ok=None, iterations=it, trace=trace,
         warnings=warnings)
 

@@ -498,6 +498,40 @@ class TestVerifyCommand:
                 [r["sup_diff"] / math.sqrt(radius) for r in rows[1.0]],
                 rel=1e-10)
 
+    @pytest.mark.parametrize("grid, eps", [
+        ((513, 257), (0.1, 0.05, 0.025)), ((129, 65), (0.2, 0.1))],
+        ids=["513x257", "129x65"])
+    @pytest.mark.parametrize("run", [
+        {}, {"dim": 4, "radius": 2.0}, {"center": [0.3, 0.0, 0.0]}],
+        ids=["unit3", "dim4-radius2", "off-center"])
+    def test_rate_rows_are_the_sup_over_the_active_nodes(self, tmp_path, run,
+                                                         grid, eps):
+        # Each row's sup_diff, the probe's largest staircase-boundary value,
+        # is the same float as max |PU - U| over interior and boundary nodes.
+        from nodalbubbles.pde_harness import (AxisymGrid, BubbleParams,
+                                              bubble_profile, project_bubble)
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({
+            **run, "eps": list(eps), "grid_nz": grid[0], "grid_nr": grid[1],
+            "configuration": {"k": 1, "signs": [1], "Lambda": [1.0],
+                              "t": [0.0]},
+        }))
+        assert main(["verify", "--config", str(cfg_file),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        rows = read_json(
+            tmp_path / "verify.json")["report"]["projection_rate"]["rows"]
+        d = load_run_config(str(cfg_file), {}).domain()
+        g = AxisymGrid.for_ball(d, *grid)
+        active = g.interior | g.boundary
+        d2 = (g.z_nodes[active] - d.center[0]) ** 2 + g.r_nodes[active] ** 2
+        sups = []
+        for e in eps:
+            p = BubbleParams(N=d.N, eps=e, lam=d.radius, xi=d.center)
+            PU = project_bubble(d, p, g).values[active]
+            U = bubble_profile(d.N, p.core_width, d2)
+            sups.append(float(abs(PU - U).max()))
+        assert [r["sup_diff"] for r in rows] == sups
+
     def test_dim4_saddle_then_verify(self, tmp_path):
         assert main(["saddle", "--dim", "4", "--out", str(tmp_path)]) == EXIT_OK
         rc = main(["verify", "--dim", "4", "--out", str(tmp_path),
@@ -535,7 +569,20 @@ class TestVerifyCommand:
                    "--grid-nr", "9"])
         assert rc == EXIT_RESOLUTION
         err = capsys.readouterr().err
-        assert "requires at least grid" in err
+        assert "need at least a 25x13 grid" in err and err.count("25x13") == 1
+
+    def test_coarse_grid_names_the_grid_once(self, tmp_path, capsys):
+        # The default eps list on 65x33, as CI runs it: exit 5 before the
+        # configuration is read, no report, and the grid named once.
+        out = tmp_path / "out"
+        rc = main(["verify", "--grid-nz", "65", "--grid-nr", "33",
+                   "--out", str(out)])
+        assert rc == EXIT_RESOLUTION
+        err = capsys.readouterr().err
+        assert err.startswith("resolution error: core width 1.000e-01")
+        assert "need at least a 121x61 grid" in err
+        assert err.count("121x61") == 1
+        assert not out.exists()
 
 
 class TestDeterminismAndFormats:

@@ -1171,6 +1171,12 @@ _CONFIG3 = Configuration(k=1, signs=(1,), Lambda=(1.0,), t=(0.0,))
                  ParameterError, id="residual-eps-6.0"),
     pytest.param(lambda g: energy_I(Field(g, np.zeros((g.nz, g.nr))), 6.0),
                  ParameterError, id="energy-eps-6.0"),
+    # A bubble's eps obeys the same rule: at N = 10, where 2* - 2 = 0.5,
+    # eps = 0.9 was accepted and project_bubble ran on it.
+    *(pytest.param(lambda g, N=N, eps=eps: BubbleParams(
+        N=N, eps=eps, lam=1.0, xi=np.zeros(N)),
+                   (ParameterError, "eps"), id=f"bubble-eps-N{N}-{eps!r}")
+      for N, eps in ((3, 4.0), (10, 0.5), (10, 0.9))),
     *(pytest.param(lambda g, eps=eps: expansion_gap(
         _CONFIG3, eps, compute_constants(3)),
                    ParameterError, id=f"gap-eps-{label}")

@@ -211,6 +211,22 @@ class TestHessians:
         # gradient: 1 start + 10 accepted trials + 2 backtracks = 13.
         assert len(calls) <= 13
 
+    def test_psi_k_once_per_accepted_point(self, domain, kern, monkeypatch):
+        # The value is the last trace row: Psi_k is evaluated at the start
+        # and at each accepted iterate, never again at the converged point.
+        calls = []
+        psi = saddle_solver.psi_k
+
+        def counted(cfg, kern):
+            calls.append(cfg)
+            return psi(cfg, kern)
+
+        monkeypatch.setattr(saddle_solver, "psi_k", counted)
+        init = mu_embed(1.0, 1.0, 1.0, base_spacing_points(0.0, 0.06))
+        report = solve_saddle(domain, None, init)
+        assert len(calls) == report.iterations + 1 == len(report.trace)
+        assert report.value == report.trace[-1][1] == psi(report.config, kern)
+
     def test_inertia_of(self):
         H = np.diag([2.0, 1.0, -3.0, 1e-12])
         assert inertia_of(H) == (2, 1, 1)
