@@ -250,9 +250,9 @@ def cmd_saddle(config: RunConfig) -> int:
     Bracket and identity checks run on the configured ball."""
     import numpy as np
 
-    from .green_domain import BallDomain
-    from .reduced_energy import (AxisKernels, base_spacing_points,
-                                 bounds_report, find_t0_r0, mu_embed)
+    from .green_domain import AxisKernels, BallDomain
+    from .reduced_energy import (base_spacing_points, bounds_report,
+                                 find_t0_r0, mu_embed)
     from .saddle_solver import (solve_saddle, stationarity_identities,
                                 verify_bounds, write_trace_csv)
     domain = config.domain()

@@ -21,7 +21,9 @@ restrictions used by the reduced energies:
     g(t,s)  = G((t,0,..),(s,0,..)) = kappa ( |t-s|^{2-N} - (R - ts/R)^{2-N} ),
     h(t)    = H((t,0,..),(t,0,..)) = kappa ( R - t^2/R )^{2-N},
 
-and their derivatives, each in one jet that the ``axis_*`` kernels view.
+and their derivatives, all owned by :class:`AxisKernels`, through which
+alone the reduced energies and the solver read the ball; the ``axis_*``
+functions view single entries of its jets.
 The validators sample the two structural hypotheses behind the four-bubble
 construction — convexity of the diagonal Robin function t -> h(t,t) and the
 radial monotonicity (t-s) ∂g/∂t < 0 — as well as the near-boundary
@@ -46,6 +48,7 @@ from .errors import (ConfigurationError, DomainError, ParameterError,
 __all__ = [
     "BallDomain",
     "AxisSection",
+    "AxisKernels",
     "ValidationReport",
     "green_G",
     "robin_H",
@@ -248,106 +251,144 @@ def grad_x_H(d: BallDomain, x, y) -> np.ndarray:
 # axis restrictions
 # ---------------------------------------------------------------------------
 
-def _axis_points(d: BallDomain, sec: AxisSection, **points) -> tuple:
-    """Centered axis coordinates p - c1 of the named points, a scalar as a
-    batch of one, broadcast together; raises for a section beyond the
-    chord, outside it and for points that do not broadcast."""
-    c1, reach = d.center[0], d.radius * (1.0 + 1e-12)   # _pair's slack
-    if sec.a < c1 - reach or sec.b > c1 + reach:
-        raise DomainError(
-            f"section ({sec.a}, {sec.b}) exceeds the chord of the ball "
-            f"of radius {d.radius} about {c1}")
-    ps = {k: np.atleast_1d(_require_array(k, p)) for k, p in points.items()}
-    _require_broadcast(**ps)
-    if any(np.any(p <= sec.a) or np.any(p >= sec.b) for p in ps.values()):
-        raise DomainError(
-            f"axis coordinate outside the open chord ({sec.a}, {sec.b})")
-    return np.broadcast_arrays(*(p - c1 for p in ps.values()))
+@dataclass(frozen=True)
+class AxisKernels:
+    """The kernels g and h of one ball on a section of its axis chord.
+
+    ``g_jet`` and ``h_jet`` add the derivatives up to an order, each from
+    one checked evaluation; ``robin_min()`` is h's closed-form minimum.
+    ``section`` defaults to the whole chord and must lie within it: past
+    the chord the formulas are not the ball's kernels (h turns negative).
+    """
+
+    domain: BallDomain
+    section: AxisSection | None = None
+
+    def __post_init__(self):
+        d, sec = self.domain, self.section or AxisSection.of_ball(self.domain)
+        object.__setattr__(self, "section", sec)
+        c1, reach = d.center[0], d.radius * (1.0 + 1e-12)   # _pair's slack
+        if sec.a < c1 - reach or sec.b > c1 + reach:
+            raise DomainError(
+                f"section ({sec.a}, {sec.b}) exceeds the chord of the ball "
+                f"of radius {d.radius} about {c1}")
+
+    @classmethod
+    def for_ball(cls, d: BallDomain) -> "AxisKernels":
+        """The kernels on the whole chord of ``d``."""
+        return cls(d)
+
+    def _points(self, **points) -> tuple:
+        """Centered axis coordinates p - c1 of the named points, a scalar as
+        a batch of one, broadcast together; raises for points outside the
+        open section and for points that do not broadcast."""
+        sec = self.section
+        ps = {k: np.atleast_1d(_require_array(k, p)) for k, p in points.items()}
+        _require_broadcast(**ps)
+        if any(np.any(p <= sec.a) or np.any(p >= sec.b) for p in ps.values()):
+            raise DomainError(
+                f"axis coordinate outside the open chord ({sec.a}, {sec.b})")
+        c1 = self.domain.center[0]
+        return np.broadcast_arrays(*(p - c1 for p in ps.values()))
+
+    def g_jet(self, t, s, order: int = 0) -> tuple:
+        """(g,), (g, ∂g/∂t, ∂g/∂s) or those plus (∂²g/∂t², ∂²g/∂s²,
+        ∂²g/∂t∂s) as arrays, for order 0, 1 or 2; each ∂/∂s has the bits of
+        ∂/∂t at (s, t).  Raises outside the section and at t == s."""
+        tc, sc = self._points(t=t, s=s)
+        if np.any(tc == sc):
+            raise SingularityError("axis g evaluated at t == s")
+        R, N, kappa = self.domain.radius, self.domain.N, self.domain.kappa
+        diff, ts = tc - sc, tc * sc
+        dist, w = np.abs(diff), R - ts / R
+        jet = (kappa * (dist ** (2.0 - N) - w ** (2.0 - N)),)
+        if order == 0:
+            return jet
+        c1 = -kappa * (N - 2)
+        sign, dist1, w1 = np.sign(diff), dist ** (1.0 - N), w ** (1.0 - N)
+        jet += (c1 * (sign * dist1 + (sc / R) * w1),
+                c1 * (-sign * dist1 + (tc / R) * w1))
+        if order == 1:
+            return jet
+        c2 = kappa * (N - 2) * (N - 1)
+        distN, wN = dist ** (-float(N)), w ** (-float(N))
+        return jet + (c2 * (distN - (sc / R) ** 2 * wN),
+                      c2 * (distN - (tc / R) ** 2 * wN),
+                      c1 * ((N - 1) * distN + w1 / R
+                            + (N - 1) * (ts / R ** 2) * wN))
+
+    def h_jet(self, t, order: int = 0) -> tuple:
+        """(h,), (h, h′) or (h, h′, h″) as arrays, for order 0, 1 or 2."""
+        tc, = self._points(t=t)
+        R, N, kappa = self.domain.radius, self.domain.N, self.domain.kappa
+        w = R - tc * tc / R
+        jet = (kappa * w ** (2.0 - N),)
+        if order == 0:
+            return jet
+        w1 = w ** (1.0 - N)
+        jet += (2.0 * kappa * (N - 2) * (tc / R) * w1,)
+        if order == 1:
+            return jet
+        return jet + (2.0 * kappa * (N - 2) / R * w1
+                      + 4.0 * kappa * (N - 2) * (N - 1) * (tc / R) ** 2
+                      * w ** (-float(N)),)
+
+    def g(self, t, s) -> float | np.ndarray:
+        """g(t, s) = G(te1, se1), a float when both points are scalars."""
+        return _view(self.g_jet, 0, 0, t, s)
+
+    def h(self, t) -> float | np.ndarray:
+        """h(t) = H(te1, te1), a float for a scalar point."""
+        return _view(self.h_jet, 0, 0, t)
+
+    def robin_min(self) -> float:
+        """Minimum H_0 of h over [a + m, b − m], m = 10⁻³ (b − a): h at the
+        point of that interval nearest c₁, since on a ball h grows with the
+        distance from the center's first coordinate c₁."""
+        a, b = self.section.a, self.section.b
+        m = 1e-3 * (b - a)
+        return float(self.h(min(max(self.domain.center[0], a + m), b - m)))
 
 
-def _g_jet(d: BallDomain, sec: AxisSection, t, s, order: int = 0) -> tuple:
-    """(g,), (g, ∂g/∂t, ∂g/∂s) or those plus (∂²g/∂t², ∂²g/∂s², ∂²g/∂t∂s)
-    as arrays, for order 0, 1 or 2; each ∂/∂s has the bits of ∂/∂t at (s, t).
-    Raises outside the chord and at t == s."""
-    tc, sc = _axis_points(d, sec, t=t, s=s)
-    if np.any(tc == sc):
-        raise SingularityError("axis g evaluated at t == s")
-    R, N = d.radius, d.N
-    diff, ts = tc - sc, tc * sc
-    dist, w = np.abs(diff), R - ts / R
-    jet = (d.kappa * (dist ** (2.0 - N) - w ** (2.0 - N)),)
-    if order == 0:
-        return jet
-    c1 = -d.kappa * (N - 2)
-    sign, dist1, w1 = np.sign(diff), dist ** (1.0 - N), w ** (1.0 - N)
-    jet += (c1 * (sign * dist1 + (sc / R) * w1),
-            c1 * (-sign * dist1 + (tc / R) * w1))
-    if order == 1:
-        return jet
-    c2 = d.kappa * (N - 2) * (N - 1)
-    distN, wN = dist ** (-float(N)), w ** (-float(N))
-    return jet + (c2 * (distN - (sc / R) ** 2 * wN),
-                  c2 * (distN - (tc / R) ** 2 * wN),
-                  c1 * ((N - 1) * distN + w1 / R
-                        + (N - 1) * (ts / R ** 2) * wN))
-
-
-def _h_jet(d: BallDomain, sec: AxisSection, t, order: int = 0) -> tuple:
-    """(h,), (h, h′) or (h, h′, h″) as arrays, for order 0, 1 or 2."""
-    tc, = _axis_points(d, sec, t=t)
-    R, N = d.radius, d.N
-    w = R - tc * tc / R
-    jet = (d.kappa * w ** (2.0 - N),)
-    if order == 0:
-        return jet
-    w1 = w ** (1.0 - N)
-    jet += (2.0 * d.kappa * (N - 2) * (tc / R) * w1,)
-    if order == 1:
-        return jet
-    return jet + (2.0 * d.kappa * (N - 2) / R * w1
-                  + 4.0 * d.kappa * (N - 2) * (N - 1) * (tc / R) ** 2
-                  * w ** (-float(N)),)
-
-
-def _view(jet, order: int, entry: int, *args) -> float | np.ndarray:
-    """``jet(*args, order)[entry]``, a float when every point is a scalar."""
-    val = jet(*args, order=order)[entry]
-    return float(val[0]) if all(np.ndim(a) == 0 for a in args[2:]) else val
+def _view(jet, order: int, entry: int, *points) -> float | np.ndarray:
+    """``jet(*points, order)[entry]``, a float when every point is a scalar."""
+    val = jet(*points, order=order)[entry]
+    return float(val[0]) if all(np.ndim(p) == 0 for p in points) else val
 
 
 def axis_g(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
     """Green's function restricted to the axis chord: g(t,s) = G(te1, se1)."""
-    return _view(_g_jet, 0, 0, d, sec, t, s)
+    return AxisKernels(d, sec).g(t, s)
 
 
 def axis_h(d: BallDomain, sec: AxisSection, t) -> float | np.ndarray:
     """Diagonal Robin function on the axis: h(t) = H(te1, te1)."""
-    return _view(_h_jet, 0, 0, d, sec, t)
+    return AxisKernels(d, sec).h(t)
 
 
 def axis_g_dt(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
     """∂g/∂t of the axis Green's function (first-argument derivative)."""
-    return _view(_g_jet, 1, 1, d, sec, t, s)
+    return _view(AxisKernels(d, sec).g_jet, 1, 1, t, s)
 
 
 def axis_g_tt(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
     """∂²g/∂t² of the axis Green's function."""
-    return _view(_g_jet, 2, 3, d, sec, t, s)
+    return _view(AxisKernels(d, sec).g_jet, 2, 3, t, s)
 
 
 def axis_g_ts(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
     """∂²g/∂t∂s of the axis Green's function, symmetric in (t, s)."""
-    return _view(_g_jet, 2, 5, d, sec, t, s)
+    return _view(AxisKernels(d, sec).g_jet, 2, 5, t, s)
 
 
 def axis_h_d1(d: BallDomain, sec: AxisSection, t) -> float | np.ndarray:
     """First derivative of the diagonal Robin function h(t,t)."""
-    return _view(_h_jet, 1, 1, d, sec, t)
+    return _view(AxisKernels(d, sec).h_jet, 1, 1, t)
 
 
 def axis_h_d2(d: BallDomain, sec: AxisSection, t) -> float | np.ndarray:
     """Second derivative of the diagonal Robin function h(t,t)."""
-    return _view(_h_jet, 2, 2, d, sec, t)
+    return _view(AxisKernels(d, sec).h_jet, 2, 2, t)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +424,12 @@ def validate_A3(d: BallDomain, sec: AxisSection, n_grid: int = 256,
     """
     n_grid = _require_int("n_grid", n_grid, 16, ConfigurationError)
     n_pairs = _require_int("n_pairs", n_pairs, 1, ConfigurationError)
+    kern = AxisKernels(d, sec)
     width = sec.b - sec.a
     m = 0.02 * width
 
     ts = np.linspace(sec.a + m, sec.b - m, n_grid)
-    min_h2 = float(np.min(axis_h_d2(d, sec, ts)))
+    min_h2 = float(np.min(kern.h_jet(ts, 2)[2]))
     conv = ValidationReport(
         check="axis_robin_convexity (min h'' > 0)",
         sample_count=n_grid,
@@ -399,7 +441,7 @@ def validate_A3(d: BallDomain, sec: AxisSection, n_grid: int = 256,
     tt = np.linspace(sec.a + m, sec.b - m, side)
     T, S = np.meshgrid(tt, tt, indexing="ij")
     off = T != S
-    prod = (T[off] - S[off]) * axis_g_dt(d, sec, T[off], S[off])
+    prod = (T[off] - S[off]) * kern.g_jet(T[off], S[off], 1)[1]
     max_prod = float(np.max(prod))
     mono = ValidationReport(
         check="axis_green_monotonicity (max (t-s) dg/dt < 0)",

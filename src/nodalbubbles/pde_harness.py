@@ -57,8 +57,8 @@ from .errors import (DomainError, ParameterError, ResolutionError,
                      SolverDivergenceError, _require_array,
                      _require_broadcast, _require_int, _require_real,
                      _require_reals)
-from .green_domain import BallDomain
-from .reduced_energy import AxisKernels, Configuration, psi_k
+from .green_domain import AxisKernels, BallDomain
+from .reduced_energy import Configuration, psi_k
 
 __all__ = [
     "BubbleParams",
@@ -675,8 +675,8 @@ def _capacitance(gj: np.ndarray, S: np.ndarray, diag: np.ndarray,
         np.cumprod(ratios[j0:-1], axis=0, out=span[1:])
         X = S[s:stop] / span[gj[s:stop] - j0]
         C[s:stop, s:] = X @ (Y0[s:] * span[gj[s:] - j0]).T
-    for i in range(1, gj.size):
-        C[i, :i] = C[:i, i]
+    lower = np.tri(gj.size, k=-1, dtype=bool)
+    C[lower] = C.T[lower]
     return C
 
 
@@ -874,13 +874,13 @@ class AxisymGrid:
                 "staircase boundary not mirror-paired: a node has no mirror "
                 "image or lies on the center row")
         gj, gi = np.nonzero(gam[:nz2 // 2].T)   # the half below, sorted by j
+        # sin((pi/n) m), m < 2n, indexed by exactly reduced integer arguments
+        sines = np.sin((np.pi / n) * np.arange(2 * n))
         factors = []
         for parity in (0, 1):                   # modes 1, 3, ... then 2, 4, ...
-            # sqrt(2) times the orthonormal sine, so S S^T carries the 2;
-            # exact integer reduction of the sine arguments.
+            # sqrt(2) times the orthonormal sine, so S S^T carries the 2.
             k = modes[parity::2]
-            S = (2.0 / math.sqrt(n)) * np.sin(
-                (np.pi / n) * (np.outer(gi + 1, k) % (2 * n)))
+            S = (2.0 / math.sqrt(n)) * sines[np.outer(gi + 1, k) % (2 * n)]
             C = _capacitance(gj, S, diag[:, parity::2],
                              b[:, None] * inv_pivots[:, parity::2])
             if not np.all(np.isfinite(C)):

@@ -8,11 +8,12 @@ t_1 < ... < t_k:
     Ψ_k(Λ, t) = ½ Σ_i Λ_i² h(t_i) − Σ_{i<j} a_i a_j Λ_i Λ_j g(t_i, t_j)
                 − Σ_i log Λ_i,
 
-where g is the axis Green's function, h the axis Robin function and
-a_i ∈ {−1, +1} the bubble signs.  The four-bubble alternating pattern
-a = (1, −1, 1, −1) gives the sign-changing energy Ψ̃ whose saddle points
-the solver module hunts.  Dropping the signs yields the all-attractive
-penalty
+where g and h, the axis Green and Robin functions, are read from an
+:class:`~nodalbubbles.green_domain.AxisKernels` object, never from the ball
+itself, and a_i ∈ {−1, +1} are the bubble signs.  The four-bubble
+alternating pattern a = (1, −1, 1, −1) gives the sign-changing energy Ψ̃
+whose saddle points the solver module hunts.  Dropping the signs yields
+the all-attractive penalty
 
     Φ(Λ, t) = ½ Σ Λ_i² h(t_i) + Σ_{i<j} Λ_i Λ_j g(t_i, t_j) − Σ log Λ_i,
 
@@ -35,7 +36,7 @@ Besides the evaluators, the module provides:
   makes the equally spaced start t⁰ = (t0, t0+r0, t0+2r0, t0+3r0) usable;
 * ``bounds_report`` — the a-priori bracket for the saddle level: an upper
   bound from the four attractive interactions at t⁰ and a lower bound
-  −8 log⁺(2/√H_0) driven by the Robin minimum H_0.
+  −8 log⁺(2/√H_0) driven by the Robin minimum H_0 of the kernels.
 """
 
 from __future__ import annotations
@@ -49,13 +50,12 @@ import numpy as np
 from .errors import (ParameterError, SearchError, _require_array,
                      _require_broadcast, _require_int, _require_real,
                      _require_reals, _require_sequence)
-from .green_domain import (AxisSection, BallDomain, _g_jet, _h_jet, axis_g,
-                           axis_h)
+# axis_g is bound here for perfbench's tracer test, which finds it rebound.
+from .green_domain import AxisKernels, AxisSection, BallDomain, axis_g  # noqa
 
 __all__ = [
     "ALTERNATING_SIGNS_4",
     "Configuration",
-    "AxisKernels",
     "BoundsReport",
     "psi_k",
     "psi_tilde",
@@ -68,7 +68,6 @@ __all__ = [
     "base_spacing_points",
     "spacing_margin",
     "find_t0_r0",
-    "robin_min",
     "bounds_report",
 ]
 
@@ -149,35 +148,6 @@ class Configuration:
             k=self.k, signs=self.signs,
             Lambda=tuple(Lambda) if Lambda is not None else self.Lambda,
             t=tuple(t) if t is not None else self.t)
-
-
-@dataclass(frozen=True)
-class AxisKernels:
-    """The axis Green/Robin kernels of one ball, bundled for evaluation.
-
-    Thin, immutable adapter so that energy code can say ``kern.g(t, s)``
-    instead of threading (domain, section) everywhere.  ``g_jet(t, s, order)``
-    and ``h_jet(t, order)`` add the derivatives up to ``order`` as arrays.
-    """
-
-    domain: BallDomain
-    section: AxisSection
-
-    @classmethod
-    def for_ball(cls, d: BallDomain) -> "AxisKernels":
-        return cls(domain=d, section=AxisSection.of_ball(d))
-
-    def g(self, t, s):
-        return axis_g(self.domain, self.section, t, s)
-
-    def h(self, t):
-        return axis_h(self.domain, self.section, t)
-
-    def g_jet(self, t, s, order: int = 0) -> tuple:
-        return _g_jet(self.domain, self.section, t, s, order)
-
-    def h_jet(self, t, order: int = 0) -> tuple:
-        return _h_jet(self.domain, self.section, t, order)
 
 
 @dataclass(frozen=True)
@@ -414,8 +384,8 @@ def find_t0_r0(domain: BallDomain, section: AxisSection | None = None
     Returns (t0, r0); raises a search error with the scanned grid sizes if
     no candidate passes.
     """
-    sec = section or AxisSection.of_ball(domain)
-    kern = AxisKernels(domain, sec)
+    kern = AxisKernels(domain, section)
+    sec = kern.section
     width = sec.b - sec.a
     mid = 0.5 * (sec.a + sec.b)
     guard = 0.01 * width
@@ -440,29 +410,16 @@ def find_t0_r0(domain: BallDomain, section: AxisSection | None = None
         "points, unordered pairs of 33 window points)")
 
 
-def robin_min(kern: AxisKernels) -> float:
-    """Minimum H_0 of the diagonal Robin function over the chord.
-
-    h(t) = κ (R − (t − c₁)²/R)^{2−N} increases with the distance from the
-    center's first coordinate c₁, so its minimum over [a + m, b − m],
-    m = 10⁻³ (b − a), is h at the point of that interval nearest c₁.
-    """
-    a, b = kern.section.a, kern.section.b
-    m = 1e-3 * (b - a)
-    return float(kern.h(min(max(kern.domain.center[0], a + m), b - m)))
-
-
 def bounds_report(domain: BallDomain, section: AxisSection | None,
                   t0: float, r0: float) -> BoundsReport:
     """A-priori saddle-level bracket at the equally spaced start.
 
     upper = g(t1,t2) + g(t2,t3) + g(t3,t4) + g(t1,t4) at
     t⁰ = (t0, t0+r0, t0+2r0, t0+3r0); lower = −8 log⁺(2/√H0) with H0 the
-    Robin minimum of the chord.
+    Robin minimum of the section (:meth:`AxisKernels.robin_min`).
     """
-    sec = section or AxisSection.of_ball(domain)
-    kern = AxisKernels(domain, sec)
-    H0 = robin_min(kern)
+    kern = AxisKernels(domain, section)
+    H0 = kern.robin_min()
     lower = -8.0 * log_plus(2.0 / math.sqrt(H0))
     t1, t2, t3, t4 = base_spacing_points(t0, r0)
     g12, g23, g34, g14 = kern.g([t1, t2, t3, t1], [t2, t3, t4, t4])

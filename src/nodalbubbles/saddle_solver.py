@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import (ParameterError, SolverDivergenceError, _require_int,
                      _require_real, _require_reals)
-from .green_domain import AxisSection, BallDomain
-from .reduced_energy import (ALTERNATING_SIGNS_4, AxisKernels, BoundsReport,
+from .green_domain import AxisKernels, AxisSection, BallDomain
+from .reduced_energy import (ALTERNATING_SIGNS_4, BoundsReport,
                              Configuration, _psi_terms, _quadratic_form,
                              _require_alternating4, base_spacing_points,
                              find_t0_r0, grad_psi_k, mu_embed, phi_penalty,
@@ -155,12 +155,11 @@ def solve_saddle(domain: BallDomain, section: AxisSection | None,
     """
     tol = _require_real("tol", tol)
     max_iter = _require_int("max_iter", max_iter, 1)
-    sec = section or AxisSection.of_ball(domain)
-    kern = AxisKernels(domain, sec)
+    kern = AxisKernels(domain, section)
     k = init.k
 
     x = _pack(init)
-    if not _admissible(x, k, sec):
+    if not _admissible(x, k, kern.section):
         raise ParameterError("initial configuration violates the guards")
 
     warnings: list[str] = []
@@ -194,7 +193,7 @@ def solve_saddle(domain: BallDomain, section: AxisSection | None,
         accepted = False
         while step >= 1e-12:
             x_try = x + step * d
-            if _admissible(x_try, k, sec):
+            if _admissible(x_try, k, kern.section):
                 cfg_try = init.with_params(Lambda=x_try[:k], t=x_try[k:])
                 F_try = grad_psi_k(cfg_try, kern)
                 phi_try = 0.5 * float(F_try @ F_try)
@@ -247,7 +246,7 @@ def solve_saddle_multistart(domain: BallDomain, section: AxisSection | None,
     rng = np.random.default_rng(_require_int("seed", seed, 0))
     t_base = _require_reals("t_base", t_base, 4, positive=False)
     if not _positions_admissible(np.array(t_base),
-                                 section or AxisSection.of_ball(domain)):
+                                 AxisKernels(domain, section).section):
         raise ParameterError(
             f"t_base {t_base} must be strictly increasing inside the chord")
     reports: list[SaddleReport] = []
@@ -399,9 +398,8 @@ def coercivity_scan(domain: BallDomain, section: AxisSection | None = None,
     M_list = _require_reals("M_list", M_list)
     if any(b <= a for a, b in zip(M_list, M_list[1:])):
         raise ParameterError(f"M_list must be strictly increasing, got {M_list}")
-    sec = section or AxisSection.of_ball(domain)
-    kern = AxisKernels(domain, sec)
-    t0, r0 = find_t0_r0(domain, sec)
+    kern = AxisKernels(domain, section)
+    t0, r0 = find_t0_r0(domain, kern.section)
     t_base = base_spacing_points(t0, r0)
     anchor = _anchor_config(kern, t_base)
     anchor_phi = phi_penalty(anchor, kern)

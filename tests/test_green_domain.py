@@ -30,8 +30,7 @@ from nodalbubbles import (
     robin_H,
     validate_A3,
 )
-from nodalbubbles.green_domain import (_boundary_samples, _g_jet, _h_jet,
-                                       grad_x_H)
+from nodalbubbles.green_domain import _boundary_samples, grad_x_H
 
 FOUR_PI = 4.0 * math.pi
 
@@ -261,15 +260,16 @@ class TestAxisSecondDerivatives:
     @pytest.mark.parametrize("R", (0.5, 1.0, 3.0))
     def test_vectorized_and_kernel_methods(self, N, R):
         # Each public kernel is one entry of a jet, bit for bit, and the
-        # AxisKernels jets are the module's.
+        # default section's jets are those of the explicit whole chord.
         center = np.zeros(N)
         center[0], center[1] = 0.37 * R, -0.8 * R   # shifted off the origin
         d = BallDomain(N=N, center=center, radius=R)
         sec, kern = AxisSection.of_ball(d), AxisKernels.for_ball(d)
+        chord = AxisKernels(d, sec)
         t = center[0] + R * np.array([-0.4, 0.1, 0.6, 0.85])
         s = center[0] + R * np.array([0.2, -0.3, 0.0, -0.7])
-        g_jet = _g_jet(d, sec, t, s, order=2)
-        h_jet = _h_jet(d, sec, t, order=2)
+        g_jet = chord.g_jet(t, s, order=2)
+        h_jet = chord.h_jet(t, order=2)
         for f, entry in ((axis_g, 0), (axis_g_dt, 1), (axis_g_tt, 3),
                          (axis_g_ts, 5)):
             vec = f(d, sec, t, s)
@@ -286,9 +286,9 @@ class TestAxisSecondDerivatives:
         assert np.array_equal(kern.h(t), h_jet[0])
         for order in (0, 1, 2):
             for mine, module, full, n in (
-                    (kern.g_jet(t, s, order), _g_jet(d, sec, t, s, order),
+                    (kern.g_jet(t, s, order), chord.g_jet(t, s, order),
                      g_jet, (1, 3, 6)[order]),
-                    (kern.h_jet(t, order), _h_jet(d, sec, t, order),
+                    (kern.h_jet(t, order), chord.h_jet(t, order),
                      h_jet, order + 1)):
                 # each order is a prefix of the order-2 jet, bit for bit
                 assert len(mine) == len(module) == n
@@ -499,6 +499,9 @@ class TestDomainValidation:
         pytest.param(lambda: validate_A3(BallDomain.unit(3),
                                          AxisSection(-2.0, 2.0)),
                      DomainError, id="validate-section-beyond-chord"),
+        pytest.param(lambda: AxisKernels(BallDomain.unit(3),
+                                         AxisSection(-1.0, 1.5)),
+                     DomainError, id="kernels-section-beyond-chord"),
         pytest.param(lambda: BallDomain(N=3, center=np.zeros(3),
                                         radius=math.inf),
                      ParameterError, id="radius-infinite"),

@@ -11,7 +11,8 @@ Each of these checks runs in a fresh interpreter, so modules imported by
 other tests do not count.  Every name in an ``__all__`` resolves, the
 package re-exports each library module's ``__all__`` (every ``*.py`` of the
 package but ``__init__`` and ``cli``), binding all of them on the first
-package attribute, and no public name is exported twice.
+package attribute, and no public name is exported twice.  The reduced
+energies and the solver reach the ball only through its ``AxisKernels``.
 """
 
 import ast
@@ -146,7 +147,7 @@ print(json.dumps({"before": before, "bound": bound,
 def test_star_import_dir_and_all_give_one_surface():
     result = run_script(SURFACE)
     names = sorted(result["all"])
-    assert len(names) == len(set(names)) == 81
+    assert len(names) == len(set(names)) == 80
     assert result["star"] == sorted(result["dir"]) == names
     # Nothing is bound until the first attribute, which binds every name,
     # so later lookups are plain global reads.
@@ -181,6 +182,21 @@ def test_scipy_is_imported_only_by_the_polish():
                     owner = parent[owner]
                 sites.append((path.stem, getattr(owner, "name", None)))
     assert sites == [("saddle_solver", "_refine_level_min")]
+
+
+def test_reduced_layer_reads_the_ball_only_through_its_kernels():
+    # The reduced energies and the solver read the kernels' section, g, h,
+    # jets and Robin minimum, never the ball's geometry: a second domain
+    # then needs only another kernel object.
+    geometry = {"domain", "center", "radius", "kappa", "sigma"}
+    reads = []
+    for module in ("reduced_energy", "saddle_solver"):
+        path = SRC / "nodalbubbles" / f"{module}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads += [(module, node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in geometry]
+    assert reads == []
 
 
 LIBRARY_MODULES = sorted(p.stem for p in (SRC / "nodalbubbles").glob("*.py")

@@ -24,7 +24,6 @@ from nodalbubbles import (
     phi_penalty,
     psi_k,
     psi_tilde,
-    robin_min,
     scaling_products,
     spacing_margin,
 )
@@ -187,14 +186,14 @@ class TestGradients:
                 return real(*args, **kwargs)
             return f
 
-        for name in ("_g_jet", "_h_jet", "axis_g", "axis_h"):
-            monkeypatch.setattr(reduced_energy, name,
-                                counted(name, getattr(reduced_energy, name)))
+        for name in ("g_jet", "h_jet", "g", "h"):
+            monkeypatch.setattr(AxisKernels, name,
+                                counted(name, getattr(AxisKernels, name)))
         out = reduced_energy._quadratic_form(
             kern, np.ones((4, 4)), saddle_config.Lambda, saddle_config.t,
             order)
         assert len(out) == order + 1
-        assert sorted(calls) == ["_g_jet", "_h_jet"]
+        assert sorted(calls) == ["g_jet", "h_jet"]
 
     def test_grad_psi_k_matches_fd(self, kern):
         cfg = Configuration(k=2, signs=(1, -1), Lambda=(1.3, 2.1),
@@ -367,7 +366,7 @@ class TestSearchAndBounds:
             find_t0_r0(domain)
 
     def test_robin_min(self, kern):
-        assert robin_min(kern) == pytest.approx(1.0 / FOUR_PI, rel=1e-9)
+        assert kern.robin_min() == pytest.approx(1.0 / FOUR_PI, rel=1e-9)
 
     @pytest.mark.parametrize("N", (3, 5))
     def test_robin_min_off_center_ball(self, N):
@@ -378,8 +377,8 @@ class TestSearchAndBounds:
         a, b = kern.section.a, kern.section.b
         m = 1e-3 * (b - a)
         grid_min = float(np.min(kern.h(np.linspace(a + m, b - m, 20001))))
-        assert robin_min(kern) == pytest.approx(grid_min, rel=1e-12)
-        assert robin_min(kern) == pytest.approx(
+        assert kern.robin_min() == pytest.approx(grid_min, rel=1e-12)
+        assert kern.robin_min() == pytest.approx(
             kern.domain.kappa * 10.0 ** (2 - N), rel=1e-12)
 
     def test_robin_min_sub_chord_without_center(self, domain):
@@ -389,10 +388,10 @@ class TestSearchAndBounds:
         m = 1e-3 * 0.7
         grid_min = float(np.min(kern.h(np.linspace(0.2 + m, 0.9 - m,
                                                    20001))))
-        assert robin_min(kern) == pytest.approx(grid_min, rel=1e-12)
-        assert robin_min(kern) == kern.h(0.2 + m)
+        assert kern.robin_min() == pytest.approx(grid_min, rel=1e-12)
+        assert kern.robin_min() == kern.h(0.2 + m)
         flipped = AxisKernels(domain, AxisSection(a=-0.9, b=-0.2))
-        assert robin_min(flipped) == pytest.approx(grid_min, rel=1e-12)
+        assert flipped.robin_min() == pytest.approx(grid_min, rel=1e-12)
 
     def test_bounds_report_frozen(self, domain):
         rep = bounds_report(domain, None, 0.0, 0.06)
