@@ -205,14 +205,20 @@ def write_report(name: str, report: dict, config: RunConfig) -> Path:
     path = out_dir / f"{name}.json"
     path.write_text(text, encoding="utf-8")
     if config.format == "csv":
-        import csv
-        with open(out_dir / f"{name}.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["key", "value"])
-            writer.writerows([key, "" if value is None else repr(value)]
-                             for key, value in rows)
+        _write_csv(out_dir / f"{name}.csv", ["key", "value"],
+                   ([key, "" if value is None else repr(value)]
+                    for key, value in rows))
     return path
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    """Write ``header`` then ``rows`` as one CSV file: UTF-8, ``newline=""``.
+    The csv module is imported here, so a run that writes no CSV loads none."""
+    import csv
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +260,7 @@ def cmd_saddle(config: RunConfig) -> int:
     from .reduced_energy import (base_spacing_points, bounds_report,
                                  find_t0_r0, mu_embed)
     from .saddle_solver import (solve_saddle, stationarity_identities,
-                                verify_bounds, write_trace_csv)
+                                verify_bounds)
     domain = config.domain()
     N, R, c1 = domain.N, domain.radius, domain.center[0]
     unit = BallDomain.unit(N)
@@ -285,9 +291,11 @@ def cmd_saddle(config: RunConfig) -> int:
         "identities_max_deviation": float(np.max(np.abs(ids - 1.0))),
     }
     write_report("saddle", payload, config)
-    if config.trace:
-        out_dir = Path(config.out)
-        write_trace_csv(report, out_dir / "trace.csv")
+    if config.trace:    # the psi_tilde column holds Psi_k for any k
+        _write_csv(Path(config.out) / "trace.csv",
+                   ["iter", "psi_tilde", "grad_norm", "step"],
+                   ([i, *(f"{x:.17g}" for x in row)]
+                    for i, *row in report.trace))
     return EXIT_OK
 
 

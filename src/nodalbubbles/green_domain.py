@@ -57,8 +57,6 @@ __all__ = [
     "axis_g",
     "axis_h",
     "axis_g_dt",
-    "axis_g_tt",
-    "axis_g_ts",
     "axis_h_d1",
     "axis_h_d2",
     "validate_A3",
@@ -371,16 +369,6 @@ def axis_g_dt(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
     return _view(AxisKernels(d, sec).g_jet, 1, 1, t, s)
 
 
-def axis_g_tt(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
-    """∂²g/∂t² of the axis Green's function."""
-    return _view(AxisKernels(d, sec).g_jet, 2, 3, t, s)
-
-
-def axis_g_ts(d: BallDomain, sec: AxisSection, t, s) -> float | np.ndarray:
-    """∂²g/∂t∂s of the axis Green's function, symmetric in (t, s)."""
-    return _view(AxisKernels(d, sec).g_jet, 2, 5, t, s)
-
-
 def axis_h_d1(d: BallDomain, sec: AxisSection, t) -> float | np.ndarray:
     """First derivative of the diagonal Robin function h(t,t)."""
     return _view(AxisKernels(d, sec).h_jet, 1, 1, t)
@@ -410,14 +398,15 @@ def _finite_samples(check):
 
 
 @_finite_samples
-def validate_A3(d: BallDomain, sec: AxisSection, n_grid: int = 256,
+def validate_A3(d: BallDomain, sec: AxisSection | None, n_grid: int = 256,
                 n_pairs: int = 10_000) -> list[ValidationReport]:
     """Sample the two axis hypotheses: h'' > 0 and (t-s) ∂g/∂t < 0.
 
     ``n_grid`` uniform points of (a+m, b-m), m = 0.02 (b-a), feed the
     convexity check; a uniform ~sqrt(n_pairs) x sqrt(n_pairs) lattice of the
     same interval with the diagonal removed feeds the monotonicity check.
-    The margin m excludes the endpoints where h blows up.
+    The margin m excludes the endpoints where h blows up.  ``sec`` None is
+    the whole chord, as for :class:`AxisKernels`.
 
     Returns two reports, in order: convexity (worst = min h'', passes iff
     positive) and monotonicity (worst = max (t-s) ∂g/∂t, passes iff negative).
@@ -425,10 +414,10 @@ def validate_A3(d: BallDomain, sec: AxisSection, n_grid: int = 256,
     n_grid = _require_int("n_grid", n_grid, 16, ConfigurationError)
     n_pairs = _require_int("n_pairs", n_pairs, 1, ConfigurationError)
     kern = AxisKernels(d, sec)
-    width = sec.b - sec.a
-    m = 0.02 * width
+    a, b = kern.section.a, kern.section.b
+    m = 0.02 * (b - a)
 
-    ts = np.linspace(sec.a + m, sec.b - m, n_grid)
+    ts = np.linspace(a + m, b - m, n_grid)
     min_h2 = float(np.min(kern.h_jet(ts, 2)[2]))
     conv = ValidationReport(
         check="axis_robin_convexity (min h'' > 0)",
@@ -438,7 +427,7 @@ def validate_A3(d: BallDomain, sec: AxisSection, n_grid: int = 256,
     )
 
     side = max(2, int(math.isqrt(n_pairs)))
-    tt = np.linspace(sec.a + m, sec.b - m, side)
+    tt = np.linspace(a + m, b - m, side)
     T, S = np.meshgrid(tt, tt, indexing="ij")
     off = T != S
     prod = (T[off] - S[off]) * kern.g_jet(T[off], S[off], 1)[1]

@@ -627,8 +627,7 @@ def expansion_gap(cfg: Configuration, eps_list, table: ConstantsTable,
         "monotone_decreasing": all(d > 0 for d in decrements),
         "decrements": decrements,
         "max_refinement_delta": max_delta,
-        "refinement_below_decrement": (bool(decrements)
-                                       and max_delta < min(decrements)),
+        "refinement_below_decrement": max_delta < min(decrements),
     }
 
 

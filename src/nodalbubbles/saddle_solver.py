@@ -25,6 +25,9 @@ The coercivity probe samples the minimum of Ψ̃ on the level sets
 {Φ = M/2} of the penalty for increasing M; the minima must increase,
 which is the observable trace of the coercivity of the construction.  Its
 samples go through one batched evaluator with closed-form level crossings.
+
+The module does no I/O: a :class:`SaddleReport` holds its trace rows, and
+the ``saddle`` command writes them to ``trace.csv``.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ __all__ = [
     "stationarity_identities",
     "verify_bounds",
     "coercivity_scan",
-    "write_trace_csv",
 ]
 
 
@@ -76,7 +78,8 @@ class SaddleReport:
     warnings: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        """The fields in order but ``trace``, which goes to trace.csv."""
+        """The fields in order but ``trace``, whose rows the CLI writes to
+        trace.csv."""
         d = asdict(self)
         del d["trace"]
         d.update(config=self.config.to_json_dict(), inertia=list(self.inertia))
@@ -290,18 +293,6 @@ def verify_bounds(report: SaddleReport, bounds: BoundsReport) -> bool:
             f"critical value {report.value:.9g} outside the a-priori "
             f"bracket [{bounds.lower:.9g}, {bounds.upper:.9g}]")
     return ok
-
-
-def write_trace_csv(report: SaddleReport, path) -> None:
-    """Dump the iteration trace as CSV rows (iter, psi_tilde, grad_norm, step);
-    the ``psi_tilde`` column, named by the schema, holds Ψ_k for any k."""
-    import csv
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iter", "psi_tilde", "grad_norm", "step"])
-        for row in report.trace:
-            w.writerow([row[0], f"{row[1]:.17g}", f"{row[2]:.17g}",
-                        f"{row[3]:.17g}"])
 
 
 # ---------------------------------------------------------------------------

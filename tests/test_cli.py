@@ -19,7 +19,11 @@ from nodalbubbles.cli import (
     write_report,
 )
 from nodalbubbles.errors import ConfigurationError
-from nodalbubbles.reduced_energy import AxisKernels, Configuration, psi_tilde
+from nodalbubbles.green_domain import BallDomain
+from nodalbubbles.reduced_energy import (AxisKernels, Configuration,
+                                         base_spacing_points, find_t0_r0,
+                                         mu_embed, psi_tilde)
+from nodalbubbles.saddle_solver import solve_saddle
 from conftest import SADDLE_VALUE
 
 
@@ -282,6 +286,16 @@ class TestAssumptionsCommand:
             assert read_json(out / "assumptions.json")["report"]["all_passed"]
 
 
+# The Newton trace of ``saddle`` on the N = 3 unit ball (frozen pipeline
+# output): the step of each row (the start row's is 0) and Psi_k at each
+# iterate, from the start mu_embed(1, 1, 1, base_spacing_points(t0, r0)).
+TRACE_STEPS = (0.0, 1.0, 1.0, 1.0, 0.5, 0.125, 1.0, 1.0, 1.0, 1.0, 1.0)
+TRACE_PSI = (3.095271743422214, 1.7430598600110987, 0.5286746699824123,
+             -0.39918584172758775, -0.8092873073868097, -0.8033474725103571,
+             -0.8531454060484034, -0.8522906297297024, -0.8522695462068872,
+             -0.8522695441005443, -0.8522695441005439)
+
+
 @pytest.fixture(scope="module")
 def outdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("saddle_run")
@@ -309,6 +323,23 @@ class TestSaddleCommand:
         assert rows[0] == ["iter", "psi_tilde", "grad_norm", "step"]
         assert len(rows) >= 3
         assert float(rows[-1][2]) <= 1e-8
+
+    def test_canonical_newton_trace(self, outdir):
+        # The CLI's start on the N = 3 unit ball takes 10 Newton steps with
+        # these step lengths and Psi_k values, and trace.csv holds the
+        # report's trace rows with %.17g numbers.
+        unit = BallDomain.unit(3)
+        init = mu_embed(1.0, 1.0, 1.0, base_spacing_points(*find_t0_r0(unit)))
+        report = solve_saddle(unit, None, init)
+        assert report.iterations == 10
+        assert [row[0] for row in report.trace] == list(range(11))
+        assert tuple(row[3] for row in report.trace) == TRACE_STEPS
+        assert [row[1] for row in report.trace] == pytest.approx(
+            TRACE_PSI, rel=1e-12, abs=0.0)
+        with open(outdir / "trace.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [[str(i), *(f"{x:.17g}" for x in row)]
+                            for i, *row in report.trace]
 
     @pytest.mark.parametrize("flags", [["--dim", "5"]], ids=["dim5"])
     def test_local_minimum_is_not_reported(self, tmp_path, capsys, flags):

@@ -17,8 +17,6 @@ from nodalbubbles import (
     SingularityError,
     axis_g,
     axis_g_dt,
-    axis_g_ts,
-    axis_g_tt,
     axis_h,
     axis_h_d1,
     axis_h_d2,
@@ -233,7 +231,8 @@ class TestAxisKernels:
 
 
 class TestAxisSecondDerivatives:
-    """∂²g/∂t² and ∂²g/∂t∂s against central differences of ∂g/∂t."""
+    """∂²g/∂t² and ∂²g/∂t∂s, entries 3 and 5 of the order-2 g jet, against
+    central differences of ∂g/∂t."""
 
     @pytest.mark.parametrize("N", range(3, 9))
     @pytest.mark.parametrize("R", (0.5, 1.0, 3.0))
@@ -242,6 +241,7 @@ class TestAxisSecondDerivatives:
         center[0], center[1] = 0.37 * R, -0.8 * R   # shifted off the origin
         d = BallDomain(N=N, center=center, radius=R)
         sec = AxisSection.of_ball(d)
+        kern = AxisKernels(d, sec)
         c1, h = center[0], 1e-5 * R
         pairs = [(-0.7, -0.2), (-0.3, 0.4), (0.1, 0.15), (0.6, -0.5),
                  (0.85, 0.2)]
@@ -251,10 +251,11 @@ class TestAxisSecondDerivatives:
                      - axis_g_dt(d, sec, t - h, s)) / (2 * h)
             fd_ts = (axis_g_dt(d, sec, t, s + h)
                      - axis_g_dt(d, sec, t, s - h)) / (2 * h)
-            assert axis_g_tt(d, sec, t, s) == pytest.approx(fd_tt, rel=1e-6)
-            assert axis_g_ts(d, sec, t, s) == pytest.approx(fd_ts, rel=1e-6)
-            assert axis_g_ts(d, sec, t, s) == pytest.approx(
-                axis_g_ts(d, sec, s, t), rel=1e-14)
+            jet = kern.g_jet(t, s, order=2)
+            assert jet[3][0] == pytest.approx(fd_tt, rel=1e-6)
+            assert jet[5][0] == pytest.approx(fd_ts, rel=1e-6)
+            assert jet[5][0] == pytest.approx(
+                kern.g_jet(s, t, order=2)[5][0], rel=1e-14)
 
     @pytest.mark.parametrize("N", range(3, 9))
     @pytest.mark.parametrize("R", (0.5, 1.0, 3.0))
@@ -270,8 +271,7 @@ class TestAxisSecondDerivatives:
         s = center[0] + R * np.array([0.2, -0.3, 0.0, -0.7])
         g_jet = chord.g_jet(t, s, order=2)
         h_jet = chord.h_jet(t, order=2)
-        for f, entry in ((axis_g, 0), (axis_g_dt, 1), (axis_g_tt, 3),
-                         (axis_g_ts, 5)):
+        for f, entry in ((axis_g, 0), (axis_g_dt, 1)):
             vec = f(d, sec, t, s)
             assert vec.shape == (4,)
             assert np.array_equal(vec, g_jet[entry]), f.__name__
@@ -281,7 +281,7 @@ class TestAxisSecondDerivatives:
             assert np.array_equal(vec, h_jet[entry]), f.__name__
         # ∂g/∂s and ∂²g/∂s² are the t-derivatives with t and s swapped.
         assert np.array_equal(g_jet[2], axis_g_dt(d, sec, s, t))
-        assert np.array_equal(g_jet[4], axis_g_tt(d, sec, s, t))
+        assert np.array_equal(g_jet[4], chord.g_jet(s, t, order=2)[3])
         assert np.array_equal(kern.g(t, s), g_jet[0])
         assert np.array_equal(kern.h(t), h_jet[0])
         for order in (0, 1, 2):
@@ -312,8 +312,7 @@ class TestAxisSecondDerivatives:
         # a bubble about 0.3 R on the axis, at half-section points (z, r)
         bubble = ProjectedBubbleExact(N=N, R=R, m=0.05 * R, t=0.3 * R)
         z, r = t - center[0], 0.3 * np.abs(s - center[0])
-        calls = ([(f, (d, sec), (t, s)) for f in (axis_g, axis_g_dt,
-                                                  axis_g_tt, axis_g_ts)]
+        calls = ([(f, (d, sec), (t, s)) for f in (axis_g, axis_g_dt)]
                  + [(f, (d, sec), (t,)) for f in (axis_h, axis_h_d1,
                                                   axis_h_d2)]
                  + [(f, (d,), (x, y)) for f in (green_G, robin_H,
@@ -332,14 +331,22 @@ class TestAxisSecondDerivatives:
                     # bubble_profile does
                     assert type(one) is (np.float64 if fixed == () else float)
                     assert one == vec[n], (f.__name__, n)
+        # A jet returns a scalar point as a batch of one: ∂²g/∂t² and
+        # ∂²g/∂t∂s, entries 3 and 5, carry the bits of the batched jet.
+        kern = AxisKernels(d, sec)
+        jet = kern.g_jet(t, s, order=2)
+        for n in range(64):
+            one = kern.g_jet(float(t[n]), float(s[n]), order=2)
+            for entry in (3, 5):
+                assert one[entry].shape == (1,)
+                assert one[entry][0] == jet[entry][n], (entry, n)
 
     def test_coincident_and_outside_rejected(self, domain):
-        sec = AxisSection.of_ball(domain)
-        for f in (axis_g_tt, axis_g_ts):
-            with pytest.raises(SingularityError):
-                f(domain, sec, 0.2, 0.2)
-            with pytest.raises(DomainError):
-                f(domain, sec, 1.2, 0.2)
+        kern = AxisKernels(domain, AxisSection.of_ball(domain))
+        with pytest.raises(SingularityError):
+            kern.g_jet(0.2, 0.2, order=2)
+        with pytest.raises(DomainError):
+            kern.g_jet(1.2, 0.2, order=2)
 
 
 class TestHypothesisChecks:
@@ -350,6 +357,12 @@ class TestHypothesisChecks:
         assert monotonicity.passed and monotonicity.worst_value < 0.0
         assert convexity.sample_count >= 256
         assert monotonicity.sample_count >= 9000
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (0.3, 0.1, 0.0)])
+    def test_validate_a3_none_is_the_whole_chord(self, center):
+        # As for AxisKernels and the reduced layer, no section is the chord.
+        d = BallDomain(N=3, center=center, radius=1.5)
+        assert validate_A3(d, None) == validate_A3(d, AxisSection.of_ball(d))
 
     def test_boundary_expansion_passes(self, domain):
         reports = check_boundary_expansion(domain)

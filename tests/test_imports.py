@@ -12,7 +12,8 @@ other tests do not count.  Every name in an ``__all__`` resolves, the
 package re-exports each library module's ``__all__`` (every ``*.py`` of the
 package but ``__init__`` and ``cli``), binding all of them on the first
 package attribute, and no public name is exported twice.  The reduced
-energies and the solver reach the ball only through its ``AxisKernels``.
+energies and the solver reach the ball only through its ``AxisKernels``,
+and only ``cli`` writes files.
 """
 
 import ast
@@ -147,7 +148,7 @@ print(json.dumps({"before": before, "bound": bound,
 def test_star_import_dir_and_all_give_one_surface():
     result = run_script(SURFACE)
     names = sorted(result["all"])
-    assert len(names) == len(set(names)) == 80
+    assert len(names) == len(set(names)) == 77
     assert result["star"] == sorted(result["dir"]) == names
     # Nothing is bound until the first attribute, which binds every name,
     # so later lookups are plain global reads.
@@ -201,6 +202,22 @@ def test_reduced_layer_reads_the_ball_only_through_its_kernels():
 
 LIBRARY_MODULES = sorted(p.stem for p in (SRC / "nodalbubbles").glob("*.py")
                          if p.stem not in ("__init__", "cli"))
+
+
+@pytest.mark.parametrize("module", LIBRARY_MODULES)
+def test_library_modules_write_no_file(module):
+    # cli writes every report, CSV twin and trace.csv; the library opens no
+    # file and imports no csv.
+    writers = {"open", "write_text", "write_bytes", "mkdir"}
+    tree = ast.parse((SRC / "nodalbubbles" / f"{module}.py")
+                     .read_text(encoding="utf-8"))
+    sites = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in writers
+             or isinstance(node, ast.Attribute) and node.attr in writers
+             or isinstance(node, ast.Import)
+             and any(a.name == "csv" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "csv"]
+    assert sites == []
 
 
 @pytest.mark.parametrize("module", ["__init__", "cli"] + LIBRARY_MODULES)

@@ -1,6 +1,5 @@
 """Newton saddle search: frozen canonical point, identities, coercivity."""
 
-import csv
 import math
 from types import SimpleNamespace
 
@@ -35,7 +34,6 @@ from nodalbubbles import (
     solve_saddle_multistart,
     stationarity_identities,
     verify_bounds,
-    write_trace_csv,
 )
 from conftest import SADDLE_LAMBDA, SADDLE_T, SADDLE_VALUE
 
@@ -129,16 +127,10 @@ class TestCanonicalSaddle:
         g = grad_psi_tilde(saddle_report.config, kern)
         assert np.linalg.norm(g) <= 1e-8
 
-    def test_trace_recorded(self, saddle_report, tmp_path):
+    def test_trace_recorded(self, saddle_report):
         assert len(saddle_report.trace) == saddle_report.iterations + 1
         first, last = saddle_report.trace[0], saddle_report.trace[-1]
         assert first[0] == 0 and last[2] <= 1e-8
-        path = tmp_path / "trace.csv"
-        write_trace_csv(saddle_report, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["iter", "psi_tilde", "grad_norm", "step"]
-        assert len(rows) == len(saddle_report.trace) + 1
 
     def test_report_serialization(self, saddle_report):
         d = saddle_report.to_json_dict()
