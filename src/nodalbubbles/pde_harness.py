@@ -242,13 +242,22 @@ class ProjectedBubbleExact:
         return bubble_profile(self.N, self.m, (z - self.t) ** 2 + r * r)
 
     def w(self, z, r):
-        """The harmonic correction (boundary trace of ``u``, extended)."""
+        """The harmonic correction (boundary trace of ``u``, extended).
+
+        Raises :class:`DomainError` at a point where ``q < m^2/2``, near
+        the pole of the Kelvin image.  Over the ball's enclosing rectangle
+        ``q >= m^2 + (R - |t|)^2`` (the vertex of ``q`` in ``z`` lies past
+        ``±R``), so no point of the ball or of a grid is refused.
+        """
         z, r = _require_array("z", z), _require_array("r", r)
         _require_broadcast(z=z, r=r, m=self.m, t=self.t)
         z, r = np.broadcast_arrays(z, r)  # _in_frame's buffer starts from z
         (c, q0), _, _ = self._kelvin      # q about the ball's center
-        return _over_q(self.N, self.m,
-                       _in_frame(c, -2.0 * self.t, q0, z * z + r * r, z))
+        q = _in_frame(c, -2.0 * self.t, q0, z * z + r * r, z)
+        if np.any(q < 0.5 * self.m * self.m):
+            raise DomainError(
+                "point too near the pole of the Kelvin image: q < m^2/2")
+        return _over_q(self.N, self.m, q)
 
     def pu(self, z, r):
         """The projection ``u - w``; zero on the sphere, positive inside."""
@@ -583,7 +592,11 @@ def expansion_gap(cfg: Configuration, eps_list, table: ConstantsTable,
     ``gap = o(1)``; measured at the N = 3 saddle, gap / (eps |log eps|) stays
     within -9.5..-10.3 for eps = 0.1..0.0004.  Each row carries the gap at
     two refinements; their difference separates quadrature error from the
-    genuine remainder.  ``domain`` defaults to the unit ball.
+    genuine remainder.  The expansion is asymptotic only while the cores
+    are concentrated, so each row also carries ``core_ratio``, the largest
+    core width over its room (the distance to the sphere or to the nearest
+    other center, whichever is smaller), and ``concentrated``, whether
+    ``core_ratio <= 0.5``.  ``domain`` defaults to the unit ball.
     """
     if domain is None:
         domain = BallDomain.unit(table.N)
@@ -608,6 +621,12 @@ def expansion_gap(cfg: Configuration, eps_list, table: ConstantsTable,
             lead = k * E - 0.5 * k * omega * eps * math.log(eps) - k * gamma * eps
             return (I - lead) / (omega * eps) - psi
 
+        fam = projected_bubbles_of_config(domain, cfg, table, eps)
+        m, t = fam.m[:, 0], fam.t[:, 0]
+        apart = np.abs(t[:, None] - t)
+        np.fill_diagonal(apart, np.inf)
+        room = np.minimum(domain.radius - np.abs(t), apart.min(axis=1))
+        core_ratio = float(np.max(m / room))
         rows.append({
             "eps": eps,
             "I": I2,
@@ -615,6 +634,8 @@ def expansion_gap(cfg: Configuration, eps_list, table: ConstantsTable,
             "gap_coarse": gap_of(I1),
             "refinement_delta": abs(gap_of(I2) - gap_of(I1)),
             "K_sym_defect": max(info1["K_sym_defect"], info2["K_sym_defect"]),
+            "core_ratio": core_ratio,
+            "concentrated": core_ratio <= 0.5,
         })
 
     gaps = [abs(r["gap"]) for r in rows]
@@ -761,8 +782,8 @@ class AxisymGrid:
         self.z_nodes = np.broadcast_to(self.zs[:, None], (self.nz, self.nr))
         self.r_nodes = np.broadcast_to(self.rs, (self.nz, self.nr))
         # Offsets from the center written symmetrically, not as z - zc, whose
-        # rounding can admit a node of the frame; the frame rows and the
-        # last column stay outside in any case.
+        # rounding can admit a node of the frame; exactly odd in the row
+        # index, they make both node sets their own mirror images (_factor).
         dz = self.hz * (np.arange(self.nz) - 0.5 * (self.nz - 1))
         self.interior = dz[:, None] ** 2 + self.r_nodes ** 2 < R * R
         self.interior[[0, -1], :] = False
@@ -774,6 +795,8 @@ class AxisymGrid:
         nb[:, 1:] |= self.interior[:, :-1]
         nb[:, :-1] |= self.interior[:, 1:]
         self.boundary = (~self.interior) & nb
+        self.interior.flags.writeable = False
+        self.boundary.flags.writeable = False
 
         self.n_interior = int(np.count_nonzero(self.interior))
 
@@ -827,10 +850,10 @@ class AxisymGrid:
         ``j <= j'``, ``G_k[j, j'] = G_k[j', j'] prod_{l=j}^{j'-1} b_l/p_l``.
 
         The grid is symmetric under the reflection ``z -> -z`` about the
-        center, which maps rectangle row ``i`` to ``nz-3-i``, so every node
-        ``a`` of ``Γ`` below the center has a mirror node ``Ma`` above it
-        (a node without a mirror, or on the center row, raises
-        :class:`SolverDivergenceError`).  The odd sine modes are even under
+        center, which maps rectangle row ``i`` to ``nz-3-i``; by the
+        construction of the (read-only) node sets, ``Γ`` has no node on the
+        center row, and every node ``a`` of ``Γ`` below the center has a
+        mirror node ``Ma`` above it.  The odd sine modes are even under
         the reflection and the even modes odd, so ``C`` splits exactly: on
         the sums ``x_a + x_Ma`` it acts as ``E = 2 sum_{k odd}`` and on the
         differences as ``O = 2 sum_{k even}`` of the half's rows, two
@@ -866,13 +889,8 @@ class AxisymGrid:
             g = b[j] * e / p
             np.divide(1.0, p, out=inv_pivots[j])
 
-        gam = self.boundary[1:-1, :-1]
-        if not np.array_equal(gam, gam[::-1]) or (nz2 % 2
-                                                  and gam[nz2 // 2].any()):
-            raise SolverDivergenceError(
-                "staircase boundary not mirror-paired: a node has no mirror "
-                "image or lies on the center row")
-        gj, gi = np.nonzero(gam[:nz2 // 2].T)   # the half below, sorted by j
+        # Γ's half below the center, sorted by j
+        gj, gi = np.nonzero(self.boundary[1:nz2 // 2 + 1, :-1].T)
         # sin((pi/n) m), m < 2n, indexed by exactly reduced integer arguments
         sines = np.sin((np.pi / n) * np.arange(2 * n))
         factors = []
@@ -1127,7 +1145,7 @@ def residual_norm(V: Field, eps: float, *, relative: bool = False) -> float:
     grid = V.grid
     mask = grid.interior
     vol = grid.cell_volumes[mask]
-    lap = grid._flux(V.values)[mask] / vol
+    lap = grid.minus_laplacian(V.values)[mask]
     u = V.values[mask]
     nl = np.abs(u) ** (two_star(grid.domain.N) - 2.0 - eps) * u
     num = math.sqrt(float(np.sum(vol * (lap - nl) ** 2)))

@@ -402,6 +402,22 @@ class TestVerifyCommand:
         assert gap["monotone_decreasing"] is True
         assert rep["projection_rate"]["constant_stable_within_factor_2"]
 
+    def test_gap_rows_flag_wide_cores(self, tmp_path):
+        # At N = 50 the centered k = 1 core is 0.79 of the radius wide at
+        # eps = 0.05: the run succeeds and its gap rows say so.
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({
+            "dim": 50, "eps": [0.05, 0.025],
+            "configuration": {"k": 1, "signs": [1],
+                              "Lambda": [math.sqrt(4 * math.pi)], "t": [0.0]},
+        }))
+        assert main(["verify", "--config", str(cfg_file),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        rows = read_json(
+            tmp_path / "verify.json")["report"]["expansion_gap"]["rows"]
+        assert [r["concentrated"] for r in rows] == [False, False]
+        assert all(r["core_ratio"] > 0.5 for r in rows)
+
     def test_reads_saddle_output(self, tmp_path):
         assert main(["saddle", "--out", str(tmp_path)]) == EXIT_OK
         rc = main(["verify", "--out", str(tmp_path), "--eps", "0.1",
@@ -533,12 +549,14 @@ class TestVerifyCommand:
         ((513, 257), (0.1, 0.05, 0.025)), ((129, 65), (0.2, 0.1))],
         ids=["513x257", "129x65"])
     @pytest.mark.parametrize("run", [
-        {}, {"dim": 4, "radius": 2.0}, {"center": [0.3, 0.0, 0.0]}],
-        ids=["unit3", "dim4-radius2", "off-center"])
+        {}, {"dim": 4, "radius": 2.0}, {"center": [0.3, 0.0, 0.0]},
+        {"dim": 5}, {"dim": 6}],
+        ids=["unit3", "dim4-radius2", "off-center", "dim5", "dim6"])
     def test_rate_rows_are_the_sup_over_the_active_nodes(self, tmp_path, run,
                                                          grid, eps):
-        # Each row's sup_diff, the probe's largest staircase-boundary value,
-        # is the same float as max |PU - U| over interior and boundary nodes.
+        # Each row's sup_diff, the probe at the staircase-boundary node
+        # nearest the center, is the same float as max |PU - U| over interior
+        # and boundary nodes.
         from nodalbubbles.pde_harness import (AxisymGrid, BubbleParams,
                                               bubble_profile, project_bubble)
         cfg_file = tmp_path / "run.json"

@@ -88,6 +88,13 @@ def ball_at(z, radius=1.0):
     return BallDomain(N=3, center=np.array([z, 0.0, 0.0]), radius=radius)
 
 
+# The grids of the solver tests beside the default 513 x 257 unit ball.
+OTHER_GRIDS = [(ball_at(0.0), 513, 33), (ball_at(0.0), 33, 513),
+               (ball_at(0.0), 1025, 65), (ball_at(0.0), 64, 33),
+               (ball_at(0.0), 9, 5), (ball_at(-1.8), 513, 257),
+               (ball_at(-1.7), 513, 257), (ball_at(3.22, 0.3), 513, 257)]
+
+
 def sparse_operator(g):
     """The interior operator of ``g`` as a sparse matrix, assembled node by
     node from the face coefficients (the reference for the grid solver)."""
@@ -144,6 +151,25 @@ class TestExactProjection:
         w = b.w(z, r)
         const = alpha_N(3) * math.sqrt(m) / math.sqrt(m * m + 1.0)
         assert np.allclose(w, const, rtol=1e-13)
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_refuses_the_kelvin_pole(self, N):
+        # Off the ball on the axis, q falls to 1.3e-13 here: w read 1e6 to
+        # 1e12 where it now raises.
+        b = ProjectedBubbleExact(N=N, R=1.0, m=0.1, t=0.5)
+        for f in (b.w, b.pu):
+            with pytest.raises(DomainError, match="pole"):
+                f(np.array([2.02655]), np.array([0.0]))
+
+    def test_accepts_the_enclosing_rectangle(self):
+        # Every node of a 129 x 65 rectangle about an off-center family, the
+        # corners and the sphere's axis points (where q is least) included.
+        R = 1.3
+        fam = ProjectedBubbleExact(N=5, R=R, m=np.array([[0.01], [0.2]]),
+                                   t=np.array([[1.25], [-0.7]]))
+        z, r = np.meshgrid(np.linspace(-R, R, 129), np.linspace(0.0, R, 65))
+        w = fam.w(z.ravel(), r.ravel())
+        assert np.all(np.isfinite(w)) and np.all(w > 0.0)
 
     def test_maximum_principle(self):
         b = ProjectedBubbleExact(N=3, R=1.0, m=0.05, t=0.2)
@@ -580,6 +606,11 @@ class TestExpansionGap:
         assert gaps[2] == pytest.approx(-0.16614880242346937, abs=1e-4)
         assert rep["monotone_decreasing"]
         assert rep["refinement_below_decrement"]
+        # One centered core: its width m = c_N Lambda^2 eps over the radius.
+        for row in rep["rows"]:
+            assert row["core_ratio"] == pytest.approx(
+                table3.cN * LAMBDA_STAR ** 2 * row["eps"], rel=1e-12)
+            assert row["concentrated"] is True
 
     def test_k4_saddle(self, table3, domain, saddle_config):
         rep = expansion_gap(saddle_config, [0.1, 0.05, 0.025], table3,
@@ -591,6 +622,11 @@ class TestExpansionGap:
         assert rep["monotone_decreasing"]
         assert rep["max_refinement_delta"] < 1e-10
         assert rep["refinement_below_decrement"]
+        # The largest core over its room, frozen: each row is concentrated.
+        assert [row["core_ratio"] for row in rep["rows"]] == pytest.approx(
+            [0.022332363212153462, 0.011166181606076731,
+             0.005583090803038366], rel=1e-12)
+        assert all(row["concentrated"] is True for row in rep["rows"])
 
     def test_eps_list_validation(self, table3):
         with pytest.raises(ParameterError):
@@ -663,12 +699,8 @@ class TestAxisymGrid:
         # The capacitance solver against SuperLU on an independently
         # assembled sparse operator, on square, flat, tall and long grids,
         # on an even nz (no center row), on a tiny grid and on shifted balls.
-        others = [(ball_at(0.0), 513, 33), (ball_at(0.0), 33, 513),
-                  (ball_at(0.0), 1025, 65), (ball_at(0.0), 64, 33),
-                  (ball_at(0.0), 9, 5), (ball_at(-1.8), 513, 257),
-                  (ball_at(-1.7), 513, 257), (ball_at(3.22, 0.3), 513, 257)]
         for g in [grid513] + [AxisymGrid.for_ball(d, nz=nz, nr=nr)
-                              for d, nz, nr in others]:
+                              for d, nz, nr in OTHER_GRIDS]:
             A = sparse_operator(g)
             b = np.random.default_rng(0).normal(size=g.n_interior)
             x = g._solve(b)
@@ -739,14 +771,20 @@ class TestAxisymGrid:
         pde_harness._dst1(y)
         assert np.linalg.norm(y - x) <= 1e-15 * np.linalg.norm(x)
 
-    @pytest.mark.parametrize("row", [2, 32], ids=["unpaired", "center-row"])
-    def test_boundary_without_mirror_raises(self, domain, row):
-        # The mirror split needs every node of Γ paired with another; a node
-        # without a mirror image, or one on the center row, stops the set-up.
+    def test_node_sets_are_read_only(self, domain):
         g = AxisymGrid.for_ball(domain, nz=65, nr=33)
-        g.boundary[row, 0] = True
-        with pytest.raises(SolverDivergenceError, match="mirror"):
-            solve_dirichlet_laplace(g, Field(g, np.ones((g.nz, g.nr))))
+        for nodes in (g.interior, g.boundary):
+            with pytest.raises(ValueError, match="read-only"):
+                nodes[2, 0] = True
+
+    def test_boundary_is_its_own_mirror(self):
+        # The mirror split of the set-up reads Γ as pairs of nodes about the
+        # center, with none on the center row, on every solver test grid.
+        for d, nz, nr in [(ball_at(0.0), 513, 257)] + OTHER_GRIDS:
+            gam = AxisymGrid.for_ball(d, nz=nz, nr=nr).boundary[1:-1, :-1]
+            assert np.array_equal(gam, gam[::-1])
+            if nz % 2:
+                assert not gam[(nz - 2) // 2].any()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale", [math.nan, -1.0])
