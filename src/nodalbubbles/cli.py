@@ -358,8 +358,8 @@ def cmd_verify(config: RunConfig) -> int:
     # staircase-boundary node nearest the center, its largest there: PU is 0
     # on that boundary, and inside |PU - U| is the discrete harmonic
     # correction, which the maximum principle bounds by it.
-    d2 = float(np.min((grid.z_nodes[grid.boundary] - domain.center[0]) ** 2
-                      + grid.r_nodes[grid.boundary] ** 2))
+    d2 = float(np.min((grid.z_offsets[:, None] ** 2
+                       + grid.r_nodes ** 2)[grid.boundary]))
     rate_rows = []
     residual_rows = []
     for eps, p in zip(config.eps, params):

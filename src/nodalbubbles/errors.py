@@ -42,7 +42,7 @@ class ParameterError(NodalBubblesError, ValueError):
 
 
 class ConfigurationError(NodalBubblesError, ValueError):
-    """A run configuration or request is malformed (e.g. empty sample window)."""
+    """A run configuration is malformed (e.g. an unreadable config file)."""
 
 
 class DomainError(NodalBubblesError, ValueError):

@@ -41,9 +41,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bubble_core import sigma_N
-from .errors import (ConfigurationError, DomainError, ParameterError,
-                     SingularityError, _require_array, _require_broadcast,
-                     _require_int, _require_real, _require_reals)
+from .errors import (DomainError, ParameterError, SingularityError,
+                     _require_array, _require_broadcast, _require_int,
+                     _require_real, _require_reals)
 
 __all__ = [
     "BallDomain",
@@ -397,37 +397,39 @@ def _finite_samples(check):
     return run
 
 
+_A3_POINTS = 256            # validate_A3 convexity: points of the section
+_A3_SIDE = 100              # validate_A3 monotonicity: a side x side lattice
+_DIRECTIONAL_PAIRS = 1000   # check_directional_monotonicity: pairs drawn
+
+
 @_finite_samples
-def validate_A3(d: BallDomain, sec: AxisSection | None, n_grid: int = 256,
-                n_pairs: int = 10_000) -> list[ValidationReport]:
+def validate_A3(d: BallDomain,
+                sec: AxisSection | None) -> list[ValidationReport]:
     """Sample the two axis hypotheses: h'' > 0 and (t-s) ∂g/∂t < 0.
 
-    ``n_grid`` uniform points of (a+m, b-m), m = 0.02 (b-a), feed the
-    convexity check; a uniform ~sqrt(n_pairs) x sqrt(n_pairs) lattice of the
-    same interval with the diagonal removed feeds the monotonicity check.
-    The margin m excludes the endpoints where h blows up.  ``sec`` None is
-    the whole chord, as for :class:`AxisKernels`.
+    256 uniform points of (a+m, b-m), m = 0.02 (b-a), feed the convexity
+    check; a uniform 100 x 100 lattice of the same interval with the
+    diagonal removed (9,900 pairs) feeds the monotonicity check.  The
+    margin m excludes the endpoints where h blows up.  ``sec`` None is the
+    whole chord, as for :class:`AxisKernels`.
 
     Returns two reports, in order: convexity (worst = min h'', passes iff
     positive) and monotonicity (worst = max (t-s) ∂g/∂t, passes iff negative).
     """
-    n_grid = _require_int("n_grid", n_grid, 16, ConfigurationError)
-    n_pairs = _require_int("n_pairs", n_pairs, 1, ConfigurationError)
     kern = AxisKernels(d, sec)
     a, b = kern.section.a, kern.section.b
     m = 0.02 * (b - a)
 
-    ts = np.linspace(a + m, b - m, n_grid)
+    ts = np.linspace(a + m, b - m, _A3_POINTS)
     min_h2 = float(np.min(kern.h_jet(ts, 2)[2]))
     conv = ValidationReport(
         check="axis_robin_convexity (min h'' > 0)",
-        sample_count=n_grid,
+        sample_count=_A3_POINTS,
         worst_value=min_h2,
         passed=bool(min_h2 > 0.0),
     )
 
-    side = max(2, int(math.isqrt(n_pairs)))
-    tt = np.linspace(a + m, b - m, side)
+    tt = np.linspace(a + m, b - m, _A3_SIDE)
     T, S = np.meshgrid(tt, tt, indexing="ij")
     off = T != S
     prod = (T[off] - S[off]) * kern.g_jet(T[off], S[off], 1)[1]
@@ -526,25 +528,24 @@ def check_boundary_expansion(d: BallDomain) -> list[ValidationReport]:
 
 
 @_finite_samples
-def check_directional_monotonicity(d: BallDomain, n_samples: int = 1000,
+def check_directional_monotonicity(d: BallDomain,
                                    seed: int = 0) -> ValidationReport:
     """Sample (x-y)·∇_x G(x,y) < 0 on random interior pairs.
 
     On a convex domain the directional derivative of G along the ray from y
     is strictly negative away from the singularity.  Both points are drawn
     uniformly from the ball of radius 0.999 R (a Gaussian direction times
-    0.999 R U^{1/N}), so the cost does not grow with N.  One draw of
-    ``n_samples`` pairs is made and pairs closer than 1e-6 R are dropped;
-    the report counts the pairs kept, and its worst value is their maximum
-    (passes iff negative).
+    0.999 R U^{1/N}), so the cost does not grow with N.  One draw of 1,000
+    pairs is made and pairs closer than 1e-6 R are dropped; the report
+    counts the pairs kept, and its worst value is their maximum (passes iff
+    negative).
     """
-    n_samples = _require_int("n_samples", n_samples, 1, ConfigurationError)
     rng = np.random.default_rng(_require_int("seed", seed, 0))
     R, c = d.radius, d.center
 
     def draw():
-        g = rng.standard_normal((n_samples, d.N))
-        rad = 0.999 * R * rng.random(n_samples) ** (1.0 / d.N)
+        g = rng.standard_normal((_DIRECTIONAL_PAIRS, d.N))
+        rad = 0.999 * R * rng.random(_DIRECTIONAL_PAIRS) ** (1.0 / d.N)
         return g * (rad / np.linalg.norm(g, axis=1))[:, None]
 
     x, y = draw(), draw()

@@ -579,7 +579,7 @@ def residual_quadrature(domain: BallDomain, cfg: Configuration,
 
 
 def expansion_gap(cfg: Configuration, eps_list, table: ConstantsTable,
-                  domain: BallDomain | None = None) -> dict:
+                  domain: BallDomain) -> dict:
     """Deviation of the computed energy from its first-order expansion.
 
     For each ``eps`` (the list must be strictly decreasing) computes
@@ -596,10 +596,8 @@ def expansion_gap(cfg: Configuration, eps_list, table: ConstantsTable,
     are concentrated, so each row also carries ``core_ratio``, the largest
     core width over its room (the distance to the sphere or to the nearest
     other center, whichever is smaller), and ``concentrated``, whether
-    ``core_ratio <= 0.5``.  ``domain`` defaults to the unit ball.
+    ``core_ratio <= 0.5``.  ``domain`` is the configuration's ball.
     """
-    if domain is None:
-        domain = BallDomain.unit(table.N)
     eps_arr = _require_reals("eps_list", eps_list)
     if len(eps_arr) < 2 or any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ParameterError(
@@ -745,8 +743,9 @@ class AxisymGrid:
 
     N, R and the center come from ``domain`` alone; ``z`` runs along the
     axis through the center parallel to e_1, ``r`` is the distance from it.
-    Nodes sit at ``z_i = z_c - R + i hz`` (0 <= i < nz) and ``r_j = j hr``
-    (0 <= j < nr) with ``hz = 2R/(nz-1)``, ``hr = R/(nr-1)``.  A node is
+    Nodes sit at ``z_c + z_offsets[i]``, ``z_offsets[i] = (i - (nz-1)/2) hz``
+    (0 <= i < nz), and ``r_j = j hr`` (0 <= j < nr) with ``hz = 2R/(nz-1)``,
+    ``hr = R/(nr-1)``; the grid computes from the offsets alone.  A node is
     *interior* when strictly inside the ball and off the frame (the first
     and last rows and the last column); a *boundary* node is a
     non-interior node with an interior 4-neighbor, and carries Dirichlet
@@ -772,20 +771,20 @@ class AxisymGrid:
         self.nz = _require_int("grid size nz", nz, 5)
         self.nr = _require_int("grid size nr", nr, 5)
         R = domain.radius
-        zc = domain.center[0]
         self.hz = 2.0 * R / (self.nz - 1)
         self.hr = R / (self.nr - 1)
-        self.zs = zc - R + self.hz * np.arange(self.nz)
         self.rs = self.hr * np.arange(self.nr)
+        # Offsets from the center, exactly odd in the row index: both node
+        # sets mirror themselves (_factor); no grid computation forms z - z_c.
+        self.z_offsets = self.hz * (np.arange(self.nz) - 0.5 * (self.nz - 1))
+        self.z_offsets.flags.writeable = False
 
         # Read-only (nz, nr) views of the node coordinates.
-        self.z_nodes = np.broadcast_to(self.zs[:, None], (self.nz, self.nr))
+        dz = self.z_offsets[:, None]
+        self.z_nodes = np.broadcast_to(dz + domain.center[0],
+                                       (self.nz, self.nr))
         self.r_nodes = np.broadcast_to(self.rs, (self.nz, self.nr))
-        # Offsets from the center written symmetrically, not as z - zc, whose
-        # rounding can admit a node of the frame; exactly odd in the row
-        # index, they make both node sets their own mirror images (_factor).
-        dz = self.hz * (np.arange(self.nz) - 0.5 * (self.nz - 1))
-        self.interior = dz[:, None] ** 2 + self.r_nodes ** 2 < R * R
+        self.interior = dz ** 2 + self.r_nodes ** 2 < R * R
         self.interior[[0, -1], :] = False
         self.interior[:, -1] = False
 
@@ -1094,8 +1093,7 @@ def _project(grid: AxisymGrid, signs, fam: ProjectedBubbleExact) -> Field:
         _require_cells(grid, fam.R - abs(t), 4, "boundary margin")
     grid._factor()      # its transients do not stack on the trace's
     trace = np.asarray(signs, dtype=float) @ fam.u(
-        (grid.z_nodes - grid.domain.center[0]).ravel(),
-        grid.r_nodes.ravel())
+        np.repeat(grid.z_offsets, grid.nr), grid.r_nodes.ravel())
     trace = trace.reshape(grid.nz, grid.nr)
     w = solve_dirichlet_laplace(grid, Field(grid, trace))
     return Field(grid, np.where(grid.interior, trace - w.values, 0.0))

@@ -92,8 +92,7 @@ def test_criterion_03_axis_hypotheses(domain):
     """min h'' > 0 with h''(0) = 1/(2 pi) ± 1e-6; (t-s) dg/dt < 0; < 5 s."""
     start = time.perf_counter()
     sec = AxisSection.of_ball(domain)
-    convexity, monotonicity = validate_A3(domain, sec, n_grid=256,
-                                          n_pairs=10_000)
+    convexity, monotonicity = validate_A3(domain, sec)
     assert convexity.passed and convexity.worst_value > 0.0
     assert monotonicity.passed and monotonicity.worst_value < 0.0
     from nodalbubbles import axis_h_d2
@@ -115,7 +114,7 @@ def test_criterion_04_boundary_expansions(domain):
     lead = by_prefix["boundary_expansion_leading_ratio"]
     assert lead.passed and lead.worst_value <= 0.15, (
         f"leading ratio deviation {lead.worst_value:.3f}")
-    mono = check_directional_monotonicity(domain, n_samples=1000, seed=0)
+    mono = check_directional_monotonicity(domain, seed=0)
     assert mono.passed and mono.worst_value < 0.0
     assert mono.sample_count == 1000
 

@@ -10,7 +10,6 @@ from nodalbubbles import (
     AxisKernels,
     AxisSection,
     BallDomain,
-    ConfigurationError,
     DomainError,
     ParameterError,
     ProjectedBubbleExact,
@@ -355,8 +354,8 @@ class TestHypothesisChecks:
         convexity, monotonicity = validate_A3(domain, sec)
         assert convexity.passed and convexity.worst_value > 0.0
         assert monotonicity.passed and monotonicity.worst_value < 0.0
-        assert convexity.sample_count >= 256
-        assert monotonicity.sample_count >= 9000
+        assert convexity.sample_count == 256
+        assert monotonicity.sample_count == 9900
 
     @pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (0.3, 0.1, 0.0)])
     def test_validate_a3_none_is_the_whole_chord(self, center):
@@ -391,14 +390,14 @@ class TestHypothesisChecks:
                                       rel=1e-12)
 
     def test_directional_monotonicity_passes(self, domain):
-        report = check_directional_monotonicity(domain, n_samples=1000, seed=0)
+        report = check_directional_monotonicity(domain, seed=0)
         assert report.passed
         assert report.worst_value < 0.0
         assert report.sample_count == 1000
 
     def test_directional_monotonicity_counts_the_pairs_kept(self, domain,
                                                             monkeypatch):
-        # One draw of n_samples pairs: pairs closer than 1e-6 R are dropped,
+        # One draw of 1,000 pairs: pairs closer than 1e-6 R are dropped,
         # not re-drawn, and the report counts the pairs kept.  Here the y
         # draw repeats the x draw in its first three rows.
         rng = np.random.default_rng
@@ -420,30 +419,9 @@ class TestHypothesisChecks:
                 return self._next(self.rng.random(m))
 
         monkeypatch.setattr(np.random, "default_rng", RepeatsThreeRows)
-        report = check_directional_monotonicity(domain, n_samples=50, seed=0)
-        assert report.sample_count == 47
+        report = check_directional_monotonicity(domain, seed=0)
+        assert report.sample_count == 997
         assert report.passed and report.worst_value < 0.0
-
-    @pytest.mark.parametrize("check, kwargs", [
-        ("validate_A3", {"n_grid": 15}),
-        ("validate_A3", {"n_pairs": 0}),
-        ("validate_A3", {"n_pairs": -1}),
-        ("directional", {"n_samples": 0}),
-        # A sample size is an integer: no float, bool or string stands for
-        # one (n_pairs=True and n_samples=10.0 ran before).
-        *(("validate_A3", {key: v}) for key, v in (
-            ("n_grid", 16.0), ("n_grid", True), ("n_grid", "256"),
-            ("n_pairs", 100.0), ("n_pairs", True), ("n_pairs", "100"))),
-        *(("directional", {"n_samples": v}) for v in (10.0, True, "10")),
-    ])
-    def test_sample_counts_without_evidence_rejected(self, domain, check,
-                                                     kwargs):
-        # A check that samples nothing must not report a pass.
-        with pytest.raises(ConfigurationError):
-            if check == "validate_A3":
-                validate_A3(domain, AxisSection.of_ball(domain), **kwargs)
-            else:
-                check_directional_monotonicity(domain, **kwargs)
 
     @pytest.mark.parametrize("N", [143, 144, 343])
     def test_overflowed_samples_rejected(self, N):
@@ -454,7 +432,7 @@ class TestHypothesisChecks:
             validate_A3(d, AxisSection.of_ball(d))
 
     def test_report_serialization(self, domain):
-        report = check_directional_monotonicity(domain, n_samples=50, seed=1)
+        report = check_directional_monotonicity(domain, seed=1)
         d = report.to_json_dict()
         assert d["pass"] is report.passed
         assert list(d) == ["check", "sample_count", "worst_value", "pass"]
@@ -547,7 +525,7 @@ class TestDomainValidation:
           for h in (math.inf, math.nan, "0.01")),
         # The seed is an integer >= 0 (-1 raised numpy's ValueError).
         *(pytest.param(lambda s=s: check_directional_monotonicity(
-            BallDomain.unit(3), n_samples=10, seed=s),
+            BallDomain.unit(3), seed=s),
                        ParameterError, id=f"directional-seed-{s!r}")
           for s in (-1, 1.0, True, "0")),
         # The center is a list, tuple or 1-D array of N finite reals: a

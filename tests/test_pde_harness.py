@@ -630,9 +630,10 @@ class TestExpansionGap:
 
     def test_eps_list_validation(self, table3):
         with pytest.raises(ParameterError):
-            expansion_gap(centered1(), [0.1], table3)
+            expansion_gap(centered1(), [0.1], table3, BallDomain.unit(3))
         with pytest.raises(ParameterError):
-            expansion_gap(centered1(), [0.05, 0.1], table3)
+            expansion_gap(centered1(), [0.05, 0.1], table3,
+                          BallDomain.unit(3))
 
 
 class TestAxisymGrid:
@@ -894,6 +895,50 @@ class TestGridProjection:
                                                           nr=33))
         err = exc_info.value
         assert (err.required_nz, err.required_nr) == (8001, 4001)
+
+
+# Translated balls, each with its grid size: (center, radius, nz, nr).
+SHIFTED_BALLS = [((-1.8, 0.0, 0.0), 1.0, 513, 257),
+                 ((-1.7, 0.0, 0.0), 1.0, 513, 257),
+                 ((3.22, 0.0, 0.0), 0.3, 513, 257),
+                 ((0.3, 0.0, 0.0), 1.0, 513, 257),
+                 ((0.2, 0.3, -0.1), 1.0, 257, 129)]
+
+
+def probe_projection(center, radius, nz, nr):
+    """The grid projection of the N = 3, eps = 0.1 bubble at the center of
+    the ball, with lam = radius."""
+    d = BallDomain(N=3, center=np.array(center), radius=radius)
+    p = BubbleParams(N=3, eps=0.1, lam=radius, xi=d.center)
+    return project_bubble(d, p, AxisymGrid.for_ball(d, nz=nz, nr=nr)).values
+
+
+class TestOneFrame:
+    """The grid computes from its offsets from the center alone, so a
+    translated ball gives the same bits and the z -> -z reflection about
+    the center is exact."""
+
+    @pytest.mark.parametrize("nz", [5, 9, 64, 65, 513, 1025])
+    @pytest.mark.parametrize("radius", [1.0, 0.3])
+    def test_offsets_odd_and_read_only(self, nz, radius):
+        g = AxisymGrid(ball_at(3.22, radius), nz=nz, nr=5)
+        assert g.z_offsets.shape == (nz,)
+        assert np.array_equal(g.z_offsets, -g.z_offsets[::-1])
+        with pytest.raises(ValueError):
+            g.z_offsets[0] = 0.0
+
+    @pytest.mark.parametrize("center, radius, nz, nr", SHIFTED_BALLS)
+    def test_translated_projection_is_bitwise(self, center, radius, nz, nr):
+        assert np.array_equal(probe_projection(center, radius, nz, nr),
+                              probe_projection((0.0,) * 3, radius, nz, nr))
+
+    @pytest.mark.parametrize("center, radius, nz, nr",
+                             [((0.0, 0.0, 0.0), 0.3, 513, 257),
+                              *SHIFTED_BALLS])
+    def test_centered_probe_is_mirror_symmetric(self, center, radius, nz,
+                                                nr):
+        PU = probe_projection(center, radius, nz, nr)
+        assert np.array_equal(PU, PU[::-1])
 
 
 class TestGridInEveryDimension:
@@ -1216,7 +1261,7 @@ _CONFIG3 = Configuration(k=1, signs=(1,), Lambda=(1.0,), t=(0.0,))
                    (ParameterError, "eps"), id=f"bubble-eps-N{N}-{eps!r}")
       for N, eps in ((3, 4.0), (10, 0.5), (10, 0.9))),
     *(pytest.param(lambda g, eps=eps: expansion_gap(
-        _CONFIG3, eps, compute_constants(3)),
+        _CONFIG3, eps, compute_constants(3), BallDomain.unit(3)),
                    ParameterError, id=f"gap-eps-{label}")
       for label, eps in (("strings", ["0.1", "0.05"]), ("inf", [0.1, math.inf]),
                          ("nan", [math.nan, 0.05]), ("bool", [0.1, True]))),
@@ -1231,7 +1276,8 @@ _CONFIG3 = Configuration(k=1, signs=(1,), Lambda=(1.0,), t=(0.0,))
     *(pytest.param(lambda g, m=m: bubble_profile(3, m, 0.0),
                    ParameterError, id=f"profile-m-{m!r}")
       for m in (0.0, -1.0, math.inf)),
-    pytest.param(lambda g: expansion_gap(_CONFIG3, 0.1, compute_constants(3)),
+    pytest.param(lambda g: expansion_gap(_CONFIG3, 0.1, compute_constants(3),
+                                         BallDomain.unit(3)),
                  ParameterError, id="gap-eps-scalar"),
     # Array arguments are arrays of finite reals, core widths positive: a
     # NaN d2 or coordinate gave NaN, a string raised numpy's ValueError or
